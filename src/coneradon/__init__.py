@@ -20,8 +20,6 @@ from .grids import (
     cumint_from_top,
     diff2_x_central,
     diff_y_forward,
-    sample_linear_2d,
-    sample_linear_xy,
 )
 from .gridio import GridFormatError, export_heatmap, read_grid, write_grid, write_grid_csv
 from .phantoms import (
@@ -75,8 +73,6 @@ __all__ = [
     "relative_l2",
     "render_bumps_2d",
     "render_bumps_3d",
-    "sample_linear_2d",
-    "sample_linear_xy",
     "vline_forward",
     "vline_invert",
     "vline_spectral_oracle",

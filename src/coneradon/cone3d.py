@@ -27,6 +27,8 @@ from .grids import (
     AxisSpec,
     ConeGeometry,
     RealGrid3D,
+    _diff2_central,
+    _ring_quadrature,
     _upper_trapezoid_weights,
     cumint_from_top,
 )
@@ -100,48 +102,19 @@ def _n_phi(radius: float, dx: float) -> int:
     return 4 * math.ceil(needed / 4)
 
 
-def _accumulate_shift(out: np.ndarray, vol: np.ndarray, da: int, db: int, w: float):
-    # out[i, j, :] += w * vol[i + da, j + db, :], zero outside the array.
-    nx, ny = vol.shape[:2]
-    i0, i1 = max(0, -da), min(nx, nx - da)
-    j0, j1 = max(0, -db), min(ny, ny - db)
-    if i0 >= i1 or j0 >= j1 or w == 0.0:
-        return
-    out[i0:i1, j0:j1] += w * vol[i0 + da : i1 + da, j0 + db : j1 + db]
-
-
-def _ring_average(vol: np.ndarray, offsets_x: np.ndarray, offsets_y: np.ndarray) -> np.ndarray:
-    """Mean over the circle samples of vol bilinearly shifted by (ox, oy) index
-    offsets, for every (x, y, z) at once; f is zero outside its box."""
-    acc = np.zeros_like(vol)
-    for ox, oy in zip(offsets_x, offsets_y):
-        a = math.floor(ox)
-        b = math.floor(oy)
-        fx = ox - a
-        fy = oy - b
-        _accumulate_shift(acc, vol, a, b, (1.0 - fx) * (1.0 - fy))
-        _accumulate_shift(acc, vol, a + 1, b, fx * (1.0 - fy))
-        _accumulate_shift(acc, vol, a, b + 1, (1.0 - fx) * fy)
-        _accumulate_shift(acc, vol, a + 1, b + 1, fx * fy)
-    return acc / len(offsets_x)
-
-
 def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     """Conical transform of ``f`` with a vertex at every grid point.
 
     Trapezoid in z over the grid levels, uniform phi samples on each circle,
-    bilinear sampling in (x, y); the cone opens toward +z only.
+    zero-extended linear sampling in (x, y); the cone opens toward +z only.
     """
     t = geometry.tan_beta
     dz = f.z_axis.spacing
     dx = f.x_axis.spacing
     dy = f.y_axis.spacing
-    nz = f.z_axis.n_samples
-    vol = f.values
-
-    g = np.zeros_like(vol)
     const = 2.0 * np.pi * t / geometry.cos_beta * dz * dz
-    for lag in range(1, nz):
+
+    def circle(lag: int):
         r = lag * dz * t
         nphi = _n_phi(r, dx)
         # One quadrant of angles; the other three by exact 90-degree rotation.
@@ -150,10 +123,9 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
         s = r * np.sin(quarter)
         ox = np.concatenate([c, -s, -c, s]) / dx
         oy = np.concatenate([s, c, -s, -c]) / dy
-        ring = _ring_average(vol, ox, oy)
-        w = np.ones(nz - lag)
-        w[-1] = 0.5  # top z level carries the trapezoid endpoint weight
-        g[:, :, : nz - lag] += (const * lag) * ring[:, :, lag:] * w
+        return const * lag, ox, oy
+
+    g = _ring_quadrature(f.values, circle)
     return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, g)
 
 
@@ -175,16 +147,6 @@ def dft2_slices(g: RealGrid3D) -> SpectralStack:
 def _idft2_slices(stack: SpectralStack, x_axis: AxisSpec, y_axis: AxisSpec) -> np.ndarray:
     raw = stack.values / (x_axis.spacing * y_axis.spacing)
     return np.fft.ifft2(raw, axes=(0, 1)).real
-
-
-def _d2_replicated(p: np.ndarray, spacing: float) -> np.ndarray:
-    # Central second difference along the last axis; end entries replicate the
-    # nearest interior value.
-    d2 = np.empty_like(p)
-    d2[..., 1:-1] = (p[..., :-2] - 2.0 * p[..., 1:-1] + p[..., 2:]) / (spacing * spacing)
-    d2[..., 0] = d2[..., 1]
-    d2[..., -1] = d2[..., -2]
-    return d2
 
 
 def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
@@ -236,7 +198,7 @@ def apply_H(profile, spacing: float, u: float):
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
     p = p.astype(np.result_type(p.dtype, float), copy=False)
-    return _d2_replicated(p, spacing) + (u * u) * p
+    return _diff2_central(p, spacing, axis=-1) + (u * u) * p
 
 
 def _j0_lag_matrices(us: np.ndarray, n: int, spacing: float) -> np.ndarray:

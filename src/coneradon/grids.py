@@ -1,10 +1,15 @@
-"""Uniform-grid containers plus the interpolation, differencing and cumulative
+"""Uniform-grid containers plus the sampling, differencing and cumulative
 quadrature primitives shared by the 2D and 3D transforms.
 
 Coordinate conventions: every axis is sampled uniformly from ``min`` to ``max``
 inclusive, and grid values are indexed ``values[ix, iy]`` (2D) or
-``values[ix, iy, iz]`` (3D).  Sampling a point outside the grid rectangle/box
-returns 0, which encodes the compact-support assumption all transforms rely on.
+``values[ix, iy, iz]`` (3D).
+
+Sampling convention: both forward projectors read f through one engine,
+``_ring_quadrature``, which evaluates the zero-extended linear interpolant of
+the samples: f is taken as 0 beyond the grid, and a point within one cell of
+an edge blends the edge sample with that zero.  Points of a ring are whole
+shifted copies of the array (shift-and-add), never per-point gathers.
 """
 
 import math
@@ -21,8 +26,6 @@ __all__ = [
     "cumint_from_top",
     "diff2_x_central",
     "diff_y_forward",
-    "sample_linear_2d",
-    "sample_linear_xy",
 ]
 
 
@@ -132,54 +135,6 @@ class RealGrid3D:
         return (self.x_axis, self.y_axis, self.z_axis)
 
 
-def _bilinear(values, x_axis: AxisSpec, y_axis: AxisSpec, xq, yq):
-    """Bilinear interpolation of a (nx, ny) array; 0 outside the rectangle."""
-    xq = np.asarray(xq, dtype=float)
-    yq = np.asarray(yq, dtype=float)
-    xq, yq = np.broadcast_arrays(xq, yq)
-    nx, ny = values.shape
-
-    tx = (xq - x_axis.min) / x_axis.spacing
-    ty = (yq - y_axis.min) / y_axis.spacing
-    inside = (tx >= 0.0) & (tx <= nx - 1.0) & (ty >= 0.0) & (ty <= ny - 1.0)
-
-    tx = np.clip(tx, 0.0, nx - 1.0)
-    ty = np.clip(ty, 0.0, ny - 1.0)
-    i0 = np.minimum(tx.astype(np.intp), nx - 2)
-    j0 = np.minimum(ty.astype(np.intp), ny - 2)
-    fx = tx - i0
-    fy = ty - j0
-
-    v = (
-        (1.0 - fx) * (1.0 - fy) * values[i0, j0]
-        + fx * (1.0 - fy) * values[i0 + 1, j0]
-        + (1.0 - fx) * fy * values[i0, j0 + 1]
-        + fx * fy * values[i0 + 1, j0 + 1]
-    )
-    return np.where(inside, v, 0.0)
-
-
-def sample_linear_2d(grid: RealGrid2D, x, y):
-    """Bilinearly interpolate ``grid`` at (x, y); points outside the rectangle give 0.
-
-    Accepts scalars or broadcastable arrays and returns the matching shape.
-    """
-    out = _bilinear(grid.values, grid.x_axis, grid.y_axis, x, y)
-    return float(out) if out.ndim == 0 else out
-
-
-def sample_linear_xy(volume: RealGrid3D, x, y, z_index: int):
-    """Bilinearly interpolate the z-slice ``z_index`` of ``volume`` at (x, y).
-
-    ``z_index`` must address an existing slice; (x, y) outside the rectangle give 0.
-    """
-    nz = volume.z_axis.n_samples
-    if not 0 <= z_index < nz:
-        raise IndexError(f"z_index {z_index} out of range [0, {nz})")
-    out = _bilinear(volume.values[:, :, z_index], volume.x_axis, volume.y_axis, x, y)
-    return float(out) if out.ndim == 0 else out
-
-
 def diff_y_forward(grid: RealGrid2D) -> RealGrid2D:
     """First-order forward difference along y; the top row replicates the one below.
 
@@ -196,17 +151,23 @@ def diff_y_forward(grid: RealGrid2D) -> RealGrid2D:
     return RealGrid2D(grid.x_axis, grid.y_axis, out)
 
 
+def _diff2_central(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
+    # Central second difference along ``axis``; the two end entries replicate
+    # the nearest interior value.
+    v = np.moveaxis(values, axis, -1)
+    d2 = np.empty_like(v)
+    d2[..., 1:-1] = (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]) / (spacing * spacing)
+    d2[..., 0] = d2[..., 1]
+    d2[..., -1] = d2[..., -2]
+    return np.moveaxis(d2, -1, axis)
+
+
 def diff2_x_central(grid: RealGrid2D) -> RealGrid2D:
     """Central second difference along x; boundary columns replicate the adjacent
     interior value."""
-    v = grid.values
     if grid.x_axis.n_samples < 3:
         raise ValueError("second difference needs at least 3 samples along x")
-    dx = grid.x_axis.spacing
-    out = np.empty_like(v)
-    out[1:-1, :] = (v[:-2, :] - 2.0 * v[1:-1, :] + v[2:, :]) / (dx * dx)
-    out[0, :] = out[1, :]
-    out[-1, :] = out[-2, :]
+    out = _diff2_central(grid.values, grid.x_axis.spacing, axis=0)
     return RealGrid2D(grid.x_axis, grid.y_axis, out)
 
 
@@ -237,3 +198,57 @@ def cumint_from_top(profile, spacing: float, axis: int = -1):
     out = np.zeros(p.shape, dtype=np.result_type(p.dtype, float))
     out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
     return np.moveaxis(out, -1, axis)
+
+
+def _accumulate_shift(out: np.ndarray, vol: np.ndarray, da: int, db: int, w: float):
+    # out[i, j, :] += w * vol[i + da, j + db, :], zero outside the array.
+    nx, ny = vol.shape[:2]
+    i0, i1 = max(0, -da), min(nx, nx - da)
+    j0, j1 = max(0, -db), min(ny, ny - db)
+    if i0 >= i1 or j0 >= j1 or w == 0.0:
+        return
+    out[i0:i1, j0:j1] += w * vol[i0 + da : i1 + da, j0 + db : j1 + db]
+
+
+def _ring_average(vol: np.ndarray, offsets_x: np.ndarray, offsets_y: np.ndarray) -> np.ndarray:
+    """Mean over the ring points of vol linearly shifted by (ox, oy) index
+    offsets, for every (x, y, level) at once; vol is zero outside its array."""
+    acc = np.zeros_like(vol)
+    for ox, oy in zip(offsets_x, offsets_y):
+        a = math.floor(ox)
+        b = math.floor(oy)
+        fx = ox - a
+        fy = oy - b
+        _accumulate_shift(acc, vol, a, b, (1.0 - fx) * (1.0 - fy))
+        _accumulate_shift(acc, vol, a + 1, b, fx * (1.0 - fy))
+        _accumulate_shift(acc, vol, a, b + 1, (1.0 - fx) * fy)
+        _accumulate_shift(acc, vol, a + 1, b + 1, fx * fy)
+    return acc / len(offsets_x)
+
+
+def _ring_quadrature(vol: np.ndarray, ring) -> np.ndarray:
+    """Trapezoidal integral, from every level of ``vol`` (last axis) to the top,
+    of ring averages that widen with the lag.
+
+    ``ring(lag)`` returns ``(weight, offsets_x, offsets_y)`` for the ring sampled
+    ``lag`` levels above the vertex level; lags of weight 0 are skipped.  The
+    result is
+
+        out[..., k] = sum_lag weight(lag) * T(k, lag) * ring average of vol[..., k + lag]
+
+    with T the trapezoid weights of the integral from level k to the top: 1/2
+    at both ends (so 0 for the empty integral at the top level), 1 between.
+    """
+    n = vol.shape[-1]
+    out = np.zeros_like(vol)
+    for lag in range(n):
+        weight, ox, oy = ring(lag)
+        if weight == 0.0:
+            continue
+        trap = np.ones(n - lag)
+        trap[-1] = 0.5  # the top level is the upper endpoint of every integral
+        if lag == 0:
+            trap *= 0.5  # the vertex level is the lower endpoint
+            trap[-1] = 0.0
+        out[..., : n - lag] += weight * _ring_average(vol[..., lag:], ox, oy) * trap
+    return out

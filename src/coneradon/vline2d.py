@@ -2,8 +2,9 @@
 
 A projection value g(x_v, y_v) integrates f along the two upward rays
 x = x_v +/- (y - y_v) tan(beta), y >= y_v, with arclength element dy/cos(beta).
-``vline_forward`` evaluates this by trapezoidal quadrature on the vertex grid's
-y-levels; ``vline_invert`` applies the exact reconstruction
+``vline_forward`` evaluates this by trapezoidal quadrature in y, sampling f
+on the two-point ring x_v +/- (y - y_v) tan(beta) of the sampling engine the
+cone transform also uses; ``vline_invert`` applies the exact reconstruction
 
     f(x, y) = -(cos(beta)/2) * (dg/dy + tan^2(beta) * int_y^{y_top} d2g/dx2 dt)
 
@@ -22,7 +23,7 @@ from .grids import (
     AxisSpec,
     ConeGeometry,
     RealGrid2D,
-    _bilinear,
+    _ring_quadrature,
     _upper_trapezoid_weights,
     cumint_from_top,
     diff2_x_central,
@@ -56,55 +57,60 @@ def vline_forward(
 ) -> VLineProjection:
     """V-line transform of ``f`` at every vertex of the vertex grid.
 
-    The vertex grid defaults to f's own grid.  Its y-axis must reach at least
-    the top of f's domain so that both rays exit the support.  Integration runs
-    over the vertex grid's y-levels with bilinear sampling of f, which is zero
-    outside its rectangle.
+    The vertex grid defaults to f's own grid.  An explicit ``vertex_axes`` must
+    be f's x axis plus a y axis with f's spacing and f's top that extends f
+    downward by whole rows (as ``coneradon roundtrip2d --vertex-ymin`` builds
+    it); any other vertex grid raises ``ValueError``.  Integration is the
+    trapezoid rule over quadrature nodes that subdivide the y rows, sampling
+    the zero-extended linear interpolant of f.
     """
-    if vertex_axes is None:
-        vx_axis, vy_axis = f.x_axis, f.y_axis
-    else:
-        vx_axis, vy_axis = vertex_axes
-    if vy_axis.max < f.y_axis.max - 1e-12 * max(1.0, abs(f.y_axis.max)):
-        raise ValueError("vertex grid y-axis must reach the top of f's domain")
+    vy_axis = f.y_axis
+    n_below = 0
+    if vertex_axes is not None:
+        n_below = _rows_below(f, *vertex_axes)
+        vy_axis = vertex_axes[1]
 
     t = geometry.tan_beta
     dyv = vy_axis.spacing
-    xv = vx_axis.coordinates()
-    yv = vy_axis.coordinates()
-    n_yv = vy_axis.n_samples
-
     # Quadrature nodes subdivide the vertex grid's y step so one step never
     # advances more than half a cell in x; for tan(beta) <= dx/(2 dy) this is
     # exactly one sample per y level.
     n_sub = max(1, math.ceil(2.0 * t * dyv / f.x_axis.spacing))
     h = dyv / n_sub
-    n_lags = n_sub * (n_yv - 1) + 1
 
-    g = np.zeros((vx_axis.n_samples, n_yv))
-    # Lag q pairs every vertex level j with the node at height y_j + q*h; the
-    # sampled x-offset +/- t*q*h is shared by all vertices, so each lag costs
-    # one pair of vectorized bilinear evaluations.
-    for q in range(n_lags):
-        d = t * q * h
-        j_hi = n_yv - 1 - (q + n_sub - 1) // n_sub  # last vertex reaching this lag
-        if q == 0:
-            j_cols = np.arange(n_yv - 1)  # top vertex has a zero-length integral
-        else:
-            j_cols = np.arange(j_hi + 1)
-        levels = (yv[j_cols] + q * h)[None, :]
-        vals = _bilinear(f.values, f.x_axis, f.y_axis, (xv + d)[:, None], levels)
-        vals += _bilinear(f.values, f.x_axis, f.y_axis, (xv - d)[:, None], levels)
-        w = np.ones(j_cols.size)
-        if q == 0:
-            w *= 0.5
-        # the last node of each vertex integral (q == n_sub*(n_yv-1-j)) is the
-        # trapezoid endpoint at the top of the grid
-        if q % n_sub == 0 and q > 0:
-            w[j_hi] = 0.5
-        g[:, j_cols] += vals * w
-    g *= h / geometry.cos_beta
-    return VLineProjection(RealGrid2D(vx_axis, vy_axis, g), geometry)
+    rows = np.concatenate([np.zeros((f.x_axis.n_samples, n_below)), f.values], axis=1)
+    nodes = _refine_rows(rows, n_sub)
+    weight = 2.0 * h / geometry.cos_beta  # two rays; the ring averages them
+
+    def two_rays(lag: int):
+        d = t * lag * h / f.x_axis.spacing
+        return weight, np.array([d, -d]), np.zeros(2)
+
+    g = _ring_quadrature(nodes[:, None, :], two_rays)[:, 0, ::n_sub]
+    return VLineProjection(RealGrid2D(f.x_axis, vy_axis, g), geometry)
+
+
+def _rows_below(f: RealGrid2D, vx_axis: AxisSpec, vy_axis: AxisSpec) -> int:
+    # Whole rows the vertex grid adds below f; ValueError for any other grid.
+    y = f.y_axis
+    tol = 1e-9 * y.spacing
+    if (
+        vx_axis != f.x_axis
+        or abs(vy_axis.max - y.max) > tol
+        or abs(vy_axis.spacing - y.spacing) > tol
+        or vy_axis.n_samples < y.n_samples
+    ):
+        raise ValueError(
+            "vertex grid must be f's x axis and f's y rows extended downward by whole rows"
+        )
+    return vy_axis.n_samples - y.n_samples
+
+
+def _refine_rows(values: np.ndarray, n_sub: int) -> np.ndarray:
+    # Linear interpolation in y onto n_sub nodes per row interval.
+    s = np.arange(n_sub) / n_sub
+    fine = (1.0 - s) * values[:, :-1, None] + s * values[:, 1:, None]
+    return np.concatenate([fine.reshape(values.shape[0], -1), values[:, -1:]], axis=1)
 
 
 def vline_invert(projection: VLineProjection) -> RealGrid2D:

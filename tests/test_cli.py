@@ -74,6 +74,16 @@ class TestRoundtrip2D:
         recon = read_grid(out / "reconstruction.crtg")
         assert recon.y_axis.n_samples == 40  # cropped back to the phantom grid
 
+    def test_vertex_extension_rounds_to_whole_rows(self, tmp_path):
+        out = tmp_path / "ext"
+        code = run_cli("roundtrip2d", "--n", "40", "--vertex-ymin", "-1.37",
+                       "--outdir", str(out))
+        assert code == 0
+        projection = read_grid(out / "projection.crtg")
+        extra = projection.y_axis.n_samples - 40
+        assert projection.y_axis.min == pytest.approx(-1.0 - extra * 2.0 / 39, abs=1e-12)
+        assert projection.y_axis.min <= -1.37
+
 
 class TestFileChain:
     def test_phantom_forward_invert(self, tmp_path):

@@ -257,6 +257,23 @@ class TestConeForward:
         assert abs(ref) < 1e-6
         assert abs(g[i, j, k]) < 1e-6
 
+    def test_edge_sample_blends_with_zero(self):
+        # Same convention as the V-line: a ring point a fraction fx of a cell
+        # beyond the last x column sees (1 - fx) times the value there.  With
+        # dy = dz = dx/4 the 16-point ring of radius 1.25 dx at lag 5 touches
+        # row 4 only at phi = 0 and phi = pi, and only phi = 0 reaches x = 5.
+        geom = ConeGeometry(np.pi / 4)
+        x_axis = AxisSpec(6, 0.0, 5.0)
+        yz_axis = AxisSpec(9, 0.0, 2.0)
+        values = np.zeros((6, 9, 9))
+        values[5, 4, 7] = 3.0
+        g = cone_forward(RealGrid3D(x_axis, yz_axis, yz_axis, values), geom).values
+        dz = yz_axis.spacing
+        fx = 5 * dz * geom.tan_beta - 1.0
+        # g = (tan/cos) int (z - z_v) 2 pi mean_phi f dz, one lag of 5 dz.
+        expected = 2 * np.pi * geom.tan_beta / geom.cos_beta * 5 * dz * dz * (1.0 - fx) * 3.0 / 16
+        assert g[4, 4, 2] == pytest.approx(expected, rel=1e-12)
+
     def test_linearity(self):
         rng = np.random.default_rng(8)
         ax = AxisSpec(12, -1.0, 1.0)

@@ -10,8 +10,7 @@ from coneradon.grids import (
     cumint_from_top,
     diff2_x_central,
     diff_y_forward,
-    sample_linear_2d,
-    sample_linear_xy,
+    _ring_quadrature,
 )
 
 
@@ -60,59 +59,6 @@ class TestGridContainers:
         values3[0, 0, 0] = np.inf
         with pytest.raises(NonFiniteGridError):
             RealGrid3D(unit_axis(4), unit_axis(4), unit_axis(4), values3)
-
-
-class TestSampleLinear2D:
-    def test_constant_field(self):
-        grid = RealGrid2D(unit_axis(9), unit_axis(9), np.full((9, 9), 5.0))
-        assert sample_linear_2d(grid, 0.13, -0.41) == pytest.approx(5.0, rel=1e-14)
-
-    def test_outside_support_is_zero(self):
-        grid = RealGrid2D(unit_axis(9), unit_axis(9), np.random.default_rng(0).normal(size=(9, 9)))
-        assert sample_linear_2d(grid, 2.0, 0.0) == 0.0
-        assert sample_linear_2d(grid, 0.0, -1.0000001) == 0.0
-
-    def test_exact_on_affine(self):
-        ax = AxisSpec(11, 0.0, 1.0)
-        gx, gy = np.meshgrid(ax.coordinates(), ax.coordinates(), indexing="ij")
-        grid = RealGrid2D(ax, ax, gx + gy)
-        assert sample_linear_2d(grid, 0.25, 0.35) == pytest.approx(0.6, abs=1e-14)
-
-    def test_reproduces_nodes(self):
-        rng = np.random.default_rng(42)
-        grid = RealGrid2D(unit_axis(13), unit_axis(7), rng.normal(size=(13, 7)))
-        gx, gy = np.meshgrid(grid.x_coords, grid.y_coords, indexing="ij")
-        sampled = sample_linear_2d(grid, gx, gy)
-        np.testing.assert_allclose(sampled, grid.values, rtol=0, atol=1e-12)
-
-    def test_vectorized_shape(self):
-        grid = RealGrid2D(unit_axis(5), unit_axis(5), np.ones((5, 5)))
-        out = sample_linear_2d(grid, np.zeros((3, 2)), np.zeros((3, 2)))
-        assert out.shape == (3, 2)
-
-
-class TestSampleLinearXY:
-    def test_constant_volume(self):
-        vol = RealGrid3D(unit_axis(5), unit_axis(5), unit_axis(5), np.full((5, 5, 5), 2.0))
-        assert sample_linear_xy(vol, 0.3, -0.2, 2) == pytest.approx(2.0, rel=1e-14)
-
-    def test_outside_rectangle(self):
-        vol = RealGrid3D(unit_axis(5), unit_axis(5), unit_axis(5), np.ones((5, 5, 5)))
-        assert sample_linear_xy(vol, 1.5, 0.0, 0) == 0.0
-
-    def test_affine_slice(self):
-        ax = AxisSpec(11, 0.0, 1.0)
-        gx, gy = np.meshgrid(ax.coordinates(), ax.coordinates(), indexing="ij")
-        values = np.repeat((3 * gx - gy)[:, :, None], 3, axis=2)
-        vol = RealGrid3D(ax, ax, AxisSpec(3, 0.0, 1.0), values)
-        assert sample_linear_xy(vol, 0.5, 0.5, 1) == pytest.approx(1.0, abs=1e-14)
-
-    def test_z_index_out_of_range(self):
-        vol = RealGrid3D(unit_axis(5), unit_axis(5), unit_axis(5), np.ones((5, 5, 5)))
-        with pytest.raises(IndexError):
-            sample_linear_xy(vol, 0.0, 0.0, 5)
-        with pytest.raises(IndexError):
-            sample_linear_xy(vol, 0.0, 0.0, -1)
 
 
 class TestDiffYForward:
@@ -213,6 +159,16 @@ class TestCumintFromTop:
             cumint_from_top(np.ones(1), 0.1)
         with pytest.raises(ValueError):
             cumint_from_top(np.ones(5), 0.0)
+
+
+class TestRingQuadrature:
+    def test_point_ring_is_cumulative_trapezoid(self):
+        # A one-point ring at zero offset samples vol itself, so weight h per lag
+        # reproduces the trapezoidal integral from each level to the top.
+        rng = np.random.default_rng(5)
+        vol = rng.normal(size=(4, 3, 11))
+        out = _ring_quadrature(vol, lambda lag: (0.1, np.zeros(1), np.zeros(1)))
+        np.testing.assert_allclose(out, cumint_from_top(vol, 0.1), rtol=1e-13, atol=1e-15)
 
 
 class TestLinearity:

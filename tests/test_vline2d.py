@@ -106,6 +106,42 @@ class TestVlineForward:
         with pytest.raises(ValueError):
             vline_forward(f, GEOM, (f.x_axis, low_axis))
 
+    @pytest.mark.parametrize(
+        "vertex_x,vertex_y",
+        [
+            (AxisSpec(16, -2.0, 2.0), AxisSpec(16, -1.0, 1.0)),  # other x axis
+            (AxisSpec(16, -1.0, 1.0), AxisSpec(20, -1.5, 1.0)),  # other y spacing
+            # f's spacing, but rows offset by half a row from f's
+            (AxisSpec(16, -1.0, 1.0), AxisSpec(19, -1.0 - 2.5 * 2 / 15, 1.0 + 0.5 * 2 / 15)),
+        ],
+    )
+    def test_vertex_grid_must_extend_f_by_whole_rows(self, vertex_x, vertex_y):
+        f = bump_grid(16)
+        with pytest.raises(ValueError):
+            vline_forward(f, GEOM, (vertex_x, vertex_y))
+
+    @pytest.mark.parametrize("beta,n_sub", [(np.pi / 4, 2), (3 * np.pi / 8, 5)])
+    def test_against_ray_marching_subdivided_rows(self, beta, n_sub):
+        f = bump_grid(120)
+        geom = ConeGeometry(beta)
+        assert np.ceil(2.0 * geom.tan_beta) == n_sub  # nodes per row at dx = dy
+        g = vline_forward(f, geom).grid.values
+        ref = oracles.vline_ray_march_grid(f, geom, oversample=10)
+        assert np.linalg.norm(g - ref) / np.linalg.norm(ref) <= 5e-3
+
+    def test_edge_sample_blends_with_zero(self):
+        # f is 0 beyond its grid and linear within one cell of the edge: a ray
+        # landing a fraction fx of a cell beyond the last column sees (1 - fx)
+        # times the value there.  With dx = dy = 1 and tan(pi/8) < 1/2 each
+        # quadrature node is a whole row; the right ray from vertex (6, 2)
+        # meets row 5 at x = 6 + 3 tan(beta), and the left ray sees only zeros.
+        ax = AxisSpec(8, 0.0, 7.0)
+        values = np.zeros((8, 8))
+        values[7, 5] = 3.0
+        g = vline_forward(RealGrid2D(ax, ax, values), GEOM).grid.values
+        fx = 3 * GEOM.tan_beta - 1.0
+        assert g[6, 2] == pytest.approx((1.0 - fx) * 3.0 / GEOM.cos_beta, rel=1e-12)
+
     def test_extended_vertex_grid_matches_on_shared_rows(self):
         f = bump_grid(40)
         extra = 10
