@@ -5,9 +5,6 @@ One command per process; every run writes the requested grids plus a
 (keys sorted, so identical configurations reproduce byte-identical reports up
 to the timing values).  Exit codes: 0 success, 1 bad arguments, 2 I/O or parse
 failure, 3 numerical failure (non-finite values).
-
-The ``CRT_THREADS`` environment variable caps the worker count of the 3D
-per-frequency inversion (0 or unset uses all cores).
 """
 
 import argparse
@@ -91,6 +88,8 @@ class RunConfig:
         for lo, hi in bounds:
             if not hi > lo:
                 raise ValueError(f"domain bounds must satisfy max > min, got [{lo}, {hi}]")
+        if self.vertex_ymin is not None and not math.isfinite(self.vertex_ymin):
+            raise ValueError(f"vertex_ymin must be finite, got {self.vertex_ymin}")
 
     def domain_bounds(self, dim: int | None = None) -> list[tuple[float, float]]:
         pairs = [tuple(self.domain[i : i + 2]) for i in range(0, len(self.domain), 2)]
@@ -422,6 +421,9 @@ def run(config: RunConfig) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory for this configuration: {exc}", file=sys.stderr)
         return 1
 
     report = {

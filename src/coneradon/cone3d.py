@@ -17,8 +17,6 @@ where H(F) = F'' + u^2 F.  The zero-frequency bin degenerates to fhat = G''.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,11 +142,6 @@ def dft2_slices(g: RealGrid3D) -> SpectralStack:
     return SpectralStack(fx, fy, g.z_axis, (dx * dy) * spectra)
 
 
-def _idft2_slices(stack: SpectralStack, x_axis: AxisSpec, y_axis: AxisSpec) -> np.ndarray:
-    raw = stack.values / (x_axis.spacing * y_axis.spacing)
-    return np.fft.ifft2(raw, axes=(0, 1)).real
-
-
 def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
     # Stencil weights on integer offsets reproducing the given derivative order
     # exactly on polynomials of degree < len(offsets).
@@ -266,18 +259,6 @@ def _pad_xy(g: RealGrid3D, pad_factor: int) -> tuple[RealGrid3D, tuple[int, int]
     return RealGrid3D(x_axis, y_axis, g.z_axis, padded), (left_x, left_y)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("CRT_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n > 0:
-            return n
-    return os.cpu_count() or 1
-
-
 def _frequency_weights(u_map: np.ndarray, radial: np.ndarray, g: RealGrid3D) -> np.ndarray:
     """Per-bin inversion weights: zero beyond the transverse Nyquist circle and a
     cosine-squared rolloff in u where the z grid stops resolving the J0 kernel."""
@@ -299,6 +280,11 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     vertex data.  Frequency pairs beyond the transverse Nyquist circle carry
     only aliasing noise and are zeroed; pairs whose Bessel kernel oscillates too
     fast for the z grid are tapered out (see ``_frequency_weights``).
+
+    Only the ky >= 0 half of the spectrum is inverted: g is real, so the profile
+    at (-lambda, -mu) is the complex conjugate of the one at (lambda, mu), and
+    the per-frequency inversion depends on sqrt(lambda^2 + mu^2) only, so its
+    result there is the conjugate too.  The real inverse DFT fills in the rest.
     """
     if g.x_axis.n_samples < 4 or g.y_axis.n_samples < 4:
         raise ValueError("inversion needs at least 4 samples along x and y")
@@ -308,41 +294,35 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
         raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
 
     padded, (left_x, left_y) = _pad_xy(g, pad_factor)
+    nxp, nyp, nz = padded.values.shape
+    half = nyp // 2 + 1
     stack = dft2_slices(padded)
     lam = stack.x_freqs.frequencies
-    mu = stack.y_freqs.frequencies
+    mu = stack.y_freqs.frequencies[:half]
     radial = np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2)
     u_map = geometry.tan_beta * radial
     weights = _frequency_weights(u_map, radial, g)
 
     # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat.
-    normalized = (geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)) * stack.values
+    normalized = (geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)) * stack.values[:, :half]
 
-    out = np.zeros_like(stack.values)
+    out = np.zeros_like(normalized)
     out[0, 0, :] = weights[0, 0] * invert_frequency_profile(normalized[0, 0, :], g.z_axis, 0.0)
 
     kept = np.flatnonzero(((weights > 0.0) & (radial > 0.0)).ravel())
-    flat_in = normalized.reshape(-1, stack.z_axis.n_samples)
-    flat_out = out.reshape(-1, stack.z_axis.n_samples)
+    flat_in = normalized.reshape(-1, nz)
+    flat_out = out.reshape(-1, nz)
     flat_u = u_map.ravel()
     flat_w = weights.ravel()
-
-    def run_chunk(idx: np.ndarray):
+    for start in range(0, kept.size, _FREQ_CHUNK):
+        idx = kept[start : start + _FREQ_CHUNK]
         flat_out[idx] = flat_w[idx, None] * _invert_profiles_batch(
             flat_in[idx], flat_u[idx], stack.z_axis
         )
 
-    chunks = [kept[i : i + _FREQ_CHUNK] for i in range(0, kept.size, _FREQ_CHUNK)]
-    workers = min(_worker_count(), len(chunks)) if chunks else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, chunks))
-    else:
-        for chunk in chunks:
-            run_chunk(chunk)
-
-    result = SpectralStack(stack.x_freqs, stack.y_freqs, stack.z_axis, out)
-    values = _idft2_slices(result, padded.x_axis, padded.y_axis)
+    # Undo the dx*dy scaling of dft2_slices; s= is needed when nyp is odd.
+    out /= padded.x_axis.spacing * padded.y_axis.spacing
+    values = np.fft.irfft2(out, s=(nxp, nyp), axes=(0, 1))
     nx, ny = g.x_axis.n_samples, g.y_axis.n_samples
     cropped = values[left_x : left_x + nx, left_y : left_y + ny]
     return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, cropped)

@@ -7,6 +7,7 @@ payload as f64 in x-fastest order (then y, then z).  The format round-trips
 bit-exactly for every finite payload.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -45,7 +46,10 @@ def write_grid(path, grid) -> None:
 
 
 def _read_exact(fh, count: int, offset: int, what: str) -> bytes:
-    data = fh.read(count)
+    # Read no more than the file holds, so a header that declares a huge
+    # payload is refused here instead of allocating it.
+    available = os.fstat(fh.fileno()).st_size - offset
+    data = fh.read(min(count, available))
     if len(data) != count:
         raise GridFormatError(
             f"truncated grid file: wanted {count} bytes for {what} at byte offset "

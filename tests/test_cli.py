@@ -140,10 +140,16 @@ class TestExitCodes:
             main(["roundtrip2d", "--beta", "half"])
         assert info.value.code == 1
 
-    def test_invalid_parameters_exit_1(self, tmp_path):
+    def test_invalid_parameters_exit_1(self, tmp_path, capsys):
         assert run_cli("roundtrip2d", "--n", "4", "--outdir", str(tmp_path)) == 1
         assert run_cli("roundtrip2d", "--beta", "2.0", "--outdir", str(tmp_path)) == 1
         assert run_cli("roundtrip2d", "--pad-factor", "9", "--outdir", str(tmp_path)) == 1
+        # -1e12 is finite but needs an 873 TiB vertex grid.
+        for ymin in ("-inf", "-1e12", "nan"):
+            code = run_cli("roundtrip2d", "--n", "16", f"--vertex-ymin={ymin}",
+                           "--outdir", str(tmp_path))
+            assert code == 1
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run_cli("invert2d", "--input", str(tmp_path / "nope.crtg"),
@@ -153,6 +159,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.crtg"
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert run_cli("invert2d", "--input", str(bad), "--outdir", str(tmp_path)) == 2
+
+    def test_oversized_grid_header_exits_2(self, tmp_path):
+        huge = tmp_path / "huge.crtg"
+        header = b"CRTG" + struct.pack("<HH", 1, 3) + struct.pack("<3I", 65535, 65535, 65535)
+        data = header + struct.pack("<6d", 0, 1, 0, 1, 0, 1)
+        huge.write_bytes(data + b"\x00" * (100 - len(data)))
+        assert run_cli("invert3d", "--input", str(huge), "--outdir", str(tmp_path)) == 2
 
     def test_bad_scene_exits_2(self, tmp_path):
         scene = tmp_path / "scene.txt"

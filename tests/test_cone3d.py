@@ -339,11 +339,18 @@ class TestConeInvert:
         with pytest.raises(ValueError):
             cone_invert(g, GEOM)
 
-    def test_thread_cap_env(self, monkeypatch):
-        f = bump_volume(16)
-        g = cone_forward(f, GEOM)
-        monkeypatch.setenv("CRT_THREADS", "1")
-        serial = cone_invert(g, GEOM).values
-        monkeypatch.setenv("CRT_THREADS", "4")
-        threaded = cone_invert(g, GEOM).values
-        np.testing.assert_array_equal(serial, threaded)
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_rotation_covariance(self, n, pad):
+        # Odd and even padded sizes, with and without a Nyquist column: the
+        # half spectrum kept along y must reproduce the full one along x.  The
+        # fine z axis keeps the Nyquist bin (0, nyp/2) inside the u-taper.
+        rng = np.random.default_rng(11)
+        ax = AxisSpec(n, -1.0, 1.0)
+        az = AxisSpec(n, -0.4, 0.4)
+        v = rng.normal(size=(n, n, n))
+        rec = cone_invert(RealGrid3D(ax, ax, az, v), GEOM, pad_factor=pad).values
+        rotated = np.ascontiguousarray(np.rot90(v, axes=(0, 1)))
+        rec_rotated = cone_invert(RealGrid3D(ax, ax, az, rotated), GEOM, pad_factor=pad).values
+        expected = np.rot90(rec, axes=(0, 1))
+        assert np.linalg.norm(rec_rotated - expected) <= 1e-12 * np.linalg.norm(expected)

@@ -101,6 +101,15 @@ class TestFormatErrors:
         with pytest.raises(GridFormatError, match="non-finite"):
             read_grid(path)
 
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        # 100 bytes that declare 65535^3 samples: refused, not allocated.
+        path = tmp_path / "huge.crtg"
+        header = b"CRTG" + struct.pack("<HH", 1, 3) + struct.pack("<3I", 65535, 65535, 65535)
+        data = header + struct.pack("<6d", 0, 1, 0, 1, 0, 1)
+        path.write_bytes(data + b"\x00" * (100 - len(data)))
+        with pytest.raises(GridFormatError, match="truncated.*byte offset"):
+            read_grid(path)
+
     def test_trailing_data_rejected(self, tmp_path):
         rng = np.random.default_rng(3)
         grid = random_grid2d(rng)
