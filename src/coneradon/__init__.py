@@ -4,7 +4,6 @@ forward projectors and exact inversion in 2D (V-line) and 3D (circular cone)."""
 from .cone3d import (
     KernelParams,
     SpectralStack,
-    apply_H,
     cone_forward,
     cone_invert,
     dft2_slices,
@@ -53,7 +52,6 @@ __all__ = [
     "RealGrid3D",
     "SpectralStack",
     "VLineProjection",
-    "apply_H",
     "bessel_j0",
     "bessel_j1",
     "cone_forward",

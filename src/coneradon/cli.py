@@ -5,9 +5,16 @@ One command per process; every run writes the requested grids plus a
 (keys sorted, so identical configurations reproduce byte-identical reports up
 to the timing values).  Exit codes: 0 success, 1 bad arguments, 2 I/O or parse
 failure, 3 numerical failure (non-finite values).
+
+``--vertex-ymin`` extends the 2D vertex grid down by whole rows, but no deeper
+than y_min - dy - (x_max - x_min + dx) / tan(beta): vertex rows below that see
+no data, and a deeper value exits 1 naming the limit.
 """
 
 import argparse
+import contextlib
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -37,18 +44,6 @@ from .vline2d import (
 )
 
 __all__ = ["RunConfig", "main", "run"]
-
-_COMMANDS = (
-    "phantom",
-    "forward2d",
-    "invert2d",
-    "roundtrip2d",
-    "forward3d",
-    "invert3d",
-    "roundtrip3d",
-    "oracle-check",
-)
-
 
 class InputDataError(Exception):
     """Input file exists but its contents cannot be used (exit code 2)."""
@@ -136,13 +131,12 @@ def _parse_domain(text: str) -> tuple[float, ...]:
 
 def _load_scene(config: RunConfig, dim: int) -> list[BumpSpec]:
     if config.scene_path is None:
-        center = (0.2, 0.1) if dim == 2 else (0.2, 0.1, 0.0)
+        center = (0.2, 0.1, 0.0)[:dim]
         return [BumpSpec(center=center, radius=config.default_radius, intensity=1.0)]
-    with open(config.scene_path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        specs = parse_scene(text, dim, default_radius=config.default_radius)
-    except ValueError as exc:
+        with open(config.scene_path, "r", encoding="utf-8") as fh:
+            specs = parse_scene(fh.read(), dim, default_radius=config.default_radius)
+    except ValueError as exc:  # includes UnicodeDecodeError from a non-UTF-8 file
         raise InputDataError(f"{config.scene_path}: {exc}") from exc
     if not specs:
         raise InputDataError(f"{config.scene_path}: scene file defines no bumps")
@@ -152,10 +146,9 @@ def _load_scene(config: RunConfig, dim: int) -> list[BumpSpec]:
 def _render_phantom(config: RunConfig, dim: int):
     specs = _load_scene(config, dim)
     axes = config.axes(dim)
+    render = render_bumps_2d if dim == 2 else render_bumps_3d
     try:
-        if dim == 2:
-            return render_bumps_2d(specs, axes[0], axes[1])
-        return render_bumps_3d(specs, axes[0], axes[1], axes[2])
+        return render(specs, *axes)
     except ValueError as exc:
         raise InputDataError(str(exc)) from exc
 
@@ -171,39 +164,46 @@ def _read_grid_checked(path: str, rank: int):
 def _vertex_axes(config: RunConfig, f: RealGrid2D):
     if config.vertex_ymin is None:
         return None
-    y = f.y_axis
+    x, y = f.x_axis, f.y_axis
     if config.vertex_ymin >= y.min:
         return None
+    # Below this depth both rays leave the zero-extended f sideways before they
+    # reach its lowest nonzero row, so a vertex row there sees no data at all.
+    deepest = y.min - y.spacing - (x.max - x.min + x.spacing) / config.geometry().tan_beta
+    if config.vertex_ymin < deepest:
+        raise ValueError(
+            f"vertex_ymin {config.vertex_ymin} is below {deepest!r}, the deepest value "
+            f"whose vertex rows can see this grid at beta {config.beta}"
+        )
     extra = math.ceil((y.min - config.vertex_ymin) / y.spacing - 1e-9)
     extended = AxisSpec(y.n_samples + extra, y.min - extra * y.spacing, y.max)
-    return (f.x_axis, extended)
+    return (x, extended)
+
+
+def _forward(config: RunConfig, f):
+    """V-line transform of a 2D grid, cone transform of a 3D one."""
+    if len(f.axes()) == 2:
+        return vline_forward(f, config.geometry(), _vertex_axes(config, f)).grid
+    return cone_forward(f, config.geometry())
+
+
+def _invert(config: RunConfig, g):
+    """Exact inversion of a 2D V-line or 3D cone projection grid."""
+    if len(g.axes()) == 2:
+        return vline_invert(VLineProjection(g, config.geometry()))
+    return cone_invert(g, config.geometry(), pad_factor=config.pad_factor)
 
 
 def _log(stage: str) -> None:
     print(f"[coneradon] {stage}", file=sys.stderr)
 
 
-class _Stopwatch:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-
-    def stage(self, name: str):
-        return _StageTimer(self, name)
-
-
-class _StageTimer:
-    def __init__(self, watch: _Stopwatch, name: str):
-        self.watch = watch
-        self.name = name
-
-    def __enter__(self):
-        _log(self.name)
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.watch.timings[self.name] = round(time.perf_counter() - self.t0, 6)
-        return False
+@contextlib.contextmanager
+def _stage(timings: dict, name: str):
+    _log(name)
+    t0 = time.perf_counter()
+    yield
+    timings[name] = round(time.perf_counter() - t0, 6)
 
 
 def _out(config: RunConfig, name: str) -> str:
@@ -221,7 +221,7 @@ def _save_grid(config: RunConfig, name: str, grid, outputs: dict) -> None:
 
 
 def _save_heatmap(config: RunConfig, name: str, grid, outputs: dict, metrics: dict) -> None:
-    values = grid.values if hasattr(grid, "values") else grid
+    values = grid.values
     if values.ndim == 3:  # central z slice of a volume
         values = values[:, :, values.shape[2] // 2]
     path = _out(config, f"{name}.pgm")
@@ -243,88 +243,48 @@ def _metrics_against(config: RunConfig, recon, phantom, metrics: dict) -> None:
             )
 
 
-def _cmd_phantom(config: RunConfig, watch: _Stopwatch, outputs: dict, metrics: dict) -> None:
-    with watch.stage("render phantom"):
-        f = _render_phantom(config, config.dim)
+def _cmd_phantom(config: RunConfig, dim: int, stage, outputs: dict, metrics: dict) -> None:
+    with stage("render phantom"):
+        f = _render_phantom(config, dim)
     _save_grid(config, "phantom", f, outputs)
     _save_heatmap(config, "phantom", f, outputs, metrics)
     metrics["phantom_max"] = float(f.values.max())
     metrics["phantom_l2"] = float(np.linalg.norm(f.values))
 
 
-def _cmd_forward2d(config: RunConfig, watch: _Stopwatch, outputs: dict, metrics: dict) -> None:
+def _cmd_forward(config: RunConfig, dim: int, stage, outputs: dict, metrics: dict) -> None:
     if config.input_path:
-        f = _read_grid_checked(config.input_path, 2)
+        f = _read_grid_checked(config.input_path, dim)
     else:
-        with watch.stage("render phantom"):
-            f = _render_phantom(config, 2)
+        with stage("render phantom"):
+            f = _render_phantom(config, dim)
         _save_grid(config, "phantom", f, outputs)
-    with watch.stage("forward transform"):
-        g = vline_forward(f, config.geometry(), _vertex_axes(config, f))
-    _save_grid(config, "projection", g.grid, outputs)
-    metrics["projection_max"] = float(g.grid.values.max())
-
-
-def _cmd_invert2d(config: RunConfig, watch: _Stopwatch, outputs: dict, metrics: dict) -> None:
-    if not config.input_path:
-        raise ValueError("invert2d needs --input with projection data")
-    g_grid = _read_grid_checked(config.input_path, 2)
-    with watch.stage("inversion"):
-        recon = vline_invert(VLineProjection(g_grid, config.geometry()))
-    _save_grid(config, "reconstruction", recon, outputs)
-    _save_heatmap(config, "reconstruction", recon, outputs, metrics)
-
-
-def _cmd_roundtrip2d(config: RunConfig, watch: _Stopwatch, outputs: dict, metrics: dict) -> None:
-    with watch.stage("render phantom"):
-        f = _render_phantom(config, 2)
-    with watch.stage("forward transform"):
-        g = vline_forward(f, config.geometry(), _vertex_axes(config, f))
-    with watch.stage("inversion"):
-        recon_full = vline_invert(g)
-    if recon_full.axes() != f.axes():  # extended vertex grid: compare on f's rows
-        n_extra = recon_full.y_axis.n_samples - f.y_axis.n_samples
-        recon = RealGrid2D(f.x_axis, f.y_axis, recon_full.values[:, n_extra:])
-    else:
-        recon = recon_full
-    _save_grid(config, "phantom", f, outputs)
-    _save_grid(config, "projection", g.grid, outputs)
-    _save_grid(config, "reconstruction", recon, outputs)
-    _save_heatmap(config, "phantom", f, outputs, metrics)
-    _save_heatmap(config, "reconstruction", recon, outputs, metrics)
-    _metrics_against(config, recon, f, metrics)
-
-
-def _cmd_forward3d(config: RunConfig, watch: _Stopwatch, outputs: dict, metrics: dict) -> None:
-    if config.input_path:
-        f = _read_grid_checked(config.input_path, 3)
-    else:
-        with watch.stage("render phantom"):
-            f = _render_phantom(config, 3)
-        _save_grid(config, "phantom", f, outputs)
-    with watch.stage("forward transform"):
-        g = cone_forward(f, config.geometry())
+    with stage("forward transform"):
+        g = _forward(config, f)
     _save_grid(config, "projection", g, outputs)
     metrics["projection_max"] = float(g.values.max())
 
 
-def _cmd_invert3d(config: RunConfig, watch: _Stopwatch, outputs: dict, metrics: dict) -> None:
+def _cmd_invert(config: RunConfig, dim: int, stage, outputs: dict, metrics: dict) -> None:
     if not config.input_path:
-        raise ValueError("invert3d needs --input with projection data")
-    g = _read_grid_checked(config.input_path, 3)
-    with watch.stage("inversion"):
-        recon = cone_invert(g, config.geometry(), pad_factor=config.pad_factor)
+        raise ValueError(f"{config.command} needs --input with projection data")
+    g = _read_grid_checked(config.input_path, dim)
+    with stage("inversion"):
+        recon = _invert(config, g)
     _save_grid(config, "reconstruction", recon, outputs)
     _save_heatmap(config, "reconstruction", recon, outputs, metrics)
 
 
-def _cmd_roundtrip3d(config: RunConfig, watch: _Stopwatch, outputs: dict, metrics: dict) -> None:
-    with watch.stage("render phantom"):
-        f = _render_phantom(config, 3)
-    with watch.stage("forward transform"):
-        g = cone_forward(f, config.geometry())
-    with watch.stage("inversion"):
-        recon = cone_invert(g, config.geometry(), pad_factor=config.pad_factor)
+def _cmd_roundtrip(config: RunConfig, dim: int, stage, outputs: dict, metrics: dict) -> None:
+    with stage("render phantom"):
+        f = _render_phantom(config, dim)
+    with stage("forward transform"):
+        g = _forward(config, f)
+    with stage("inversion"):
+        recon = _invert(config, g)
+    if recon.axes() != f.axes():  # extended vertex grid: compare on f's rows
+        n_extra = recon.y_axis.n_samples - f.y_axis.n_samples
+        recon = RealGrid2D(f.x_axis, f.y_axis, recon.values[:, n_extra:])
     _save_grid(config, "phantom", f, outputs)
     _save_grid(config, "projection", g, outputs)
     _save_grid(config, "reconstruction", recon, outputs)
@@ -333,24 +293,24 @@ def _cmd_roundtrip3d(config: RunConfig, watch: _Stopwatch, outputs: dict, metric
     _metrics_against(config, recon, f, metrics)
 
 
-def _cmd_oracle_check(config: RunConfig, watch: _Stopwatch, outputs: dict, metrics: dict) -> None:
+def _cmd_oracle_check(config: RunConfig, dim: int, stage, outputs: dict, metrics: dict) -> None:
     """Self-consistency diagnostics: direct vs spectral forward route, the
     per-frequency identity residual, and the closed-form cone kernel against
     direct angular quadrature at seeded random parameters."""
     geom = config.geometry()
-    with watch.stage("render phantom"):
-        f = _render_phantom(config, 2)
-    with watch.stage("forward transform"):
+    with stage("render phantom"):
+        f = _render_phantom(config, dim)
+    with stage("forward transform"):
         g = vline_forward(f, geom)
-    with watch.stage("spectral forward route"):
+    with stage("spectral forward route"):
         g_spec = vline_spectral_oracle(f, geom, pad_factor=max(config.pad_factor, 2))
     denom = float(np.linalg.norm(g.grid.values))
     diff = float(np.linalg.norm(g.grid.values - g_spec.grid.values))
     metrics["forward_vs_spectral_rel_l2"] = diff / denom if denom else diff
-    with watch.stage("frequency-identity residual"):
+    with stage("frequency-identity residual"):
         metrics["fourier_relation_residual"] = fourier_relation_check(f, g)
 
-    with watch.stage("kernel quadrature check"):
+    with stage("kernel quadrature check"):
         rng = np.random.default_rng(config.seed)
         theta = 2.0 * np.pi * np.arange(4096) / 4096
         worst = 0.0
@@ -367,33 +327,26 @@ def _cmd_oracle_check(config: RunConfig, watch: _Stopwatch, outputs: dict, metri
         metrics["kernel_max_abs_error"] = worst
 
 
+# command -> (handler, grid rank); phantom takes its rank from --dim.
 _DISPATCH = {
-    "phantom": _cmd_phantom,
-    "forward2d": _cmd_forward2d,
-    "invert2d": _cmd_invert2d,
-    "roundtrip2d": _cmd_roundtrip2d,
-    "forward3d": _cmd_forward3d,
-    "invert3d": _cmd_invert3d,
-    "roundtrip3d": _cmd_roundtrip3d,
-    "oracle-check": _cmd_oracle_check,
+    "phantom": (_cmd_phantom, None),
+    "forward2d": (_cmd_forward, 2),
+    "invert2d": (_cmd_invert, 2),
+    "roundtrip2d": (_cmd_roundtrip, 2),
+    "forward3d": (_cmd_forward, 3),
+    "invert3d": (_cmd_invert, 3),
+    "roundtrip3d": (_cmd_roundtrip, 3),
+    "oracle-check": (_cmd_oracle_check, 2),
 }
+_COMMANDS = tuple(_DISPATCH)
 
 
 def _config_dict(config: RunConfig) -> dict:
-    return {
-        "beta": config.beta,
-        "command": config.command,
-        "default_radius": config.default_radius,
-        "dim": config.dim,
-        "domain": list(config.domain),
-        "input": config.input_path,
-        "masked_metrics": config.masked_metrics,
-        "n": config.n,
-        "pad_factor": config.pad_factor,
-        "scene": config.scene_path,
-        "seed": config.seed,
-        "vertex_ymin": config.vertex_ymin,
-    }
+    params = dataclasses.asdict(config)
+    params["input"] = params.pop("input_path")
+    params["scene"] = params.pop("scene_path")
+    del params["output_dir"], params["write_csv"]
+    return params
 
 
 def run(config: RunConfig) -> int:
@@ -404,12 +357,13 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    watch = _Stopwatch()
+    timings: dict[str, float] = {}
     outputs: dict[str, str] = {}
     metrics: dict[str, float] = {}
+    handler, dim = _DISPATCH[config.command]
     try:
         os.makedirs(config.output_dir, exist_ok=True)
-        _DISPATCH[config.command](config, watch, outputs, metrics)
+        handler(config, dim or config.dim, functools.partial(_stage, timings), outputs, metrics)
         bad = [k for k, v in metrics.items() if isinstance(v, float) and not math.isfinite(v)]
         if bad:
             raise NonFiniteGridError(f"non-finite metrics: {', '.join(sorted(bad))}")
@@ -431,7 +385,7 @@ def run(config: RunConfig) -> int:
         "metrics": metrics,
         "outputs": outputs,
         "parameters": _config_dict(config),
-        "timings": watch.timings,
+        "timings": timings,
     }
     report_path = _out(config, "report.json")
     try:
@@ -503,24 +457,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        beta=args.beta,
-        n=args.n,
-        domain=args.domain,
-        pad_factor=args.pad_factor,
-        input_path=args.input_path,
-        output_dir=args.output_dir,
-        scene_path=args.scene_path,
-        seed=args.seed,
-        default_radius=args.default_radius,
-        vertex_ymin=args.vertex_ymin,
-        masked_metrics=args.masked_metrics,
-        write_csv=args.write_csv,
-        dim=args.dim,
-    )
-    return run(config)
+    # Every argparse dest is a RunConfig field name.
+    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

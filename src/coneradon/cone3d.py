@@ -25,7 +25,6 @@ from .grids import (
     AxisSpec,
     ConeGeometry,
     RealGrid3D,
-    _diff2_central,
     _ring_quadrature,
     _upper_trapezoid_weights,
     cumint_from_top,
@@ -35,7 +34,6 @@ from .specfun import FrequencyAxis, bessel_j0, frequency_axis
 __all__ = [
     "KernelParams",
     "SpectralStack",
-    "apply_H",
     "cone_forward",
     "cone_invert",
     "dft2_slices",
@@ -181,17 +179,6 @@ def _derivative_last_axis(values: np.ndarray, spacing: float, order: int) -> np.
         w_hi = _fd_weights(hi, order)
         out[..., n - 1 - edge] = values[..., n - n_side :] @ w_hi
     return out / spacing**order
-
-
-def apply_H(profile, spacing: float, u: float):
-    """Operator H(F) = F'' + u^2 F along the last axis (real or complex input)."""
-    p = np.asarray(profile)
-    if p.shape[-1] < 3:
-        raise ValueError("apply_H needs at least 3 samples")
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    p = p.astype(np.result_type(p.dtype, float), copy=False)
-    return _diff2_central(p, spacing, axis=-1) + (u * u) * p
 
 
 def _j0_lag_matrices(us: np.ndarray, n: int, spacing: float) -> np.ndarray:

@@ -7,6 +7,7 @@ payload as f64 in x-fastest order (then y, then z).  The format round-trips
 bit-exactly for every finite payload.
 """
 
+import math
 import os
 import struct
 
@@ -84,7 +85,7 @@ def read_grid(path):
                 axes.append(AxisSpec(dims[i], lo, hi))
             except ValueError as exc:
                 raise GridFormatError(f"invalid axis {i}: {exc}") from exc
-        count = int(np.prod(dims))
+        count = math.prod(dims)
         raw = _read_exact(fh, 8 * count, offset, "payload")
         offset += 8 * count
         if fh.read(1):

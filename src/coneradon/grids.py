@@ -48,6 +48,8 @@ class AxisSpec:
             raise ValueError("axis bounds must be finite")
         if not self.max > self.min:
             raise ValueError(f"axis requires max > min, got [{self.min}, {self.max}]")
+        if not math.isfinite(self.max - self.min):
+            raise ValueError(f"axis extent max - min overflows, got [{self.min}, {self.max}]")
 
     @property
     def spacing(self) -> float:

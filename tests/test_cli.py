@@ -19,6 +19,33 @@ def load_report(outdir):
         return json.load(fh)
 
 
+def deepest_vertex_ymin(n=16, beta=math.pi / 8):
+    # y_min - dy - (x extent + dx) / tan(beta) on the default [-1, 1] domain
+    d = 2.0 / (n - 1)
+    return -1.0 - d - (2.0 + d) / math.tan(beta)
+
+
+def wrapped_dims_grid(tmp_path):
+    # 2^22 * 2^22 * 2^20 samples wrap to 0 in int64 arithmetic.
+    path = tmp_path / "wrap.crtg"
+    header = b"CRTG" + struct.pack("<HH", 1, 3) + struct.pack("<3I", 2**22, 2**22, 2**20)
+    path.write_bytes(header + struct.pack("<6d", 0, 1, 0, 1, 0, 1))
+    return ["invert3d", "--input", str(path)]
+
+
+def infinite_extent_grid(tmp_path):
+    path = tmp_path / "inf.crtg"
+    header = b"CRTG" + struct.pack("<HH", 1, 2) + struct.pack("<II", 8, 8)
+    path.write_bytes(header + struct.pack("<4d", -1e308, 1e308, 0, 1) + b"\x00" * (8 * 64))
+    return ["invert2d", "--input", str(path)]
+
+
+def non_utf8_scene(tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_bytes("0.2 0.1 0.25 1  # caf\xe9\n".encode("latin-1"))
+    return ["phantom", "--scene", str(path)]
+
+
 class TestRoundtrip2D:
     def test_basic_run(self, tmp_path):
         out = tmp_path / "run"
@@ -109,6 +136,23 @@ class TestFileChain:
         grid = read_grid(out / "phantom.crtg")
         assert len(grid.axes()) == 3
 
+    def test_forward3d_invert3d(self, tmp_path):
+        fout = tmp_path / "f3"
+        assert run_cli("forward3d", "--n", "12", "--outdir", str(fout)) == 0
+        assert (fout / "phantom.crtg").exists()
+        assert load_report(fout)["metrics"]["projection_max"] > 0
+        projection = read_grid(fout / "projection.crtg")
+        assert len(projection.axes()) == 3
+        iout = tmp_path / "i3"
+        assert run_cli("invert3d", "--input", str(fout / "projection.crtg"),
+                       "--pad-factor", "3", "--outdir", str(iout)) == 0
+        recon = read_grid(iout / "reconstruction.crtg")
+        assert recon.axes() == projection.axes()
+        assert (iout / "reconstruction.pgm").exists()
+        report = load_report(iout)
+        assert report["parameters"]["pad_factor"] == 3
+        assert {"reconstruction_heatmap_min", "reconstruction_heatmap_max"} <= set(report["metrics"])
+
     def test_roundtrip3d_small(self, tmp_path):
         out = tmp_path / "r3"
         code = run_cli("roundtrip3d", "--n", "16", "--outdir", str(out))
@@ -166,6 +210,30 @@ class TestExitCodes:
         data = header + struct.pack("<6d", 0, 1, 0, 1, 0, 1)
         huge.write_bytes(data + b"\x00" * (100 - len(data)))
         assert run_cli("invert3d", "--input", str(huge), "--outdir", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("make_args,code,message", [
+        pytest.param(wrapped_dims_grid, 2, "truncated", id="wrapped-dims-crtg"),
+        pytest.param(infinite_extent_grid, 2, "invalid axis 0", id="infinite-extent-crtg"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--domain=-1e308,1e308"], 1,
+                     "overflows", id="infinite-extent-domain"),
+        pytest.param(non_utf8_scene, 2, "utf-8", id="non-utf8-scene"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--beta", "pi/8",
+                                  f"--vertex-ymin={deepest_vertex_ymin() - 2.0 / 15!r}"], 1,
+                     repr(deepest_vertex_ymin()), id="vertex-ymin-one-row-too-deep"),
+    ])
+    def test_malformed_input_exit_code(self, tmp_path, capsys, make_args, code, message):
+        args = make_args(tmp_path) + ["--outdir", str(tmp_path / "out")]
+        assert run_cli(*args) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_deepest_vertex_ymin_exits_0(self, tmp_path):
+        ymin = deepest_vertex_ymin()
+        assert run_cli("roundtrip2d", "--n", "16", "--beta", "pi/8", f"--vertex-ymin={ymin!r}",
+                       "--outdir", str(tmp_path)) == 0
+        projection = read_grid(tmp_path / "projection.crtg")
+        assert projection.y_axis.min <= ymin
 
     def test_bad_scene_exits_2(self, tmp_path):
         scene = tmp_path / "scene.txt"

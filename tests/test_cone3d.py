@@ -3,7 +3,6 @@ import pytest
 
 from coneradon.cone3d import (
     KernelParams,
-    apply_H,
     cone_forward,
     cone_invert,
     dft2_slices,
@@ -68,35 +67,6 @@ class TestKernelEval:
             KernelParams(-0.5, GEOM)
 
 
-class TestApplyH:
-    def test_zero(self):
-        np.testing.assert_array_equal(apply_H(np.zeros(16), 0.1, 2.0), 0.0)
-
-    def test_constant(self):
-        np.testing.assert_allclose(apply_H(np.ones(16), 0.1, 2.0), 4.0, rtol=1e-12)
-
-    def test_sine_in_kernel(self):
-        # H annihilates sin(ux); the interior residual is the central-difference
-        # truncation, bounded by (u dx)^2 u^2 / 12.
-        u = 3.0
-        x = np.linspace(0.0, 2.0 * np.pi, 512)
-        dx = x[1] - x[0]
-        out = apply_H(np.sin(u * x), dx, u)
-        bound = (u * dx) ** 2 * u * u / 12.0
-        assert np.abs(out[1:-1]).max() <= bound * 1.05 + 1e-12
-
-    def test_complex_input(self):
-        rng = np.random.default_rng(3)
-        prof = rng.normal(size=32) + 1j * rng.normal(size=32)
-        out = apply_H(prof, 0.05, 1.5)
-        expected = apply_H(prof.real, 0.05, 1.5) + 1j * apply_H(prof.imag, 0.05, 1.5)
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            apply_H(np.ones(2), 0.1, 1.0)
-
-
 class TestInvertFrequencyProfile:
     def test_zero(self):
         zax = AxisSpec(32, -1.0, 1.0)
@@ -140,7 +110,7 @@ class TestInvertFrequencyProfile:
     def test_intermediate_identity_shrinks_with_resolution(self):
         # H applied to the tail integral of G equals the J0-weighted integral
         # of the underlying profile; the discrete residual shrinks with n.
-        from coneradon.grids import cumint_from_top
+        from coneradon.grids import _diff2_central, cumint_from_top
 
         u = 2.0
         residuals = {}
@@ -150,7 +120,8 @@ class TestInvertFrequencyProfile:
             data = oracles.kernel_profile_quadrature(
                 oracles.smooth_bump_1d, z, zax.max, u, bessel_j0, oversample=6
             )
-            lhs = apply_H(cumint_from_top(data, zax.spacing), zax.spacing, u)
+            tail = cumint_from_top(data, zax.spacing)
+            lhs = _diff2_central(tail, zax.spacing, axis=-1) + u * u * tail  # H(tail)
             rhs = np.zeros(n)
             for j in range(n - 1):
                 zf = np.linspace(z[j], zax.max, (n - 1 - j) * 6 + 1)

@@ -110,6 +110,22 @@ class TestFormatErrors:
         with pytest.raises(GridFormatError, match="truncated.*byte offset"):
             read_grid(path)
 
+    def test_wrapping_dimensions_rejected(self, tmp_path):
+        # 2^22 * 2^22 * 2^20 samples wrap to 0 in int64; the header alone is no grid.
+        path = tmp_path / "wrap.crtg"
+        header = b"CRTG" + struct.pack("<HH", 1, 3) + struct.pack("<3I", 2**22, 2**22, 2**20)
+        path.write_bytes(header + struct.pack("<6d", 0, 1, 0, 1, 0, 1))
+        with pytest.raises(GridFormatError, match="truncated.*payload"):
+            read_grid(path)
+
+    def test_infinite_axis_extent_rejected(self, tmp_path):
+        path = tmp_path / "inf.crtg"
+        header = b"CRTG" + struct.pack("<HH", 1, 2) + struct.pack("<II", 8, 8)
+        bounds = struct.pack("<dddd", -1e308, 1e308, 0, 1)
+        path.write_bytes(header + bounds + b"\x00" * (8 * 64))
+        with pytest.raises(GridFormatError, match="invalid axis 0"):
+            read_grid(path)
+
     def test_trailing_data_rejected(self, tmp_path):
         rng = np.random.default_rng(3)
         grid = random_grid2d(rng)

@@ -27,7 +27,10 @@ class TestAxisSpec:
         assert coords[-1] == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(np.diff(coords), ax.spacing)
 
-    @pytest.mark.parametrize("n,lo,hi", [(1, 0, 1), (0, 0, 1), (5, 1.0, 1.0), (5, 2.0, 1.0)])
+    @pytest.mark.parametrize(
+        "n,lo,hi",
+        [(1, 0, 1), (0, 0, 1), (5, 1.0, 1.0), (5, 2.0, 1.0), (8, -1e308, 1e308)],
+    )
     def test_invalid(self, n, lo, hi):
         with pytest.raises(ValueError):
             AxisSpec(n, lo, hi)
