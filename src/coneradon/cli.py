@@ -8,7 +8,8 @@ failure, 3 numerical failure (non-finite values).
 
 ``--vertex-ymin`` extends the 2D vertex grid down by whole rows, but no deeper
 than y_min - dy - (x_max - x_min + dx) / tan(beta): vertex rows below that see
-no data, and a deeper value exits 1 naming the limit.
+no data, and a deeper value exits 1 naming the limit.  An option the command
+does not read (``_OPTION_READERS``) exits 1.
 """
 
 import argparse
@@ -57,7 +58,7 @@ class RunConfig:
     beta: float = math.pi / 8
     n: int = 120
     domain: tuple[float, ...] = (-1.0, 1.0)
-    pad_factor: int = 2
+    pad_factor: int | None = None  # not given: 2 for the commands that read it
     input_path: str | None = None
     output_dir: str = "."
     scene_path: str | None = None
@@ -66,16 +67,19 @@ class RunConfig:
     vertex_ymin: float | None = None
     masked_metrics: bool = False
     write_csv: bool = False
-    dim: int = 2
+    dim: int | None = None  # phantom only; not given: 2
 
     def validate(self) -> None:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        for name, readers in _OPTION_READERS.items():
+            if getattr(self, name) is not None and self.command not in readers:
+                raise ValueError(f"--{name.replace('_', '-')} does not apply to {self.command}")
         if not (0.0 < self.beta < math.pi / 2):
             raise ValueError(f"beta must lie in (0, pi/2), got {self.beta}")
         if self.n < 8:
             raise ValueError(f"n must be >= 8, got {self.n}")
-        if not (1 <= self.pad_factor <= 4):
+        if self.pad_factor is not None and not (1 <= self.pad_factor <= 4):
             raise ValueError(f"pad_factor must be in [1, 4], got {self.pad_factor}")
         if len(self.domain) not in (2, 4, 6):
             raise ValueError("domain needs 2, 4 or 6 comma-separated numbers")
@@ -129,13 +133,13 @@ def _parse_domain(text: str) -> tuple[float, ...]:
     return values
 
 
-def _load_scene(config: RunConfig, dim: int) -> list[BumpSpec]:
+def _load_scene(config: RunConfig) -> list[BumpSpec]:
     if config.scene_path is None:
-        center = (0.2, 0.1, 0.0)[:dim]
+        center = (0.2, 0.1, 0.0)[: config.dim]
         return [BumpSpec(center=center, radius=config.default_radius, intensity=1.0)]
     try:
         with open(config.scene_path, "r", encoding="utf-8") as fh:
-            specs = parse_scene(fh.read(), dim, default_radius=config.default_radius)
+            specs = parse_scene(fh.read(), config.dim, default_radius=config.default_radius)
     except ValueError as exc:  # includes UnicodeDecodeError from a non-UTF-8 file
         raise InputDataError(f"{config.scene_path}: {exc}") from exc
     if not specs:
@@ -143,10 +147,10 @@ def _load_scene(config: RunConfig, dim: int) -> list[BumpSpec]:
     return specs
 
 
-def _render_phantom(config: RunConfig, dim: int):
-    specs = _load_scene(config, dim)
-    axes = config.axes(dim)
-    render = render_bumps_2d if dim == 2 else render_bumps_3d
+def _render_phantom(config: RunConfig):
+    specs = _load_scene(config)
+    axes = config.axes(config.dim)
+    render = render_bumps_2d if config.dim == 2 else render_bumps_3d
     try:
         return render(specs, *axes)
     except ValueError as exc:
@@ -243,21 +247,21 @@ def _metrics_against(config: RunConfig, recon, phantom, metrics: dict) -> None:
             )
 
 
-def _cmd_phantom(config: RunConfig, dim: int, stage, outputs: dict, metrics: dict) -> None:
+def _cmd_phantom(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
     with stage("render phantom"):
-        f = _render_phantom(config, dim)
+        f = _render_phantom(config)
     _save_grid(config, "phantom", f, outputs)
     _save_heatmap(config, "phantom", f, outputs, metrics)
     metrics["phantom_max"] = float(f.values.max())
     metrics["phantom_l2"] = float(np.linalg.norm(f.values))
 
 
-def _cmd_forward(config: RunConfig, dim: int, stage, outputs: dict, metrics: dict) -> None:
+def _cmd_forward(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
     if config.input_path:
-        f = _read_grid_checked(config.input_path, dim)
+        f = _read_grid_checked(config.input_path, config.dim)
     else:
         with stage("render phantom"):
-            f = _render_phantom(config, dim)
+            f = _render_phantom(config)
         _save_grid(config, "phantom", f, outputs)
     with stage("forward transform"):
         g = _forward(config, f)
@@ -265,19 +269,19 @@ def _cmd_forward(config: RunConfig, dim: int, stage, outputs: dict, metrics: dic
     metrics["projection_max"] = float(g.values.max())
 
 
-def _cmd_invert(config: RunConfig, dim: int, stage, outputs: dict, metrics: dict) -> None:
+def _cmd_invert(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
     if not config.input_path:
         raise ValueError(f"{config.command} needs --input with projection data")
-    g = _read_grid_checked(config.input_path, dim)
+    g = _read_grid_checked(config.input_path, config.dim)
     with stage("inversion"):
         recon = _invert(config, g)
     _save_grid(config, "reconstruction", recon, outputs)
     _save_heatmap(config, "reconstruction", recon, outputs, metrics)
 
 
-def _cmd_roundtrip(config: RunConfig, dim: int, stage, outputs: dict, metrics: dict) -> None:
+def _cmd_roundtrip(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
     with stage("render phantom"):
-        f = _render_phantom(config, dim)
+        f = _render_phantom(config)
     with stage("forward transform"):
         g = _forward(config, f)
     with stage("inversion"):
@@ -293,13 +297,13 @@ def _cmd_roundtrip(config: RunConfig, dim: int, stage, outputs: dict, metrics: d
     _metrics_against(config, recon, f, metrics)
 
 
-def _cmd_oracle_check(config: RunConfig, dim: int, stage, outputs: dict, metrics: dict) -> None:
+def _cmd_oracle_check(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
     """Self-consistency diagnostics: direct vs spectral forward route, the
     per-frequency identity residual, and the closed-form cone kernel against
     direct angular quadrature at seeded random parameters."""
     geom = config.geometry()
     with stage("render phantom"):
-        f = _render_phantom(config, dim)
+        f = _render_phantom(config)
     with stage("forward transform"):
         g = vline_forward(f, geom)
     with stage("spectral forward route"):
@@ -309,6 +313,10 @@ def _cmd_oracle_check(config: RunConfig, dim: int, stage, outputs: dict, metrics
     metrics["forward_vs_spectral_rel_l2"] = diff / denom if denom else diff
     with stage("frequency-identity residual"):
         metrics["fourier_relation_residual"] = fourier_relation_check(f, g)
+    # Truncation alarm: the identity needs g to fit inside the x domain.
+    g_abs = np.abs(g.grid.values)
+    edge_fraction = g_abs[[0, -1]].max() / g_abs.max() if denom else 0.0
+    metrics["projection_edge_fraction"] = float(edge_fraction)
 
     with stage("kernel quadrature check"):
         rng = np.random.default_rng(config.seed)
@@ -340,6 +348,13 @@ _DISPATCH = {
 }
 _COMMANDS = tuple(_DISPATCH)
 
+# Options only some commands read; any other command refuses them.
+_OPTION_READERS = {
+    "vertex_ymin": ("forward2d", "roundtrip2d"),
+    "dim": ("phantom",),
+    "pad_factor": ("invert3d", "roundtrip3d", "oracle-check"),
+}
+
 
 def _config_dict(config: RunConfig) -> dict:
     params = dataclasses.asdict(config)
@@ -357,13 +372,18 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    # The report records the grid rank that ran, and a pad factor only where one is read.
+    handler, rank = _DISPATCH[config.command]
+    config = dataclasses.replace(config, dim=rank or config.dim or 2)
+    if config.pad_factor is None and config.command in _OPTION_READERS["pad_factor"]:
+        config.pad_factor = 2
+
     timings: dict[str, float] = {}
     outputs: dict[str, str] = {}
     metrics: dict[str, float] = {}
-    handler, dim = _DISPATCH[config.command]
     try:
         os.makedirs(config.output_dir, exist_ok=True)
-        handler(config, dim or config.dim, functools.partial(_stage, timings), outputs, metrics)
+        handler(config, functools.partial(_stage, timings), outputs, metrics)
         bad = [k for k, v in metrics.items() if isinstance(v, float) and not math.isfinite(v)]
         if bad:
             raise NonFiniteGridError(f"non-finite metrics: {', '.join(sorted(bad))}")
@@ -426,8 +446,8 @@ def _build_parser() -> _Parser:
         help="axis bounds: 'lo,hi' for all axes or per-axis pairs (default -1,1)",
     )
     parser.add_argument(
-        "--pad-factor", type=int, default=2, dest="pad_factor",
-        help="zero-padding factor for spectral steps, 1..4 (default 2)",
+        "--pad-factor", type=int, default=None, dest="pad_factor",
+        help="zero-padding factor for invert3d, roundtrip3d and oracle-check, 1..4 (default 2)",
     )
     parser.add_argument("--input", dest="input_path", help="input grid file (.crtg)")
     parser.add_argument(
@@ -443,7 +463,7 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument(
         "--vertex-ymin", type=float, default=None, dest="vertex_ymin",
-        help="extend the 2D vertex grid down to this y before projecting",
+        help="extend the vertex grid of forward2d/roundtrip2d down to this y",
     )
     parser.add_argument(
         "--masked-metrics", action="store_true",
@@ -451,7 +471,7 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--csv", action="store_true", dest="write_csv",
                         help="additionally export grids as CSV")
-    parser.add_argument("--dim", type=int, choices=(2, 3), default=2,
+    parser.add_argument("--dim", type=int, choices=(2, 3), default=None,
                         help="dimension for the phantom command (default 2)")
     return parser
 

@@ -153,24 +153,19 @@ def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
 def _derivative_last_axis(values: np.ndarray, spacing: float, order: int) -> np.ndarray:
     """Second-order-accurate derivative along the last axis: central stencils in
     the interior, skewed/one-sided stencils of the same formal order at the ends."""
-    central = {
-        1: ((-1, 0, 1), np.array([-0.5, 0.0, 0.5])),
-        2: ((-1, 0, 1), np.array([1.0, -2.0, 1.0])),
-        3: ((-2, -1, 0, 1, 2), np.array([-0.5, 1.0, 0.0, -1.0, 0.5])),
-    }
-    offsets, weights = central[order]
-    half = -offsets[0]
+    half = (order + 1) // 2
+    offsets = tuple(range(-half, half + 1))
+    weights = _fd_weights(offsets, order)
     n = values.shape[-1]
-    width = len(offsets)
-    if n < max(width, order + 3):
-        raise ValueError(f"need at least {max(width, order + 3)} samples for order {order}")
+    n_side = order + 3  # one-sided points for O(spacing^2) consistency
+    if n < n_side:
+        raise ValueError(f"need at least {n_side} samples for order {order}")
 
     out = np.zeros(values.shape, dtype=values.dtype)
     for off, w in zip(offsets, weights):
         if w != 0.0:
             out[..., half : n - half] += w * values[..., half + off : n - half + off]
 
-    n_side = order + 3  # one-sided points for O(spacing^2) consistency
     for edge in range(half):
         lo = tuple(range(-edge, n_side - edge))
         w_lo = _fd_weights(lo, order)
@@ -231,21 +226,6 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
     return _invert_profiles_batch(p[None, :], np.array([u]), z_axis)[0]
 
 
-def _pad_xy(g: RealGrid3D, pad_factor: int) -> tuple[RealGrid3D, tuple[int, int]]:
-    if pad_factor == 1:
-        return g, (0, 0)
-    nx, ny, nz = g.values.shape
-    nxp, nyp = pad_factor * nx, pad_factor * ny
-    left_x = (nxp - nx) // 2
-    left_y = (nyp - ny) // 2
-    padded = np.zeros((nxp, nyp, nz))
-    padded[left_x : left_x + nx, left_y : left_y + ny] = g.values
-    dx, dy = g.x_axis.spacing, g.y_axis.spacing
-    x_axis = AxisSpec(nxp, g.x_axis.min - left_x * dx, g.x_axis.min + (nxp - 1 - left_x) * dx)
-    y_axis = AxisSpec(nyp, g.y_axis.min - left_y * dy, g.y_axis.min + (nyp - 1 - left_y) * dy)
-    return RealGrid3D(x_axis, y_axis, g.z_axis, padded), (left_x, left_y)
-
-
 def _frequency_weights(u_map: np.ndarray, radial: np.ndarray, g: RealGrid3D) -> np.ndarray:
     """Per-bin inversion weights: zero beyond the transverse Nyquist circle and a
     cosine-squared rolloff in u where the z grid stops resolving the J0 kernel."""
@@ -263,15 +243,17 @@ def _frequency_weights(u_map: np.ndarray, radial: np.ndarray, g: RealGrid3D) -> 
 def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> RealGrid3D:
     """Theorem-2 inversion: 2D DFT per slice, per-frequency 1D inversion, inverse DFT.
 
-    g is zero-padded in (x, y) by ``pad_factor`` to suppress periodic wrap of the
-    vertex data.  Frequency pairs beyond the transverse Nyquist circle carry
+    g is zero-padded at the far x and y ends to ``pad_factor`` times its size
+    to suppress periodic wrap of the vertex data.  Where the zeros sit does not
+    matter: the inversion is a per-frequency filter, so it commutes with
+    circular shifts.  Frequency pairs beyond the transverse Nyquist circle carry
     only aliasing noise and are zeroed; pairs whose Bessel kernel oscillates too
     fast for the z grid are tapered out (see ``_frequency_weights``).
 
-    Only the ky >= 0 half of the spectrum is inverted: g is real, so the profile
-    at (-lambda, -mu) is the complex conjugate of the one at (lambda, mu), and
-    the per-frequency inversion depends on sqrt(lambda^2 + mu^2) only, so its
-    result there is the conjugate too.  The real inverse DFT fills in the rest.
+    Only the ky >= 0 half of the spectrum is inverted (a real 2D DFT): g is
+    real, and the per-frequency inversion depends on sqrt(lambda^2 + mu^2)
+    only, so the result at (-lambda, -mu) is the conjugate of the one at
+    (lambda, mu).  The real inverse DFT fills in the rest.
     """
     if g.x_axis.n_samples < 4 or g.y_axis.n_samples < 4:
         raise ValueError("inversion needs at least 4 samples along x and y")
@@ -280,18 +262,17 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     if pad_factor < 1:
         raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
 
-    padded, (left_x, left_y) = _pad_xy(g, pad_factor)
-    nxp, nyp, nz = padded.values.shape
-    half = nyp // 2 + 1
-    stack = dft2_slices(padded)
-    lam = stack.x_freqs.frequencies
-    mu = stack.y_freqs.frequencies[:half]
+    nx, ny, nz = g.values.shape
+    nxp, nyp = pad_factor * nx, pad_factor * ny
+    lam = frequency_axis(nxp, g.x_axis.spacing).frequencies
+    mu = frequency_axis(nyp, g.y_axis.spacing).frequencies[: nyp // 2 + 1]
     radial = np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2)
     u_map = geometry.tan_beta * radial
     weights = _frequency_weights(u_map, radial, g)
 
     # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat.
-    normalized = (geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)) * stack.values[:, :half]
+    normalized = np.fft.rfft2(g.values, s=(nxp, nyp), axes=(0, 1))
+    normalized *= geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)
 
     out = np.zeros_like(normalized)
     out[0, 0, :] = weights[0, 0] * invert_frequency_profile(normalized[0, 0, :], g.z_axis, 0.0)
@@ -304,12 +285,9 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     for start in range(0, kept.size, _FREQ_CHUNK):
         idx = kept[start : start + _FREQ_CHUNK]
         flat_out[idx] = flat_w[idx, None] * _invert_profiles_batch(
-            flat_in[idx], flat_u[idx], stack.z_axis
+            flat_in[idx], flat_u[idx], g.z_axis
         )
 
-    # Undo the dx*dy scaling of dft2_slices; s= is needed when nyp is odd.
-    out /= padded.x_axis.spacing * padded.y_axis.spacing
-    values = np.fft.irfft2(out, s=(nxp, nyp), axes=(0, 1))
-    nx, ny = g.x_axis.n_samples, g.y_axis.n_samples
-    cropped = values[left_x : left_x + nx, left_y : left_y + ny]
-    return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, cropped)
+    # s= is needed when nyp is odd.
+    values = np.fft.irfft2(out, s=(nxp, nyp), axes=(0, 1))[:nx, :ny]
+    return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, values)

@@ -162,25 +162,20 @@ def vline_spectral_oracle(
 
     padded = np.zeros((n_pad, ny))
     padded[pad_left : pad_left + nx] = f.values
-    fhat = np.fft.fft(padded, axis=0)
-    lam = frequency_axis(n_pad, dx).frequencies
+    fhat = np.fft.rfft(padded, axis=0)
+    lam = frequency_axis(n_pad, dx).frequencies[: fhat.shape[0]]
     weights = _upper_trapezoid_weights(ny, f.y_axis.spacing)
     diffs = f.y_coords[None, :] - f.y_coords[:, None]  # y_m - y_j
 
-    # g is real and the kernel is even in lambda, so bins k and n-k are
-    # conjugate; compute the lower half and mirror.
-    half = n_pad // 2
-    ghat = np.empty((n_pad, ny), dtype=complex)
+    ghat = np.empty_like(fhat)
     t = geometry.tan_beta
-    for start in range(0, half + 1, _SPECTRAL_CHUNK):
-        idx = np.arange(start, min(start + _SPECTRAL_CHUNK, half + 1))
+    for start in range(0, lam.size, _SPECTRAL_CHUNK):
+        idx = slice(start, start + _SPECTRAL_CHUNK)
         kernels = np.cos(lam[idx, None, None] * t * diffs) * weights
         ghat[idx] = np.einsum("kjm,km->kj", kernels, fhat[idx])
-    if half + 1 < n_pad:
-        ghat[half + 1 :] = np.conj(ghat[1 : n_pad - half][::-1])
     ghat *= 2.0 / geometry.cos_beta
 
-    g_pad = np.fft.ifft(ghat, axis=0).real
+    g_pad = np.fft.irfft(ghat, n=n_pad, axis=0)
     g = g_pad[pad_left : pad_left + nx]
     return VLineProjection(RealGrid2D(f.x_axis, f.y_axis, g), geometry)
 
@@ -197,6 +192,10 @@ def fourier_relation_check(
     floor = ``signal_fraction`` times the strongest bin norm; the floor keeps
     near-empty high-frequency bins from reporting pure discretization noise as
     relative error.  A diagnostic only, not a reconstruction.
+
+    Precondition: g fits inside the x domain.  Where g is cut off at the
+    lateral x edges (wide beta, narrow domain) the residual is large although
+    f and g agree.
     """
     grid = projection.grid
     if f.axes() != grid.axes():
@@ -204,9 +203,11 @@ def fourier_relation_check(
     geom = projection.geometry
     dy = f.y_axis.spacing
 
-    fhat = np.fft.fft(f.values, axis=0)
-    big_g = np.fft.fft(grid.values, axis=0) * (geom.cos_beta / 2.0)
-    lam = frequency_axis(f.x_axis.n_samples, f.x_axis.spacing).frequencies
+    # Bins k and n - k are conjugate for real data, so the maximum over the
+    # non-negative frequencies is the maximum over all of them.
+    fhat = np.fft.rfft(f.values, axis=0)
+    big_g = np.fft.rfft(grid.values, axis=0) * (geom.cos_beta / 2.0)
+    lam = frequency_axis(f.x_axis.n_samples, f.x_axis.spacing).frequencies[: fhat.shape[0]]
 
     dgdz = np.gradient(big_g, dy, axis=1)
     tail = cumint_from_top(big_g, dy, axis=1)

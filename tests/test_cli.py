@@ -53,6 +53,7 @@ class TestRoundtrip2D:
         assert code == 0
         report = load_report(out)
         assert report["parameters"]["beta"] == pytest.approx(math.pi / 8)
+        assert report["parameters"]["pad_factor"] is None
         assert 0 < report["metrics"]["relative_l2"] < 1
         for name in ("phantom", "projection", "reconstruction"):
             assert (out / f"{name}.crtg").exists()
@@ -141,6 +142,7 @@ class TestFileChain:
         assert run_cli("forward3d", "--n", "12", "--outdir", str(fout)) == 0
         assert (fout / "phantom.crtg").exists()
         assert load_report(fout)["metrics"]["projection_max"] > 0
+        assert load_report(fout)["parameters"]["dim"] == 3
         projection = read_grid(fout / "projection.crtg")
         assert len(projection.axes()) == 3
         iout = tmp_path / "i3"
@@ -170,6 +172,16 @@ class TestOracleCheck:
         assert metrics["forward_vs_spectral_rel_l2"] < 0.05
         assert metrics["kernel_max_abs_error"] < 1e-8
         assert metrics["fourier_relation_residual"] < 0.2
+        assert metrics["projection_edge_fraction"] < 0.01
+
+    def test_reports_truncated_projection(self, tmp_path):
+        # At beta = pi/4 g leaves the x domain, which explains the large
+        # identity residual.
+        out = tmp_path / "oc"
+        code = run_cli("oracle-check", "--n", "60", "--beta", "pi/4", "--pad-factor", "3",
+                       "--outdir", str(out))
+        assert code == 0
+        assert load_report(out)["metrics"]["projection_edge_fraction"] > 0.5
 
 
 class TestExitCodes:
@@ -187,7 +199,7 @@ class TestExitCodes:
     def test_invalid_parameters_exit_1(self, tmp_path, capsys):
         assert run_cli("roundtrip2d", "--n", "4", "--outdir", str(tmp_path)) == 1
         assert run_cli("roundtrip2d", "--beta", "2.0", "--outdir", str(tmp_path)) == 1
-        assert run_cli("roundtrip2d", "--pad-factor", "9", "--outdir", str(tmp_path)) == 1
+        assert run_cli("roundtrip3d", "--pad-factor", "9", "--outdir", str(tmp_path)) == 1
         # -1e12 is finite but needs an 873 TiB vertex grid.
         for ymin in ("-inf", "-1e12", "nan"):
             code = run_cli("roundtrip2d", "--n", "16", f"--vertex-ymin={ymin}",
@@ -220,6 +232,12 @@ class TestExitCodes:
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--beta", "pi/8",
                                   f"--vertex-ymin={deepest_vertex_ymin() - 2.0 / 15!r}"], 1,
                      repr(deepest_vertex_ymin()), id="vertex-ymin-one-row-too-deep"),
+        pytest.param(lambda tmp: ["forward3d", "--n", "12", "--vertex-ymin", "-1.5"], 1,
+                     "--vertex-ymin does not apply", id="vertex-ymin-on-3d"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--dim", "3"], 1,
+                     "--dim does not apply", id="dim-on-roundtrip2d"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--pad-factor", "4"], 1,
+                     "--pad-factor does not apply", id="pad-factor-on-2d"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, make_args, code, message):
         args = make_args(tmp_path) + ["--outdir", str(tmp_path / "out")]

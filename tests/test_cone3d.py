@@ -3,6 +3,7 @@ import pytest
 
 from coneradon.cone3d import (
     KernelParams,
+    _frequency_weights,
     cone_forward,
     cone_invert,
     dft2_slices,
@@ -22,6 +23,33 @@ BUMP3 = BumpSpec((0.2, 0.1, 0.0), 0.25, 1.0)
 def bump_volume(n, spec=BUMP3):
     ax = AxisSpec(n, -1.0, 1.0)
     return render_bumps_3d([spec], ax, ax, ax)
+
+
+def full_spectrum_invert(g, geometry, pad):
+    # Reference for cone_invert: centred zero padding, the full complex DFT
+    # stack of dft2_slices and one invert_frequency_profile call per kept bin.
+    nx, ny, nz = g.values.shape
+    nxp, nyp = pad * nx, pad * ny
+    left_x, left_y = (nxp - nx) // 2, (nyp - ny) // 2
+    padded = np.zeros((nxp, nyp, nz))
+    padded[left_x : left_x + nx, left_y : left_y + ny] = g.values
+    dx, dy = g.x_axis.spacing, g.y_axis.spacing
+    x_axis = AxisSpec(nxp, 0.0, (nxp - 1) * dx)
+    y_axis = AxisSpec(nyp, 0.0, (nyp - 1) * dy)
+    stack = dft2_slices(RealGrid3D(x_axis, y_axis, g.z_axis, padded))
+    lam, mu = stack.x_freqs.frequencies, stack.y_freqs.frequencies
+    radial = np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2)
+    u_map = geometry.tan_beta * radial
+    weights = _frequency_weights(u_map, radial, g)
+    scale = geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)
+    out = np.zeros_like(stack.values)
+    for kx, ky in zip(*np.nonzero(weights)):
+        profile = scale * stack.values[kx, ky]
+        out[kx, ky] = weights[kx, ky] * invert_frequency_profile(
+            profile, g.z_axis, float(u_map[kx, ky])
+        )
+    values = np.fft.ifft2(out, axes=(0, 1)).real / (dx * dy)
+    return values[left_x : left_x + nx, left_y : left_y + ny]
 
 
 def kernel_quadrature(geometry, lam, mu, gap, nodes=4096):
@@ -325,3 +353,17 @@ class TestConeInvert:
         rec_rotated = cone_invert(RealGrid3D(ax, ax, az, rotated), GEOM, pad_factor=pad).values
         expected = np.rot90(rec, axes=(0, 1))
         assert np.linalg.norm(rec_rotated - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_matches_full_spectrum_reference(self, n, pad):
+        # Pins the half spectrum, odd padded sizes and the independence of the
+        # result from where the zero padding sits; nz = 24 keeps many bins
+        # inside the u-taper.
+        rng = np.random.default_rng(12)
+        ax = AxisSpec(n, -1.0, 1.0)
+        az = AxisSpec(24, -1.0, 1.0)
+        g = RealGrid3D(ax, ax, az, rng.normal(size=(n, n, 24)))
+        expected = full_spectrum_invert(g, GEOM, pad)
+        rec = cone_invert(g, GEOM, pad_factor=pad).values
+        assert np.linalg.norm(rec - expected) <= 1e-12 * np.linalg.norm(expected)

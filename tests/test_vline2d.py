@@ -236,6 +236,15 @@ class TestFourierRelation:
         assert residuals[120] < residuals[60]
         assert residuals[120] <= 0.15
 
+    def test_consistent_pair_at_wide_angle_on_wide_domain(self):
+        # At beta = pi/4 g leaves [-1, 1] sideways and the residual reads 755
+        # (N = 120); on x in [-3.5, 3.5], where g fits, it measured 0.231.
+        x_axis = AxisSpec(418, -3.5, 3.5)
+        y_axis = AxisSpec(120, -1.0, 1.0)
+        f = render_bumps_2d([BUMP], x_axis, y_axis)
+        g = vline_forward(f, ConeGeometry(np.pi / 4))
+        assert fourier_relation_check(f, g) <= 0.25
+
     def test_mismatched_pair_flagged(self):
         f = bump_grid(120)
         g = vline_forward(f, GEOM)
