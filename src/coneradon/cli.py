@@ -306,8 +306,12 @@ def _cmd_oracle_check(config: RunConfig, stage, outputs: dict, metrics: dict) ->
         f = _render_phantom(config)
     with stage("forward transform"):
         g = vline_forward(f, geom)
+    # The oracle's centred zero margin, half the added columns on each side,
+    # must hold the rays' reach y_extent * tan(beta).
+    reach = math.ceil((f.y_axis.max - f.y_axis.min) * geom.tan_beta / f.x_axis.spacing)
+    pad_factor = 1 + math.ceil(2 * reach / f.x_axis.n_samples)
     with stage("spectral forward route"):
-        g_spec = vline_spectral_oracle(f, geom, pad_factor=max(config.pad_factor, 2))
+        g_spec = vline_spectral_oracle(f, geom, pad_factor=pad_factor)
     denom = float(np.linalg.norm(g.grid.values))
     diff = float(np.linalg.norm(g.grid.values - g_spec.grid.values))
     metrics["forward_vs_spectral_rel_l2"] = diff / denom if denom else diff
@@ -352,7 +356,7 @@ _COMMANDS = tuple(_DISPATCH)
 _OPTION_READERS = {
     "vertex_ymin": ("forward2d", "roundtrip2d"),
     "dim": ("phantom",),
-    "pad_factor": ("invert3d", "roundtrip3d", "oracle-check"),
+    "pad_factor": ("invert3d", "roundtrip3d"),
 }
 
 
@@ -447,7 +451,7 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument(
         "--pad-factor", type=int, default=None, dest="pad_factor",
-        help="zero-padding factor for invert3d, roundtrip3d and oracle-check, 1..4 (default 2)",
+        help="zero-padding factor for invert3d and roundtrip3d, 1..4 (default 2)",
     )
     parser.add_argument("--input", dest="input_path", help="input grid file (.crtg)")
     parser.add_argument(

@@ -1,15 +1,24 @@
 """The 3D conical Radon transform (vertical axis, fixed half-opening angle).
 
-The forward transform integrates over the cone surface by splitting the
-surface element into circles: for a vertex at height z_v, the circle at height
-z has radius r = (z - z_v) tan(beta) and
+The forward transform and the inversion both work per transverse frequency
+pair (lambda, mu) with u = tan(beta) sqrt(lambda^2 + mu^2), on the ky >= 0
+half of a real 2D DFT of zero-padded data, and build their z-matrices through
+one engine (``_j0_lag_apply``: one J0 lag matrix per distinct u).
+
+The forward transform is the kernel identity
+
+    ghat(z_v) = int_{z_v}^{z_top} (2 pi tan(beta)/cos(beta)) (z - z_v)
+                J0(u (z - z_v)) fhat(z) dz.
+
+``_cone_forward_rings`` evaluates the same cone-surface integral in space, by
+splitting the surface element into circles of radius r = (z - z_v) tan(beta),
 
     g = (tan(beta)/cos(beta)) * int_{z_v}^{z_top} (z - z_v)
-        * [2 pi * mean_phi f(x_v + r cos(phi), y_v + r sin(phi), z)] dz.
+        * [2 pi * mean_phi f(x_v + r cos(phi), y_v + r sin(phi), z)] dz;
 
-Inversion works per transverse frequency pair (lambda, mu).  With
-u = tan(beta) sqrt(lambda^2 + mu^2) and G = (cos(beta)/(2 pi tan(beta)))
-* ghat, the reconstruction is
+it is the independent reference route the tests compare against.
+
+With G = (cos(beta)/(2 pi tan(beta))) * ghat, the reconstruction is
 
     fhat(t) = int_t^{z_top} J0(u(t - x)) * H^2[ int_x^{z_top} G dz_v ](x) dx,
 
@@ -42,7 +51,7 @@ __all__ = [
 ]
 
 _MIN_PHI_SAMPLES = 16
-_FREQ_CHUNK = 512
+_FREQ_CHUNK = 256
 # Transverse frequency rolloff for the inversion, in units of the z Nyquist
 # frequency pi/dz: full weight while the J0 kernel oscillation is well resolved
 # by the z grid, cosine-squared ramp to zero where it no longer is.  Chosen by
@@ -98,8 +107,49 @@ def _n_phi(radius: float, dx: float) -> int:
     return 4 * math.ceil(needed / 4)
 
 
+def _forward_pad(f: RealGrid3D, geometry: ConeGeometry) -> int:
+    # The rings reach tan(beta) * (z extent) beyond a vertex, so the zero gap
+    # (pad - 1) * n * spacing of the periodic grid must hold that reach along
+    # x and y, or ring points wrap onto the far side of f.
+    reach = geometry.tan_beta * (f.z_axis.max - f.z_axis.min)
+    return 1 + max(
+        math.ceil(reach / (axis.n_samples * axis.spacing)) for axis in (f.x_axis, f.y_axis)
+    )
+
+
+def _half_spectrum_radial(grid: RealGrid3D, nxp: int, nyp: int) -> np.ndarray:
+    # sqrt(lambda^2 + mu^2) on the bins of rfft2(values, s=(nxp, nyp), axes=(0, 1)).
+    lam = frequency_axis(nxp, grid.x_axis.spacing).frequencies
+    mu = frequency_axis(nyp, grid.y_axis.spacing).frequencies[: nyp // 2 + 1]
+    return np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2)
+
+
 def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     """Conical transform of ``f`` with a vertex at every grid point.
+
+    Spectral route: per transverse frequency pair the cone integral is
+    ghat(z_v) = int (2 pi tan(beta)/cos(beta)) (z - z_v) J0(u (z - z_v))
+    fhat(z) dz with u = tan(beta) sqrt(lambda^2 + mu^2), by the trapezoid rule
+    over the grid levels above z_v; the cone opens toward +z only.  f is
+    zero-padded at the far x and y ends by a factor that holds the widest ring
+    (``_forward_pad``), and only the ky >= 0 half of its real 2D DFT is
+    transformed, as in ``cone_invert``.
+    """
+    nx, ny, nz = f.values.shape
+    pad = _forward_pad(f, geometry)
+    nxp, nyp = pad * nx, pad * ny
+    u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
+
+    spectrum = np.fft.rfft2(f.values, s=(nxp, nyp), axes=(0, 1))
+    spectrum *= 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta
+    _j0_lag_apply(spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, lag_factor=True)
+    # s= is needed when nyp is odd; the copy lets the padded array go.
+    values = np.fft.irfft2(spectrum, s=(nxp, nyp), axes=(0, 1))[:nx, :ny].copy()
+    return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, values)
+
+
+def _cone_forward_rings(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
+    """Spatial reference route for ``cone_forward``, kept for the tests.
 
     Trapezoid in z over the grid levels, uniform phi samples on each circle,
     zero-extended linear sampling in (x, y); the cone opens toward +z only.
@@ -176,13 +226,39 @@ def _derivative_last_axis(values: np.ndarray, spacing: float, order: int) -> np.
     return out / spacing**order
 
 
-def _j0_lag_matrices(us: np.ndarray, n: int, spacing: float) -> np.ndarray:
-    """Stacked matrices M[p, i, j] = w_ij * J0(u_p (x_j - t_i)) for j >= i, where
-    w are trapezoid weights of the integral from t_i to the top."""
-    rows = bessel_j0(us[:, None] * spacing * np.arange(n)[None, :])  # (p, n)
+def _j0_lag_matrices(us: np.ndarray, n: int, spacing: float, lag_factor: bool = False) -> np.ndarray:
+    """Stacked matrices M[p, i, j] = w_ij * J0(u_p h_ij) for j >= i, where
+    h_ij = x_j - t_i and w are trapezoid weights of the integral from t_i to
+    the top; with ``lag_factor`` every entry is also multiplied by h_ij."""
+    h = spacing * np.arange(n)
+    rows = bessel_j0(us[:, None] * h[None, :])  # (p, n)
+    if lag_factor:
+        rows *= h
     lag = np.arange(n)[None, :] - np.arange(n)[:, None]
     weights = _upper_trapezoid_weights(n, spacing)
-    return rows[:, np.clip(lag, 0, n - 1)] * weights
+    mats = rows[:, np.clip(lag, 0, n - 1)]
+    mats *= weights
+    return mats
+
+
+def _j0_lag_apply(profiles: np.ndarray, us: np.ndarray, spacing: float, lag_factor: bool = False):
+    """In place, profiles[b] = M(us[b]) @ profiles[b] for every row b, with M
+    from ``_j0_lag_matrices``.
+
+    This is the per-frequency Bessel-kernel engine of both ``cone_forward``
+    and ``cone_invert``.  Rows are grouped by their exact u: one matrix per
+    distinct u, built ``_FREQ_CHUNK`` at a time, is applied to all rows
+    sharing it by one matmul.
+    """
+    distinct, inverse, counts = np.unique(us, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse, kind="stable")
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    n = profiles.shape[-1]
+    for start in range(0, distinct.size, _FREQ_CHUNK):
+        mats = _j0_lag_matrices(distinct[start : start + _FREQ_CHUNK], n, spacing, lag_factor)
+        for p, mat in enumerate(mats, start):
+            group = order[ends[p] : ends[p + 1]]
+            profiles[group] = profiles[group] @ mat.T
 
 
 def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, z_axis: AxisSpec) -> np.ndarray:
@@ -192,13 +268,12 @@ def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, z_axis: AxisSpe
     # data G directly keeps the one-sided boundary errors from being amplified
     # by repeated division by dz^2.
     dz = z_axis.spacing
-    n = z_axis.n_samples
     u2 = (us * us)[:, None]
     p = profiles.astype(np.result_type(profiles.dtype, float), copy=False)
     tail = cumint_from_top(p, dz, axis=-1)
     q = -_derivative_last_axis(p, dz, 3) - 2.0 * u2 * _derivative_last_axis(p, dz, 1) + u2 * u2 * tail
-    mats = _j0_lag_matrices(us, n, dz)
-    return np.einsum("pij,pj->pi", mats, q)
+    _j0_lag_apply(q, us, dz)
+    return q
 
 
 def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
@@ -264,9 +339,7 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
 
     nx, ny, nz = g.values.shape
     nxp, nyp = pad_factor * nx, pad_factor * ny
-    lam = frequency_axis(nxp, g.x_axis.spacing).frequencies
-    mu = frequency_axis(nyp, g.y_axis.spacing).frequencies[: nyp // 2 + 1]
-    radial = np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2)
+    radial = _half_spectrum_radial(g, nxp, nyp)
     u_map = geometry.tan_beta * radial
     weights = _frequency_weights(u_map, radial, g)
 
@@ -277,7 +350,9 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     out = np.zeros_like(normalized)
     out[0, 0, :] = weights[0, 0] * invert_frequency_profile(normalized[0, 0, :], g.z_axis, 0.0)
 
+    # Kept bins in order of u, so each chunk shares few distinct lag matrices.
     kept = np.flatnonzero(((weights > 0.0) & (radial > 0.0)).ravel())
+    kept = kept[np.argsort(u_map.ravel()[kept], kind="stable")]
     flat_in = normalized.reshape(-1, nz)
     flat_out = out.reshape(-1, nz)
     flat_u = u_map.ravel()
@@ -288,6 +363,6 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
             flat_in[idx], flat_u[idx], g.z_axis
         )
 
-    # s= is needed when nyp is odd.
-    values = np.fft.irfft2(out, s=(nxp, nyp), axes=(0, 1))[:nx, :ny]
+    # s= is needed when nyp is odd; the copy lets the padded array go.
+    values = np.fft.irfft2(out, s=(nxp, nyp), axes=(0, 1))[:nx, :ny].copy()
     return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, values)

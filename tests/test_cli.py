@@ -178,10 +178,17 @@ class TestOracleCheck:
         # At beta = pi/4 g leaves the x domain, which explains the large
         # identity residual.
         out = tmp_path / "oc"
-        code = run_cli("oracle-check", "--n", "60", "--beta", "pi/4", "--pad-factor", "3",
-                       "--outdir", str(out))
+        code = run_cli("oracle-check", "--n", "60", "--beta", "pi/4", "--outdir", str(out))
         assert code == 0
         assert load_report(out)["metrics"]["projection_edge_fraction"] > 0.5
+
+    def test_sizes_spectral_padding_from_beta(self, tmp_path):
+        # The spectral route needs a zero margin of y_extent * tan(beta) = 2
+        # here; a fixed pad factor of 2 leaves 1.563.
+        out = tmp_path / "oc"
+        code = run_cli("oracle-check", "--n", "120", "--beta", "pi/4", "--outdir", str(out))
+        assert code == 0
+        assert load_report(out)["metrics"]["forward_vs_spectral_rel_l2"] < 0.05
 
 
 class TestExitCodes:
@@ -238,6 +245,8 @@ class TestExitCodes:
                      "--dim does not apply", id="dim-on-roundtrip2d"),
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--pad-factor", "4"], 1,
                      "--pad-factor does not apply", id="pad-factor-on-2d"),
+        pytest.param(lambda tmp: ["oracle-check", "--n", "16", "--pad-factor", "3"], 1,
+                     "--pad-factor does not apply", id="pad-factor-on-oracle-check"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, make_args, code, message):
         args = make_args(tmp_path) + ["--outdir", str(tmp_path / "out")]

@@ -3,6 +3,7 @@ import pytest
 
 from coneradon.cone3d import (
     KernelParams,
+    _cone_forward_rings,
     _frequency_weights,
     cone_forward,
     cone_invert,
@@ -23,6 +24,25 @@ BUMP3 = BumpSpec((0.2, 0.1, 0.0), 0.25, 1.0)
 def bump_volume(n, spec=BUMP3):
     ax = AxisSpec(n, -1.0, 1.0)
     return render_bumps_3d([spec], ax, ax, ax)
+
+
+def quadrature_vertices(f):
+    # 27 grid vertices whose cones all cross BUMP3's support.
+    for x0 in (0.0, 0.2, 0.4):
+        for y0 in (-0.1, 0.1, 0.3):
+            for z0 in (-0.6, -0.3, -0.1):
+                yield (
+                    round((x0 + 1) / f.x_axis.spacing),
+                    round((y0 + 1) / f.y_axis.spacing),
+                    round((z0 + 1) / f.z_axis.spacing),
+                )
+
+
+@pytest.fixture(scope="module")
+def rings_48():
+    # BUMP3 at N = 48 and its ring-route projection, shared by the oracle tests.
+    f = bump_volume(48)
+    return f, _cone_forward_rings(f, GEOM).values
 
 
 def full_spectrum_invert(g, geometry, pad):
@@ -218,36 +238,44 @@ class TestConeForward:
         k_above = int(np.ceil((0.26 + 1.0) / f.z_axis.spacing))
         assert np.all(g[:, :, k_above:] == 0.0)
 
-    def test_against_surface_quadrature(self):
-        # Vertices chosen so every cone actually crosses the bump support.
-        f = bump_volume(48)
-        g = cone_forward(f, GEOM).values
+    def test_against_surface_quadrature(self, rings_48):
+        # The trilinear oracle samples the grid's own interpolant, which is the
+        # ring route's model, so it checks that route.
+        f, g = rings_48
+        coords = [axis.coordinates() for axis in f.axes()]
         impl, ref = [], []
-        for x0 in (0.0, 0.2, 0.4):
-            for y0 in (-0.1, 0.1, 0.3):
-                for z0 in (-0.6, -0.3, -0.1):
-                    i = round((x0 + 1) / f.x_axis.spacing)
-                    j = round((y0 + 1) / f.y_axis.spacing)
-                    k = round((z0 + 1) / f.z_axis.spacing)
-                    impl.append(g[i, j, k])
-                    ref.append(
-                        oracles.cone_surface_quadrature(
-                            f, GEOM,
-                            f.x_axis.coordinates()[i],
-                            f.y_axis.coordinates()[j],
-                            f.z_axis.coordinates()[k],
-                            oversample=4,
-                        )
-                    )
+        for i, j, k in quadrature_vertices(f):
+            impl.append(g[i, j, k])
+            ref.append(
+                oracles.cone_surface_quadrature(
+                    f, GEOM, coords[0][i], coords[1][j], coords[2][k], oversample=4
+                )
+            )
         impl, ref = np.asarray(impl), np.asarray(ref)
         assert np.linalg.norm(impl - ref) / np.linalg.norm(ref) <= 0.01
 
-    def test_spec_example_vertex_is_zero(self):
+    @pytest.mark.parametrize("route, bound", [("spectral", 3e-3), ("rings", 2e-2)])
+    def test_against_analytic_bump(self, rings_48, route, bound):
+        # Exact cone integrals of the bump formula itself, no grid involved.
+        # Measured at N = 48: 0.24% spectral, 1.6% rings.
+        f, g = rings_48
+        if route == "spectral":
+            g = cone_forward(f, GEOM).values
+        coords = [axis.coordinates() for axis in f.axes()]
+        impl, ref = [], []
+        for i, j, k in quadrature_vertices(f):
+            impl.append(g[i, j, k])
+            ref.append(
+                oracles.cone_bump_integral([BUMP3], GEOM, coords[0][i], coords[1][j], coords[2][k])
+            )
+        impl, ref = np.asarray(impl), np.asarray(ref)
+        assert np.linalg.norm(impl - ref) / np.linalg.norm(ref) <= bound
+
+    def test_spec_example_vertex_is_zero(self, rings_48):
         # The cone from (0.2, 0.1, -0.8) at beta = pi/8 misses the bump: its
         # rings are wider than the support at every height, so both the
         # implementation and the oracle agree on (numerically) zero.
-        f = bump_volume(48)
-        g = cone_forward(f, GEOM).values
+        f, g = rings_48
         coords = f.x_axis.coordinates()
         i = round((0.2 + 1) / f.x_axis.spacing)
         j = round((0.1 + 1) / f.y_axis.spacing)
@@ -266,12 +294,26 @@ class TestConeForward:
         yz_axis = AxisSpec(9, 0.0, 2.0)
         values = np.zeros((6, 9, 9))
         values[5, 4, 7] = 3.0
-        g = cone_forward(RealGrid3D(x_axis, yz_axis, yz_axis, values), geom).values
+        g = _cone_forward_rings(RealGrid3D(x_axis, yz_axis, yz_axis, values), geom).values
         dz = yz_axis.spacing
         fx = 5 * dz * geom.tan_beta - 1.0
         # g = (tan/cos) int (z - z_v) 2 pi mean_phi f dz, one lag of 5 dz.
         expected = 2 * np.pi * geom.tan_beta / geom.cos_beta * 5 * dz * dz * (1.0 - fx) * 3.0 / 16
         assert g[4, 4, 2] == pytest.approx(expected, rel=1e-12)
+
+    def test_no_wrap_around_at_wide_angle(self):
+        # At 3 pi/8 the rings reach 4.8 past a vertex, so a bump near the +x
+        # face wraps onto the -x face unless the zero padding holds that reach
+        # (pad 4 here; pad 2 reads 1.03 against the rings).  Measured: 0.030.
+        geom = ConeGeometry(3 * np.pi / 8)
+        f = bump_volume(24, BumpSpec((0.6, 0.0, 0.3), 0.3, 1.0))
+        g = cone_forward(f, geom).values[:6]
+        ref = _cone_forward_rings(f, geom).values[:6]
+        assert np.linalg.norm(g - ref) <= 0.05 * np.linalg.norm(ref)
+
+    def test_returns_owned_array(self):
+        # A view of the padded array would keep pad^2 times the result alive.
+        assert cone_forward(bump_volume(16), GEOM).values.base is None
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
@@ -331,6 +373,10 @@ class TestConeInvert:
         )
         denom = np.linalg.norm(split)
         assert np.linalg.norm(combined - split) <= 1e-10 * denom
+
+    def test_returns_owned_array(self):
+        g = cone_forward(bump_volume(16), GEOM)
+        assert cone_invert(g, GEOM, pad_factor=3).values.base is None
 
     def test_grid_too_small(self):
         ax = AxisSpec(3, -1.0, 1.0)
