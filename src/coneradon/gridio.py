@@ -111,8 +111,9 @@ def write_grid_csv(path, grid) -> None:
         fh.write("# dims " + " ".join(str(ax.n_samples) for ax in axes) + "\n")
         for i, ax in enumerate(axes):
             fh.write(f"# axis{i} {ax.min:.17g} {ax.max:.17g}\n")
+        row_format = ",".join(["%.17g"] * nx) + "\n"
         for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def export_heatmap(grid, path) -> tuple[float, float]:

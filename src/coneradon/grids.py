@@ -5,13 +5,15 @@ Coordinate conventions: every axis is sampled uniformly from ``min`` to ``max``
 inclusive, and grid values are indexed ``values[ix, iy]`` (2D) or
 ``values[ix, iy, iz]`` (3D).
 
-Sampling convention: the spatial forward projectors, the V-line transform and
-the cone transform's reference route, read f through one engine,
-``_ring_quadrature``, which evaluates the zero-extended linear interpolant of
-the samples: f is taken as 0 beyond the grid, and a point within one cell of
-an edge blends the edge sample with that zero.  Points of a ring are whole
-shifted copies of the array (shift-and-add), never per-point gathers.  The 3D
-forward transform itself is spectral (see ``cone3d``).
+Sampling convention: the spatial forward projectors evaluate the
+zero-extended linear interpolant of the samples: f is taken as 0 beyond the
+grid, and a point within one cell of an edge blends the edge sample with that
+zero.  ``_ring_quadrature`` is the shift-and-add engine for it: points of a
+ring are whole shifted copies of the array, never per-point gathers.  It runs
+the cone transform's reference route (the 3D forward itself is spectral, see
+``cone3d``) and, with a two-point ring, the tests' reference for the V-line
+forward, which ``vline2d`` computes with its own lag loop over only the
+vertex rows it returns.
 """
 
 import math

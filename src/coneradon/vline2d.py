@@ -2,9 +2,10 @@
 
 A projection value g(x_v, y_v) integrates f along the two upward rays
 x = x_v +/- (y - y_v) tan(beta), y >= y_v, with arclength element dy/cos(beta).
-``vline_forward`` evaluates this by trapezoidal quadrature in y, sampling f
-on the two-point ring x_v +/- (y - y_v) tan(beta) of the sampling engine the
-cone transform also uses; ``vline_invert`` applies the exact reconstruction
+``vline_forward`` evaluates this by trapezoidal quadrature in y, sampling the
+zero-extended linear interpolant of f at x_v +/- (y - y_v) tan(beta), the
+operator of the two-point ring of ``grids._ring_quadrature`` (its test
+reference); ``vline_invert`` applies the exact reconstruction
 
     f(x, y) = -(cos(beta)/2) * (dg/dy + tan^2(beta) * int_y^{y_top} d2g/dx2 dt)
 
@@ -23,7 +24,6 @@ from .grids import (
     AxisSpec,
     ConeGeometry,
     RealGrid2D,
-    _ring_quadrature,
     _upper_trapezoid_weights,
     cumint_from_top,
     diff2_x_central,
@@ -62,7 +62,9 @@ def vline_forward(
     downward by whole rows (as ``coneradon roundtrip2d --vertex-ymin`` builds
     it); any other vertex grid raises ``ValueError``.  Integration is the
     trapezoid rule over quadrature nodes that subdivide the y rows, sampling
-    the zero-extended linear interpolant of f.
+    the zero-extended linear interpolant of f.  Only the vertex rows returned
+    are computed: each lag adds its two rays' linear-interpolation taps
+    straight into the vertex rows whose integral reaches that many nodes up.
     """
     vy_axis = f.y_axis
     n_below = 0
@@ -71,22 +73,56 @@ def vline_forward(
         vy_axis = vertex_axes[1]
 
     t = geometry.tan_beta
+    dx = f.x_axis.spacing
     dyv = vy_axis.spacing
     # Quadrature nodes subdivide the vertex grid's y step so one step never
     # advances more than half a cell in x; for tan(beta) <= dx/(2 dy) this is
     # exactly one sample per y level.
-    n_sub = max(1, math.ceil(2.0 * t * dyv / f.x_axis.spacing))
+    n_sub = max(1, math.ceil(2.0 * t * dyv / dx))
     h = dyv / n_sub
 
-    rows = np.concatenate([np.zeros((f.x_axis.n_samples, n_below)), f.values], axis=1)
-    nodes = _refine_rows(rows, n_sub)
-    weight = 2.0 * h / geometry.cos_beta  # two rays; the ring averages them
+    nx = f.x_axis.n_samples
+    ny = vy_axis.n_samples
+    levels = np.concatenate([np.zeros((n_below, nx)), f.values.T])
+    flat = _phase_nodes(levels, n_sub)
+    # Each ray carries half of the two-ray weight 2h/cos(beta).
+    ray_weight = h / geometry.cos_beta
 
-    def two_rays(lag: int):
-        d = t * lag * h / f.x_axis.spacing
-        return weight, np.array([d, -d]), np.zeros(2)
-
-    g = _ring_quadrature(nodes[:, None, :], two_rays)[:, 0, ::n_sub]
+    out = np.zeros(ny * nx)  # out[j * nx + i]: vertex row j, column i
+    scratch = np.empty(ny * nx)
+    top = n_sub * (ny - 1)
+    for lag in range(top + 1):
+        # Vertex row j reads node n_sub * j + lag: the contiguous rows of phase
+        # lag % n_sub from row lag // n_sub on.  At lag 0 the vertex node is
+        # the lower endpoint (weight 1/2), and the top row's integral is empty.
+        n_rows = (top - lag) // n_sub + 1
+        w = ray_weight
+        if lag == 0:
+            n_rows -= 1
+            w *= 0.5
+        size = n_rows * nx
+        start = nx * (1 + (lag % n_sub) * ny + lag // n_sub)
+        acc = out[:size]
+        buf = scratch[:size]
+        buf_rows = buf.reshape(n_rows, nx)
+        d = t * lag * h / dx
+        for ox in (d, -d):
+            a = math.floor(ox)
+            fx = ox - a
+            for shift, tap in ((a, 1.0 - fx), (a + 1, fx)):
+                # out[j, i] += w * tap * node[j, i + shift], zero outside f.
+                if tap == 0.0 or abs(shift) >= nx:
+                    continue
+                np.multiply(flat[start + shift : start + shift + size], w * tap, out=buf)
+                # One contiguous read instead of a clipped 2D slice (numpy runs
+                # those ~4x slower); where i + shift leaves f it wrapped into a
+                # neighbouring row, and f is 0 there.
+                if shift > 0:
+                    buf_rows[:, nx - shift :] = 0.0
+                elif shift < 0:
+                    buf_rows[:, :-shift] = 0.0
+                acc += buf
+    g = np.ascontiguousarray(out.reshape(ny, nx).T)
     return VLineProjection(RealGrid2D(f.x_axis, vy_axis, g), geometry)
 
 
@@ -106,11 +142,20 @@ def _rows_below(f: RealGrid2D, vx_axis: AxisSpec, vy_axis: AxisSpec) -> int:
     return vy_axis.n_samples - y.n_samples
 
 
-def _refine_rows(values: np.ndarray, n_sub: int) -> np.ndarray:
-    # Linear interpolation in y onto n_sub nodes per row interval.
-    s = np.arange(n_sub) / n_sub
-    fine = (1.0 - s) * values[:, :-1, None] + s * values[:, 1:, None]
-    return np.concatenate([fine.reshape(values.shape[0], -1), values[:, -1:]], axis=1)
+def _phase_nodes(levels: np.ndarray, n_sub: int) -> np.ndarray:
+    # Quadrature nodes, linear in y between the rows of ``levels`` (vertex rows
+    # along the first axis), with the top node halved as the upper endpoint of
+    # every integral.  Node n_sub * r + p sits at flat[nx * (1 + p * ny + r) + ix]:
+    # phase-major, so one phase's rows are contiguous, between a row of zeros
+    # at each end so that a read shifted by less than a row stays in bounds.
+    ny, nx = levels.shape
+    flat = np.zeros((n_sub * ny + 2) * nx)
+    nodes = flat[nx:-nx].reshape(n_sub, ny, nx)
+    for p in range(n_sub):  # one phase at a time bounds the temporaries
+        s = p / n_sub
+        nodes[p, :-1] = (1.0 - s) * levels[:-1] + s * levels[1:]
+    nodes[0, -1] = 0.5 * levels[-1]
+    return flat
 
 
 def vline_invert(projection: VLineProjection) -> RealGrid2D:

@@ -150,6 +150,28 @@ class TestCsvExport:
         parsed = np.array([[float(tok) for tok in ln.split(",")] for ln in data_lines])
         np.testing.assert_array_equal(parsed.ravel(), grid.values.ravel(order="F"))
 
+    def test_tokens_are_17_significant_digits(self, tmp_path):
+        # Parsing back cannot tell formats apart; pin the exact tokens.
+        special = [-0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0, 2.0]
+        grid = RealGrid2D(
+            AxisSpec(2, -0.1, 1.0 / 3.0), AxisSpec(3, 0.0, 1e300),
+            np.array(special).reshape((2, 3), order="F"),
+        )
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, grid)
+        lines = path.read_text().splitlines()
+        assert lines[3:5] == [
+            "# axis0 -0.10000000000000001 0.33333333333333331",
+            "# axis1 0 1.0000000000000001e+300",
+        ]
+        rows = [ln.split(",") for ln in lines[5:]]
+        assert rows == [
+            ["-0", "4.9406564584124654e-324"],
+            ["1.0000000000000001e+300", "0.10000000000000001"],
+            ["0.33333333333333331", "2"],
+        ]
+        assert [tok for row in rows for tok in row] == [format(v, ".17g") for v in special]
+
 
 class TestHeatmap:
     def test_constant_is_mid_gray(self, tmp_path):

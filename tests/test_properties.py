@@ -1,0 +1,118 @@
+"""Property-based checks: the grid file formats on arbitrary finite payloads,
+and linearity and nonnegativity of the V-line forward transform."""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from coneradon.grids import AxisSpec, ConeGeometry, RealGrid2D, RealGrid3D
+from coneradon.gridio import read_grid, write_grid, write_grid_csv
+from coneradon.vline2d import vline_forward
+
+SETTINGS = settings(deadline=None, max_examples=40)
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+COEFFICIENT = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def axes(draw, n_samples):
+    lo, hi = sorted((draw(FINITE), draw(FINITE)))
+    assume(hi > lo and math.isfinite(hi - lo))
+    return AxisSpec(n_samples, lo, hi)
+
+
+@st.composite
+def grids(draw):
+    dims = draw(st.lists(st.integers(2, 6), min_size=2, max_size=3))
+    grid_axes = [draw(axes(n)) for n in dims]
+    values = draw(hnp.arrays(np.float64, tuple(dims), elements=FINITE))
+    cls = RealGrid2D if len(dims) == 2 else RealGrid3D
+    return cls(*grid_axes, values)
+
+
+def bits(values) -> bytes:
+    # Distinguishes -0.0 from 0.0, which == does not.
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+class TestGridFormats:
+    @SETTINGS
+    @given(grid=grids())
+    def test_crtg_round_trip_is_bit_exact(self, workdir, grid):
+        path = workdir / "g.crtg"
+        write_grid(path, grid)
+        back = read_grid(path)
+        assert type(back) is type(grid)
+        assert bits(back.values) == bits(grid.values)
+        for a, b in zip(back.axes(), grid.axes()):
+            assert a.n_samples == b.n_samples
+            assert bits([a.min, a.max]) == bits([b.min, b.max])
+
+    @SETTINGS
+    @given(grid=grids())
+    def test_csv_parses_back_to_the_same_bits(self, workdir, grid):
+        path = workdir / "g.csv"
+        write_grid_csv(path, grid)
+        lines = path.read_text(encoding="ascii").splitlines()
+        dims = [ax.n_samples for ax in grid.axes()]
+        assert lines[2] == "# dims " + " ".join(map(str, dims))
+        for i, ax in enumerate(grid.axes()):
+            name, lo, hi = lines[3 + i].split()[1:]
+            assert name == f"axis{i}"
+            assert bits([float(lo), float(hi)]) == bits([ax.min, ax.max])
+        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[3 + len(dims) :]]
+        assert all(len(row) == dims[0] for row in rows)
+        assert bits(rows) == bits(grid.values.ravel(order="F"))
+
+
+@st.composite
+def vline_cases(draw, elements):
+    nx, ny = draw(st.integers(3, 12)), draw(st.integers(2, 12))
+    x_axis = AxisSpec(nx, 0.0, draw(st.floats(0.5, 4.0)))
+    y_axis = AxisSpec(ny, 0.0, draw(st.floats(0.5, 4.0)))
+    n_below = draw(st.integers(0, 4))
+    vertex_y = AxisSpec(ny + n_below, -n_below * y_axis.spacing, y_axis.max)
+    geometry = ConeGeometry(draw(st.floats(0.05, 1.3)))
+    values = [draw(hnp.arrays(np.float64, (nx, ny), elements=elements)) for _ in range(2)]
+    return x_axis, y_axis, (x_axis, vertex_y), geometry, values
+
+
+class TestVlineForwardProperties:
+    @SETTINGS
+    @given(case=vline_cases(st.floats(-1.0, 1.0)), a=COEFFICIENT, b=COEFFICIENT)
+    def test_linear(self, case, a, b):
+        x_axis, y_axis, vertex_axes, geometry, (v1, v2) = case
+
+        def forward(values):
+            f = RealGrid2D(x_axis, y_axis, values)
+            return vline_forward(f, geometry, vertex_axes).grid.values
+
+        combined = forward(a * v1 + b * v2)
+        split = a * forward(v1) + b * forward(v2)
+        # Round-off is relative to the transform of |f|, which bounds every
+        # term; 1e-300 absorbs products that underflow.
+        scale = abs(a) * forward(np.abs(v1)).max() + abs(b) * forward(np.abs(v2)).max()
+        np.testing.assert_allclose(combined, split, rtol=0.0, atol=1e-12 * scale + 1e-300)
+
+    @SETTINGS
+    @given(case=vline_cases(st.floats(0.0, 1e3)))
+    def test_nonnegative_with_empty_top_row(self, case):
+        x_axis, y_axis, vertex_axes, geometry, (values, _) = case
+        f = RealGrid2D(x_axis, y_axis, values)
+        g = vline_forward(f, geometry, vertex_axes).grid.values
+        assert g.shape == (x_axis.n_samples, vertex_axes[1].n_samples)
+        assert g.min() >= 0.0
+        assert np.all(g[:, -1] == 0.0)
+        if not np.any(values):
+            assert not np.any(g)

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from coneradon.grids import AxisSpec, ConeGeometry, RealGrid2D
+from coneradon.grids import AxisSpec, ConeGeometry, RealGrid2D, _ring_quadrature
 from coneradon.phantoms import BumpSpec, relative_l2, render_bumps_2d
 from coneradon.vline2d import (
     VLineProjection,
@@ -24,6 +26,29 @@ def bump_grid(n, spec=BUMP):
 
 def nearest_node(axis, coord):
     return int(round((coord - axis.min) / axis.spacing))
+
+
+def extended_below(y_axis, extra):
+    return AxisSpec(y_axis.n_samples + extra, y_axis.min - extra * y_axis.spacing, y_axis.max)
+
+
+def ring_engine_forward(f, geometry, n_below):
+    # The V-line transform through the shared sampling engine: a two-point
+    # ring at every fine quadrature node, keeping every n_sub-th vertex level.
+    t = geometry.tan_beta
+    dx, dy = f.x_axis.spacing, f.y_axis.spacing
+    n_sub = max(1, math.ceil(2.0 * t * dy / dx))
+    h = dy / n_sub
+    rows = np.concatenate([np.zeros((f.x_axis.n_samples, n_below)), f.values], axis=1)
+    s = np.arange(n_sub) / n_sub
+    fine = (1.0 - s) * rows[:, :-1, None] + s * rows[:, 1:, None]
+    nodes = np.concatenate([fine.reshape(rows.shape[0], -1), rows[:, -1:]], axis=1)
+
+    def two_rays(lag):
+        d = t * lag * h / dx
+        return 2.0 * h / geometry.cos_beta, np.array([d, -d]), np.zeros(2)
+
+    return _ring_quadrature(nodes[:, None, :], two_rays)[:, 0, ::n_sub]
 
 
 class TestVlineForward:
@@ -141,6 +166,38 @@ class TestVlineForward:
         g = vline_forward(RealGrid2D(ax, ax, values), GEOM).grid.values
         fx = 3 * GEOM.tan_beta - 1.0
         assert g[6, 2] == pytest.approx((1.0 - fx) * 3.0 / GEOM.cos_beta, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [24, 25])
+    @pytest.mark.parametrize("beta,n_sub", [(np.pi / 8, 1), (np.pi / 4, 2), (3 * np.pi / 8, 5)])
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_matches_ring_engine(self, n, beta, n_sub, extra):
+        geom = ConeGeometry(beta)
+        assert math.ceil(2.0 * geom.tan_beta) == n_sub  # nodes per row at dx = dy
+        rng = np.random.default_rng(n + 10 * n_sub + extra)
+        ax = AxisSpec(n, -1.0, 1.0)
+        values = rng.uniform(0.0, 1.0, size=(n, n))
+        values[: n // 2, -3:] = 0.0  # vertices near the top left see only zeros
+        f = RealGrid2D(ax, ax, values)
+        g = vline_forward(f, geom, (ax, extended_below(ax, extra))).grid.values
+        ref = ring_engine_forward(f, geom, extra)
+        assert g.shape == ref.shape == (n, n + extra)
+        assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(g == 0.0, ref == 0.0)
+        assert np.count_nonzero(ref == 0.0) > n  # more zeros than the top row
+
+    def test_against_ray_marching_below_domain_subdivided_rows(self):
+        # beta = pi/4 gives n_sub = 2 at dx = dy; the vertices sit 6 to 18 rows
+        # below f, on a vertex grid extended by 30 rows.
+        f = bump_grid(120, BumpSpec((0.0, -0.5), 0.4, 1.0))
+        geom = ConeGeometry(np.pi / 4)
+        vy = extended_below(f.y_axis, 30)
+        g = vline_forward(f, geom, (f.x_axis, vy)).grid.values
+        for x0, y0 in [(-0.6, -1.2), (0.45, -1.3), (0.8, -1.1)]:
+            ix, jy = nearest_node(f.x_axis, x0), nearest_node(vy, y0)
+            assert vy.coordinates()[jy] < f.y_axis.min
+            ref = oracles.vline_ray_march(f, geom, f.x_coords[ix], vy.coordinates()[jy])
+            assert ref > 0.1 * g.max()
+            assert g[ix, jy] == pytest.approx(ref, rel=5e-3)
 
     def test_extended_vertex_grid_matches_on_shared_rows(self):
         f = bump_grid(40)
