@@ -2,8 +2,8 @@
 
 The forward transform and the inversion both work per transverse frequency
 pair (lambda, mu) with u = tan(beta) sqrt(lambda^2 + mu^2), on the ky >= 0
-half of a real 2D DFT of zero-padded data, and build their z-matrices through
-one engine (``_j0_lag_apply``: one J0 lag matrix per distinct u).
+half of a real 2D DFT of zero-padded data, and apply their z-kernels through
+one engine (``_j0_lag_apply``: the J0 kernel as a z-correlation by FFT).
 
 The forward transform is the kernel identity
 
@@ -35,7 +35,6 @@ from .grids import (
     ConeGeometry,
     RealGrid3D,
     _ring_quadrature,
-    _upper_trapezoid_weights,
     cumint_from_top,
 )
 from .specfun import FrequencyAxis, bessel_j0, frequency_axis
@@ -51,7 +50,8 @@ __all__ = [
 ]
 
 _MIN_PHI_SAMPLES = 16
-_FREQ_CHUNK = 256
+# Rows x transform length per block of the z-FFTs: 256 KiB per complex temporary.
+_BLOCK_ELEMENTS = 1 << 14
 # Transverse frequency rolloff for the inversion, in units of the z Nyquist
 # frequency pi/dz: full weight while the J0 kernel oscillation is well resolved
 # by the z grid, cosine-squared ramp to zero where it no longer is.  Chosen by
@@ -107,13 +107,14 @@ def _n_phi(radius: float, dx: float) -> int:
     return 4 * math.ceil(needed / 4)
 
 
-def _forward_pad(f: RealGrid3D, geometry: ConeGeometry) -> int:
-    # The rings reach tan(beta) * (z extent) beyond a vertex, so the zero gap
-    # (pad - 1) * n * spacing of the periodic grid must hold that reach along
-    # x and y, or ring points wrap onto the far side of f.
+def _forward_pad(f: RealGrid3D, geometry: ConeGeometry) -> tuple[int, int]:
+    # Padded (x, y) sizes.  The rings reach tan(beta) * (z extent) beyond a
+    # vertex, so the zero gap of the periodic grid must hold that reach plus
+    # one cell along x and y, or ring points wrap onto the far side of f.
     reach = geometry.tan_beta * (f.z_axis.max - f.z_axis.min)
-    return 1 + max(
-        math.ceil(reach / (axis.n_samples * axis.spacing)) for axis in (f.x_axis, f.y_axis)
+    return tuple(
+        _smooth_size(axis.n_samples + 1 + math.ceil(reach / axis.spacing))
+        for axis in (f.x_axis, f.y_axis)
     )
 
 
@@ -130,14 +131,14 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     Spectral route: per transverse frequency pair the cone integral is
     ghat(z_v) = int (2 pi tan(beta)/cos(beta)) (z - z_v) J0(u (z - z_v))
     fhat(z) dz with u = tan(beta) sqrt(lambda^2 + mu^2), by the trapezoid rule
-    over the grid levels above z_v; the cone opens toward +z only.  f is
-    zero-padded at the far x and y ends by a factor that holds the widest ring
+    over the grid levels above z_v, applied as a z-correlation by FFT
+    (``_j0_lag_apply``); the cone opens toward +z only.  f is zero-padded at
+    the far x and y ends to fast FFT sizes that hold the widest ring
     (``_forward_pad``), and only the ky >= 0 half of its real 2D DFT is
     transformed, as in ``cone_invert``.
     """
     nx, ny, nz = f.values.shape
-    pad = _forward_pad(f, geometry)
-    nxp, nyp = pad * nx, pad * ny
+    nxp, nyp = _forward_pad(f, geometry)
     u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
 
     spectrum = np.fft.rfft2(f.values, s=(nxp, nyp), axes=(0, 1))
@@ -226,39 +227,42 @@ def _derivative_last_axis(values: np.ndarray, spacing: float, order: int) -> np.
     return out / spacing**order
 
 
-def _j0_lag_matrices(us: np.ndarray, n: int, spacing: float, lag_factor: bool = False) -> np.ndarray:
-    """Stacked matrices M[p, i, j] = w_ij * J0(u_p h_ij) for j >= i, where
-    h_ij = x_j - t_i and w are trapezoid weights of the integral from t_i to
-    the top; with ``lag_factor`` every entry is also multiplied by h_ij."""
-    h = spacing * np.arange(n)
-    rows = bessel_j0(us[:, None] * h[None, :])  # (p, n)
-    if lag_factor:
-        rows *= h
-    lag = np.arange(n)[None, :] - np.arange(n)[:, None]
-    weights = _upper_trapezoid_weights(n, spacing)
-    mats = rows[:, np.clip(lag, 0, n - 1)]
-    mats *= weights
-    return mats
+def _smooth_size(n: int) -> int:
+    # Smallest 5-smooth integer >= n, a fast FFT length: n < 2**64 divides
+    # 30**64 exactly when its only prime factors are 2, 3 and 5.
+    while 30**64 % n:
+        n += 1
+    return n
 
 
 def _j0_lag_apply(profiles: np.ndarray, us: np.ndarray, spacing: float, lag_factor: bool = False):
-    """In place, profiles[b] = M(us[b]) @ profiles[b] for every row b, with M
-    from ``_j0_lag_matrices``.
+    """In place, profiles[b, i] <- sum_{j >= i} w_ij J0(us[b] h_ij) profiles[b, j]
+    for every row b, with h_ij = x_j - t_i and w the trapezoid weights of the
+    integral from t_i to the top; ``lag_factor`` multiplies each term by h_ij.
 
-    This is the per-frequency Bessel-kernel engine of both ``cone_forward``
-    and ``cone_invert``.  Rows are grouped by their exact u: one matrix per
-    distinct u, built ``_FREQ_CHUNK`` at a time, is applied to all rows
-    sharing it by one matmul.
+    The Bessel-kernel engine of ``cone_forward`` and ``cone_invert``.  The sum
+    is a correlation in z, applied by FFT of length >= 2n - 1 (no wrap) with
+    one kernel spectrum per distinct u.  Levels above the highest nonzero input
+    level are zeroed, so the result vanishes there exactly, as every sum does.
     """
-    distinct, inverse, counts = np.unique(us, return_inverse=True, return_counts=True)
-    order = np.argsort(inverse, kind="stable")
-    ends = np.concatenate(([0], np.cumsum(counts)))
     n = profiles.shape[-1]
-    for start in range(0, distinct.size, _FREQ_CHUNK):
-        mats = _j0_lag_matrices(distinct[start : start + _FREQ_CHUNK], n, spacing, lag_factor)
-        for p, mat in enumerate(mats, start):
-            group = order[ends[p] : ends[p + 1]]
-            profiles[group] = profiles[group] @ mat.T
+    m = _smooth_size(2 * n - 1)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if np.isrealobj(profiles) else (np.fft.fft, np.fft.ifft)
+    distinct, inverse = np.unique(us, return_inverse=True)
+    h = spacing * np.arange(n)
+    kernel = spacing * bessel_j0(distinct[:, None] * h) * (h if lag_factor else 1.0)
+    kernel[:, 0] *= 0.5  # trapezoid half weight at the vertex end
+    spectra = fft(kernel, m).conj()
+    levels = np.flatnonzero(np.any(profiles != 0.0, axis=0))
+    empty_from = min(levels[-1] + 1 if levels.size else 0, n - 1)
+    profiles[:, -1] *= 0.5  # and at the top end
+    rows = max(1, _BLOCK_ELEMENTS // m)
+    for start in range(0, profiles.shape[0], rows):
+        block = slice(start, start + rows)
+        product = fft(profiles[block], m)
+        product *= spectra[inverse[block]]
+        profiles[block] = ifft(product, m)[:, :n]
+    profiles[:, empty_from:] = 0.0
 
 
 def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, z_axis: AxisSpec) -> np.ndarray:
@@ -350,17 +354,13 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     out = np.zeros_like(normalized)
     out[0, 0, :] = weights[0, 0] * invert_frequency_profile(normalized[0, 0, :], g.z_axis, 0.0)
 
-    # Kept bins in order of u, so each chunk shares few distinct lag matrices.
     kept = np.flatnonzero(((weights > 0.0) & (radial > 0.0)).ravel())
-    kept = kept[np.argsort(u_map.ravel()[kept], kind="stable")]
-    flat_in = normalized.reshape(-1, nz)
+    rows = max(1, _BLOCK_ELEMENTS // nz)
     flat_out = out.reshape(-1, nz)
-    flat_u = u_map.ravel()
-    flat_w = weights.ravel()
-    for start in range(0, kept.size, _FREQ_CHUNK):
-        idx = kept[start : start + _FREQ_CHUNK]
-        flat_out[idx] = flat_w[idx, None] * _invert_profiles_batch(
-            flat_in[idx], flat_u[idx], g.z_axis
+    for start in range(0, kept.size, rows):
+        idx = kept[start : start + rows]
+        flat_out[idx] = weights.ravel()[idx, None] * _invert_profiles_batch(
+            normalized.reshape(-1, nz)[idx], u_map.ravel()[idx], g.z_axis
         )
 
     # s= is needed when nyp is odd; the copy lets the padded array go.

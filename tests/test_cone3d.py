@@ -5,13 +5,14 @@ from coneradon.cone3d import (
     KernelParams,
     _cone_forward_rings,
     _frequency_weights,
+    _j0_lag_apply,
     cone_forward,
     cone_invert,
     dft2_slices,
     invert_frequency_profile,
     kernel_eval,
 )
-from coneradon.grids import AxisSpec, ConeGeometry, RealGrid3D
+from coneradon.grids import AxisSpec, ConeGeometry, RealGrid3D, _upper_trapezoid_weights
 from coneradon.phantoms import BumpSpec, relative_l2, render_bumps_3d
 from coneradon.specfun import bessel_j0
 
@@ -78,6 +79,60 @@ def kernel_quadrature(geometry, lam, mu, gap, nodes=4096):
     return (geometry.tan_beta / geometry.cos_beta) * gap * 2.0 * np.pi * float(
         np.mean(np.cos(phase))
     )
+
+
+def dense_lag_apply(profiles, us, spacing, lag_factor):
+    # Reference for _j0_lag_apply: one dense trapezoid-weighted J0 lag matrix
+    # per row, applied row by row.
+    n = profiles.shape[-1]
+    h = spacing * (np.arange(n)[None, :] - np.arange(n)[:, None])
+    weights = _upper_trapezoid_weights(n, spacing)
+    out = np.empty_like(profiles)
+    for b, u in enumerate(us):
+        mat = weights * bessel_j0(u * h) * (h if lag_factor else 1.0)
+        out[b] = mat @ profiles[b]
+    return out
+
+
+def lag_apply_case(rng, nz, dtype, rows=24):
+    # Profiles with duplicated u values and u = 0 rows.
+    us = rng.uniform(0.0, 40.0, size=rows)
+    us[rows // 2 :] = us[: rows - rows // 2]
+    us[:3] = 0.0
+    profiles = rng.normal(size=(rows, nz))
+    if dtype == complex:
+        profiles = profiles + 1j * rng.normal(size=(rows, nz))
+    return profiles, rng.permutation(us)
+
+
+class TestJ0LagApply:
+    @pytest.mark.parametrize("lag_factor", [False, True])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("nz", [5, 12, 13, 48])
+    def test_matches_dense_matrices(self, nz, dtype, lag_factor):
+        rng = np.random.default_rng(nz)
+        profiles, us = lag_apply_case(rng, nz, dtype)
+        spacing = 2.0 / (nz - 1)
+        expected = dense_lag_apply(profiles, us, spacing, lag_factor)
+        out = profiles.copy()
+        _j0_lag_apply(out, us, spacing, lag_factor)
+        assert out.dtype == np.dtype(dtype)
+        assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("lag_factor", [False, True])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exact_zeros_above_support(self, dtype, lag_factor):
+        # Rows end at different levels; every level above the highest nonzero
+        # one is an empty sum, and so is the top level.
+        rng = np.random.default_rng(14)
+        profiles, us = lag_apply_case(rng, 48, dtype)
+        for b, top in enumerate(rng.integers(0, 30, size=len(profiles))):
+            profiles[b, top + 1 :] = 0.0
+        highest = np.flatnonzero(np.any(profiles != 0.0, axis=0))[-1]
+        expected = dense_lag_apply(profiles, us, 0.05, lag_factor)
+        _j0_lag_apply(profiles, us, 0.05, lag_factor)
+        assert np.all(profiles[:, highest + 1 :] == 0.0)
+        assert np.linalg.norm(profiles - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 class TestKernelEval:

@@ -1,5 +1,6 @@
 """Property-based checks: the grid file formats on arbitrary finite payloads,
-and linearity and nonnegativity of the V-line forward transform."""
+linearity and nonnegativity of the V-line forward transform, and linearity and
+support vanishing of the 3D cone transforms."""
 
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from coneradon.cone3d import cone_forward, cone_invert
 from coneradon.grids import AxisSpec, ConeGeometry, RealGrid2D, RealGrid3D
 from coneradon.gridio import read_grid, write_grid, write_grid_csv
 from coneradon.vline2d import vline_forward
@@ -116,3 +118,82 @@ class TestVlineForwardProperties:
         assert np.all(g[:, -1] == 0.0)
         if not np.any(values):
             assert not np.any(g)
+
+
+@st.composite
+def cone_cases(draw, min_xy, min_z):
+    shape = tuple(draw(st.integers(lo, 8)) for lo in (min_xy, min_xy, min_z))
+    grid_axes = [AxisSpec(n, 0.0, draw(st.floats(0.5, 4.0))) for n in shape]
+    geometry = ConeGeometry(draw(st.floats(0.05, 1.3)))
+    values = [draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))) for _ in range(2)]
+    return grid_axes, geometry, values
+
+
+def forward_bound(grid_axes, geometry):
+    # Bounds |g| / max|f|: the kernel integrates 2 pi tan(beta)/cos(beta) * h
+    # over h up to the z extent.
+    extent = grid_axes[2].max - grid_axes[2].min
+    return np.pi * geometry.tan_beta / geometry.cos_beta * extent**2
+
+
+def invert_bound(grid_axes, geometry):
+    # Bounds every intermediate of cone_invert per unit max|g|: the 2D DFT
+    # sums nx * ny samples, the normalization is cos(beta)/(2 pi tan(beta)),
+    # H^2 of the tail integral is at most a third difference (16/dz^3) plus
+    # u^4 times the z extent with u < pi/dz, and the J0 integral adds one
+    # more factor of the extent.
+    nx, ny = grid_axes[0].n_samples, grid_axes[1].n_samples
+    dz = grid_axes[2].spacing
+    extent = grid_axes[2].max - grid_axes[2].min
+    h2 = 16.0 / dz**3 + (np.pi / dz) ** 4 * extent
+    return nx * ny * geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta) * h2 * extent
+
+
+class TestConeProperties:
+    @SETTINGS
+    @given(case=cone_cases(2, 2), a=COEFFICIENT, b=COEFFICIENT)
+    def test_forward_linear(self, case, a, b):
+        grid_axes, geometry, (v1, v2) = case
+
+        def forward(values):
+            return cone_forward(RealGrid3D(*grid_axes, values), geometry).values
+
+        combined = forward(a * v1 + b * v2)
+        split = a * forward(v1) + b * forward(v2)
+        # Round-off is relative to the largest output the inputs can give
+        # (the spectral route's interpolant may overshoot the bound a little);
+        # 1e-300 absorbs products that underflow.
+        size = abs(a) * np.abs(v1).max() + abs(b) * np.abs(v2).max()
+        scale = forward_bound(grid_axes, geometry) * size
+        np.testing.assert_allclose(combined, split, rtol=0.0, atol=1e-12 * scale + 1e-300)
+
+    @SETTINGS
+    @given(case=cone_cases(2, 2), top=st.integers(0, 7))
+    def test_forward_vanishes_above_support(self, case, top):
+        # A vertex above f's highest nonzero level sees nothing, exactly; so
+        # does every vertex on the top level.
+        grid_axes, geometry, (values, _) = case
+        values[:, :, top + 1 :] = 0.0
+        g = cone_forward(RealGrid3D(*grid_axes, values), geometry).values
+        levels = np.flatnonzero(np.any(values != 0.0, axis=(0, 1)))
+        above = levels[-1] + 1 if levels.size else 0
+        assert np.all(g[:, :, above:] == 0.0)
+        assert np.all(g[:, :, -1] == 0.0)
+
+    @SETTINGS
+    @given(case=cone_cases(4, 6), pad=st.integers(1, 3), a=COEFFICIENT, b=COEFFICIENT)
+    def test_invert_linear(self, case, pad, a, b):
+        grid_axes, geometry, (v1, v2) = case
+
+        def invert(values):
+            return cone_invert(RealGrid3D(*grid_axes, values), geometry, pad).values
+
+        combined = invert(a * v1 + b * v2)
+        split = a * invert(v1) + b * invert(v2)
+        # The output can cancel to round-off (constant data), so the scale is
+        # the largest intermediate the inputs can give, times machine epsilon.
+        size = abs(a) * np.abs(v1).max() + abs(b) * np.abs(v2).max()
+        scale = invert_bound(grid_axes, geometry) * size
+        np.testing.assert_allclose(
+            combined, split, rtol=0.0, atol=np.finfo(float).eps * scale + 1e-300
+        )
