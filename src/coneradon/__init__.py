@@ -1,24 +1,13 @@
 """Conical Radon transforms with a fixed half-opening angle and vertical axis:
 forward projectors and exact inversion in 2D (V-line) and 3D (circular cone)."""
 
-from .cone3d import (
-    KernelParams,
-    SpectralStack,
-    cone_forward,
-    cone_invert,
-    dft2_slices,
-    invert_frequency_profile,
-    kernel_eval,
-)
+from .cone3d import KernelParams, cone_forward, cone_invert, kernel_eval
 from .grids import (
     AxisSpec,
     ConeGeometry,
     NonFiniteGridError,
     RealGrid2D,
     RealGrid3D,
-    cumint_from_top,
-    diff2_x_central,
-    diff_y_forward,
 )
 from .gridio import GridFormatError, export_heatmap, read_grid, write_grid, write_grid_csv
 from .phantoms import (
@@ -29,7 +18,6 @@ from .phantoms import (
     render_bumps_2d,
     render_bumps_3d,
 )
-from .specfun import FrequencyAxis, bessel_j0, bessel_j1, frequency_axis
 from .vline2d import (
     VLineProjection,
     fourier_relation_check,
@@ -44,26 +32,16 @@ __all__ = [
     "AxisSpec",
     "BumpSpec",
     "ConeGeometry",
-    "FrequencyAxis",
     "GridFormatError",
     "KernelParams",
     "NonFiniteGridError",
     "RealGrid2D",
     "RealGrid3D",
-    "SpectralStack",
     "VLineProjection",
-    "bessel_j0",
-    "bessel_j1",
     "cone_forward",
     "cone_invert",
-    "cumint_from_top",
-    "dft2_slices",
-    "diff2_x_central",
-    "diff_y_forward",
     "export_heatmap",
     "fourier_relation_check",
-    "frequency_axis",
-    "invert_frequency_profile",
     "kernel_eval",
     "max_abs_error",
     "parse_scene",

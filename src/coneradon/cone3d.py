@@ -3,7 +3,8 @@
 The forward transform and the inversion both work per transverse frequency
 pair (lambda, mu) with u = tan(beta) sqrt(lambda^2 + mu^2), on the ky >= 0
 half of a real 2D DFT of zero-padded data, and apply their z-kernels through
-one engine (``_j0_lag_apply``: the J0 kernel as a z-correlation by FFT).
+``grids._lag_kernel_apply`` with the J0 kernel: a z-correlation by FFT, the
+engine the V-line's spectral oracle runs with the cosine kernel.
 
 The forward transform is the kernel identity
 
@@ -31,10 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
+    _BLOCK_ELEMENTS,
     AxisSpec,
     ConeGeometry,
     RealGrid3D,
+    _lag_kernel_apply,
     _ring_quadrature,
+    _smooth_size,
     cumint_from_top,
 )
 from .specfun import FrequencyAxis, bessel_j0, frequency_axis
@@ -50,8 +54,9 @@ __all__ = [
 ]
 
 _MIN_PHI_SAMPLES = 16
-# Rows x transform length per block of the z-FFTs: 256 KiB per complex temporary.
-_BLOCK_ELEMENTS = 1 << 14
+# The inversion's order-3 z stencil (``_derivative_last_axis``) needs order + 3
+# samples.
+_MIN_Z_SAMPLES = 6
 # Transverse frequency rolloff for the inversion, in units of the z Nyquist
 # frequency pi/dz: full weight while the J0 kernel oscillation is well resolved
 # by the z grid, cosine-squared ramp to zero where it no longer is.  Chosen by
@@ -132,9 +137,9 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     ghat(z_v) = int (2 pi tan(beta)/cos(beta)) (z - z_v) J0(u (z - z_v))
     fhat(z) dz with u = tan(beta) sqrt(lambda^2 + mu^2), by the trapezoid rule
     over the grid levels above z_v, applied as a z-correlation by FFT
-    (``_j0_lag_apply``); the cone opens toward +z only.  f is zero-padded at
-    the far x and y ends to fast FFT sizes that hold the widest ring
-    (``_forward_pad``), and only the ky >= 0 half of its real 2D DFT is
+    (``grids._lag_kernel_apply``); the cone opens toward +z only.  f is
+    zero-padded at the far x and y ends to fast FFT sizes that hold the widest
+    ring (``_forward_pad``), and only the ky >= 0 half of its real 2D DFT is
     transformed, as in ``cone_invert``.
     """
     nx, ny, nz = f.values.shape
@@ -143,7 +148,9 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
 
     spectrum = np.fft.rfft2(f.values, s=(nxp, nyp), axes=(0, 1))
     spectrum *= 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta
-    _j0_lag_apply(spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, lag_factor=True)
+    _lag_kernel_apply(
+        spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, bessel_j0, lag_factor=True
+    )
     # s= is needed when nyp is odd; the copy lets the padded array go.
     values = np.fft.irfft2(spectrum, s=(nxp, nyp), axes=(0, 1))[:nx, :ny].copy()
     return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, values)
@@ -227,44 +234,6 @@ def _derivative_last_axis(values: np.ndarray, spacing: float, order: int) -> np.
     return out / spacing**order
 
 
-def _smooth_size(n: int) -> int:
-    # Smallest 5-smooth integer >= n, a fast FFT length: n < 2**64 divides
-    # 30**64 exactly when its only prime factors are 2, 3 and 5.
-    while 30**64 % n:
-        n += 1
-    return n
-
-
-def _j0_lag_apply(profiles: np.ndarray, us: np.ndarray, spacing: float, lag_factor: bool = False):
-    """In place, profiles[b, i] <- sum_{j >= i} w_ij J0(us[b] h_ij) profiles[b, j]
-    for every row b, with h_ij = x_j - t_i and w the trapezoid weights of the
-    integral from t_i to the top; ``lag_factor`` multiplies each term by h_ij.
-
-    The Bessel-kernel engine of ``cone_forward`` and ``cone_invert``.  The sum
-    is a correlation in z, applied by FFT of length >= 2n - 1 (no wrap) with
-    one kernel spectrum per distinct u.  Levels above the highest nonzero input
-    level are zeroed, so the result vanishes there exactly, as every sum does.
-    """
-    n = profiles.shape[-1]
-    m = _smooth_size(2 * n - 1)
-    fft, ifft = (np.fft.rfft, np.fft.irfft) if np.isrealobj(profiles) else (np.fft.fft, np.fft.ifft)
-    distinct, inverse = np.unique(us, return_inverse=True)
-    h = spacing * np.arange(n)
-    kernel = spacing * bessel_j0(distinct[:, None] * h) * (h if lag_factor else 1.0)
-    kernel[:, 0] *= 0.5  # trapezoid half weight at the vertex end
-    spectra = fft(kernel, m).conj()
-    levels = np.flatnonzero(np.any(profiles != 0.0, axis=0))
-    empty_from = min(levels[-1] + 1 if levels.size else 0, n - 1)
-    profiles[:, -1] *= 0.5  # and at the top end
-    rows = max(1, _BLOCK_ELEMENTS // m)
-    for start in range(0, profiles.shape[0], rows):
-        block = slice(start, start + rows)
-        product = fft(profiles[block], m)
-        product *= spectra[inverse[block]]
-        profiles[block] = ifft(product, m)[:, :n]
-    profiles[:, empty_from:] = 0.0
-
-
 def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, z_axis: AxisSpec) -> np.ndarray:
     # Batched inversion for strictly positive u, one profile G per row.
     # H^2 of the tail integral P(x) = int_x^top G is evaluated through the exact
@@ -276,7 +245,7 @@ def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, z_axis: AxisSpe
     p = profiles.astype(np.result_type(profiles.dtype, float), copy=False)
     tail = cumint_from_top(p, dz, axis=-1)
     q = -_derivative_last_axis(p, dz, 3) - 2.0 * u2 * _derivative_last_axis(p, dz, 1) + u2 * u2 * tail
-    _j0_lag_apply(q, us, dz)
+    _lag_kernel_apply(q, us, dz, bessel_j0)
     return q
 
 
@@ -287,13 +256,14 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
     with trapezoidal integrals; H^2 of the tail integral is discretized through
     the exact relation (d/dx) int_x^{z_top} G = -G, so every finite difference
     acts on the data itself.  For u = 0 the kernel degenerates and fhat is the
-    second derivative of G directly.
+    second derivative of G directly.  The z axis needs at least 6 samples, as
+    the order-3 stencil does.
     """
     p = np.asarray(profile)
     if p.ndim != 1 or p.shape[0] != z_axis.n_samples:
         raise ValueError("profile length must match the z axis")
-    if z_axis.n_samples < 5:
-        raise ValueError("inversion needs at least 5 z samples")
+    if z_axis.n_samples < _MIN_Z_SAMPLES:
+        raise ValueError(f"inversion needs at least {_MIN_Z_SAMPLES} z samples")
     if not np.all(np.isfinite(p)):
         raise ValueError("profile must be finite")
     if not u >= 0:
@@ -336,8 +306,8 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     """
     if g.x_axis.n_samples < 4 or g.y_axis.n_samples < 4:
         raise ValueError("inversion needs at least 4 samples along x and y")
-    if g.z_axis.n_samples < 5:
-        raise ValueError("inversion needs at least 5 samples along z")
+    if g.z_axis.n_samples < _MIN_Z_SAMPLES:
+        raise ValueError(f"inversion needs at least {_MIN_Z_SAMPLES} samples along z")
     if pad_factor < 1:
         raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
 

@@ -14,6 +14,13 @@ the cone transform's reference route (the 3D forward itself is spectral, see
 ``cone3d``) and, with a two-point ring, the tests' reference for the V-line
 forward, which ``vline2d`` computes with its own lag loop over only the
 vertex rows it returns.
+
+Spectral convention: after a Fourier transform across the axis, every
+spectral route is one trapezoid-weighted lag-kernel integral up the axis per
+frequency, with kernel J0(u h) for the cone's circles and cos(lambda tan(beta) h)
+for the V-line's two rays.  ``_lag_kernel_apply`` is that engine, a
+correlation along the axis by FFT; ``cone3d`` runs its forward and inversion
+through it, ``vline2d`` its spectral oracle.
 """
 
 import math
@@ -177,16 +184,6 @@ def diff2_x_central(grid: RealGrid2D) -> RealGrid2D:
     return RealGrid2D(grid.x_axis, grid.y_axis, out)
 
 
-def _upper_trapezoid_weights(n: int, spacing: float) -> np.ndarray:
-    """W[j, m] are trapezoid weights of the integral from node j to the top,
-    over nodes m >= j (zero below the diagonal, zero-length row at the top)."""
-    w = np.triu(np.ones((n, n)))
-    w[np.diag_indices(n)] = 0.5
-    w[:, -1] *= 0.5
-    w[-1, -1] = 0.0
-    return w * spacing
-
-
 def cumint_from_top(profile, spacing: float, axis: int = -1):
     """Trapezoidal integral from each sample position to the top of the axis.
 
@@ -204,6 +201,53 @@ def cumint_from_top(profile, spacing: float, axis: int = -1):
     out = np.zeros(p.shape, dtype=np.result_type(p.dtype, float))
     out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
     return np.moveaxis(out, -1, axis)
+
+
+# Rows x transform length per block of the lag-kernel FFTs: 256 KiB per
+# complex temporary.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _smooth_size(n: int) -> int:
+    # Smallest 5-smooth integer >= n, a fast FFT length: n < 2**64 divides
+    # 30**64 exactly when its only prime factors are 2, 3 and 5.
+    while 30**64 % n:
+        n += 1
+    return n
+
+
+def _lag_kernel_apply(
+    profiles: np.ndarray, us: np.ndarray, spacing: float, kernel, lag_factor: bool = False
+):
+    """In place, profiles[b, i] <- sum_{j >= i} w_ij kernel(us[b] h_ij) profiles[b, j]
+    for every row b, with h_ij = x_j - t_i and w the trapezoid weights of the
+    integral from t_i to the top; ``lag_factor`` multiplies each term by h_ij.
+
+    ``cone_forward`` and ``cone_invert`` pass ``bessel_j0``,
+    ``vline_spectral_oracle`` passes ``np.cos``.  The sum is a correlation
+    along the last axis, applied by FFT of length >= 2n - 1 (no wrap) with one
+    kernel spectrum per distinct u.  Levels above the highest
+    nonzero input level are zeroed, so the result vanishes there exactly, as
+    every sum does.
+    """
+    n = profiles.shape[-1]
+    m = _smooth_size(2 * n - 1)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if np.isrealobj(profiles) else (np.fft.fft, np.fft.ifft)
+    distinct, inverse = np.unique(us, return_inverse=True)
+    h = spacing * np.arange(n)
+    taps = spacing * kernel(distinct[:, None] * h) * (h if lag_factor else 1.0)
+    taps[:, 0] *= 0.5  # trapezoid half weight at the vertex end
+    spectra = fft(taps, m).conj()
+    levels = np.flatnonzero(np.any(profiles != 0.0, axis=0))
+    empty_from = min(levels[-1] + 1 if levels.size else 0, n - 1)
+    profiles[:, -1] *= 0.5  # and at the top end
+    rows = max(1, _BLOCK_ELEMENTS // m)
+    for start in range(0, profiles.shape[0], rows):
+        block = slice(start, start + rows)
+        product = fft(profiles[block], m)
+        product *= spectra[inverse[block]]
+        profiles[block] = ifft(product, m)[:, :n]
+    profiles[:, empty_from:] = 0.0
 
 
 def _accumulate_shift(out: np.ndarray, vol: np.ndarray, da: int, db: int, w: float):

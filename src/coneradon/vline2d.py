@@ -12,7 +12,9 @@ reference); ``vline_invert`` applies the exact reconstruction
 with the first-order forward difference in y, the central second difference in
 x and trapezoidal cumulative integration.  ``vline_spectral_oracle`` is an
 independent second forward route through the per-frequency relation
-G_lambda(y_v) = int_{y_v}^{y_top} fhat_lambda(y) cos(lambda t (y - y_v)) dy.
+G_lambda(y_v) = int_{y_v}^{y_top} fhat_lambda(y) cos(lambda t (y - y_v)) dy,
+applied by ``grids._lag_kernel_apply`` with the cosine kernel (the engine the
+cone transforms run with J0).
 """
 
 import math
@@ -24,7 +26,7 @@ from .grids import (
     AxisSpec,
     ConeGeometry,
     RealGrid2D,
-    _upper_trapezoid_weights,
+    _lag_kernel_apply,
     cumint_from_top,
     diff2_x_central,
     diff_y_forward,
@@ -38,9 +40,6 @@ __all__ = [
     "vline_invert",
     "vline_spectral_oracle",
 ]
-
-_SPECTRAL_CHUNK = 32
-
 
 @dataclass
 class VLineProjection:
@@ -180,9 +179,10 @@ def vline_spectral_oracle(
     """Second, independent forward route through the x-frequency domain.
 
     f is zero-padded in x by ``pad_factor``, transformed per column, pushed
-    through the cosine-kernel relation per frequency and transformed back.  The
-    added zero margin on each side must be at least y_extent * tan(beta) so the
-    projection data cannot wrap around the periodic boundary.
+    through the cosine-kernel relation per frequency (trapezoid rule in y, by
+    ``grids._lag_kernel_apply``) and transformed back.  The added zero margin
+    on each side must be at least y_extent * tan(beta) so the projection data
+    cannot wrap around the periodic boundary.
     """
     if pad_factor < 1:
         raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
@@ -207,20 +207,12 @@ def vline_spectral_oracle(
 
     padded = np.zeros((n_pad, ny))
     padded[pad_left : pad_left + nx] = f.values
-    fhat = np.fft.rfft(padded, axis=0)
-    lam = frequency_axis(n_pad, dx).frequencies[: fhat.shape[0]]
-    weights = _upper_trapezoid_weights(ny, f.y_axis.spacing)
-    diffs = f.y_coords[None, :] - f.y_coords[:, None]  # y_m - y_j
+    spectrum = np.fft.rfft(padded, axis=0)  # fhat, turned into ghat in place
+    lam = frequency_axis(n_pad, dx).frequencies[: spectrum.shape[0]]
+    _lag_kernel_apply(spectrum, geometry.tan_beta * lam, f.y_axis.spacing, np.cos)
+    spectrum *= 2.0 / geometry.cos_beta
 
-    ghat = np.empty_like(fhat)
-    t = geometry.tan_beta
-    for start in range(0, lam.size, _SPECTRAL_CHUNK):
-        idx = slice(start, start + _SPECTRAL_CHUNK)
-        kernels = np.cos(lam[idx, None, None] * t * diffs) * weights
-        ghat[idx] = np.einsum("kjm,km->kj", kernels, fhat[idx])
-    ghat *= 2.0 / geometry.cos_beta
-
-    g_pad = np.fft.irfft(ghat, n=n_pad, axis=0)
+    g_pad = np.fft.irfft(spectrum, n=n_pad, axis=0)
     g = g_pad[pad_left : pad_left + nx]
     return VLineProjection(RealGrid2D(f.x_axis, f.y_axis, g), geometry)
 

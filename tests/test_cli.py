@@ -7,7 +7,7 @@ import pytest
 
 from coneradon.cli import main
 from coneradon.gridio import read_grid, write_grid
-from coneradon.grids import AxisSpec, RealGrid2D
+from coneradon.grids import AxisSpec, RealGrid2D, RealGrid3D
 
 
 def run_cli(*args):
@@ -38,6 +38,14 @@ def infinite_extent_grid(tmp_path):
     header = b"CRTG" + struct.pack("<HH", 1, 2) + struct.pack("<II", 8, 8)
     path.write_bytes(header + struct.pack("<4d", -1e308, 1e308, 0, 1) + b"\x00" * (8 * 64))
     return ["invert2d", "--input", str(path)]
+
+
+def short_z_grid(tmp_path):
+    # 8 x 8 x 5 samples: one z level short of the inversion's order-3 stencil.
+    path = tmp_path / "short_z.crtg"
+    ax = AxisSpec(8, -1.0, 1.0)
+    write_grid(path, RealGrid3D(ax, ax, AxisSpec(5, -1.0, 1.0), np.zeros((8, 8, 5))))
+    return ["invert3d", "--input", str(path)]
 
 
 def non_utf8_scene(tmp_path):
@@ -236,6 +244,7 @@ class TestExitCodes:
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--domain=-1e308,1e308"], 1,
                      "overflows", id="infinite-extent-domain"),
         pytest.param(non_utf8_scene, 2, "utf-8", id="non-utf8-scene"),
+        pytest.param(short_z_grid, 1, "at least 6 samples along z", id="short-z-crtg"),
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--beta", "pi/8",
                                   f"--vertex-ymin={deepest_vertex_ymin() - 2.0 / 15!r}"], 1,
                      repr(deepest_vertex_ymin()), id="vertex-ymin-one-row-too-deep"),

@@ -5,14 +5,13 @@ from coneradon.cone3d import (
     KernelParams,
     _cone_forward_rings,
     _frequency_weights,
-    _j0_lag_apply,
     cone_forward,
     cone_invert,
     dft2_slices,
     invert_frequency_profile,
     kernel_eval,
 )
-from coneradon.grids import AxisSpec, ConeGeometry, RealGrid3D, _upper_trapezoid_weights
+from coneradon.grids import AxisSpec, ConeGeometry, RealGrid3D, _lag_kernel_apply
 from coneradon.phantoms import BumpSpec, relative_l2, render_bumps_3d
 from coneradon.specfun import bessel_j0
 
@@ -81,17 +80,37 @@ def kernel_quadrature(geometry, lam, mu, gap, nodes=4096):
     )
 
 
-def dense_lag_apply(profiles, us, spacing, lag_factor):
-    # Reference for _j0_lag_apply: one dense trapezoid-weighted J0 lag matrix
-    # per row, applied row by row.
+def _upper_trapezoid_weights(n, spacing):
+    # W[j, m] are trapezoid weights of the integral from node j to the top,
+    # over nodes m >= j (zero below the diagonal, zero-length row at the top).
+    w = np.triu(np.ones((n, n)))
+    w[np.diag_indices(n)] = 0.5
+    w[:, -1] *= 0.5
+    w[-1, -1] = 0.0
+    return w * spacing
+
+
+def dense_lag_apply(profiles, us, spacing, kernel, lag_factor):
+    # Reference for _lag_kernel_apply: one dense trapezoid-weighted lag-kernel
+    # matrix per row, applied row by row.
     n = profiles.shape[-1]
     h = spacing * (np.arange(n)[None, :] - np.arange(n)[:, None])
     weights = _upper_trapezoid_weights(n, spacing)
     out = np.empty_like(profiles)
     for b, u in enumerate(us):
-        mat = weights * bessel_j0(u * h) * (h if lag_factor else 1.0)
+        mat = weights * kernel(u * h) * (h if lag_factor else 1.0)
         out[b] = mat @ profiles[b]
     return out
+
+
+# (kernel, lag_factor): the cone's J0 kernel keeps the bare lag_factor ids,
+# the V-line's cosine kernel is marked "cos".
+KERNEL_CASES = [
+    pytest.param(bessel_j0, False, id="False"),
+    pytest.param(bessel_j0, True, id="True"),
+    pytest.param(np.cos, False, id="cos-False"),
+    pytest.param(np.cos, True, id="cos-True"),
+]
 
 
 def lag_apply_case(rng, nz, dtype, rows=24):
@@ -106,22 +125,23 @@ def lag_apply_case(rng, nz, dtype, rows=24):
 
 
 class TestJ0LagApply:
-    @pytest.mark.parametrize("lag_factor", [False, True])
+    # _lag_kernel_apply with the cone's J0 kernel and the V-line's cosine kernel.
+    @pytest.mark.parametrize("kernel,lag_factor", KERNEL_CASES)
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("nz", [5, 12, 13, 48])
-    def test_matches_dense_matrices(self, nz, dtype, lag_factor):
+    def test_matches_dense_matrices(self, nz, dtype, kernel, lag_factor):
         rng = np.random.default_rng(nz)
         profiles, us = lag_apply_case(rng, nz, dtype)
         spacing = 2.0 / (nz - 1)
-        expected = dense_lag_apply(profiles, us, spacing, lag_factor)
+        expected = dense_lag_apply(profiles, us, spacing, kernel, lag_factor)
         out = profiles.copy()
-        _j0_lag_apply(out, us, spacing, lag_factor)
+        _lag_kernel_apply(out, us, spacing, kernel, lag_factor)
         assert out.dtype == np.dtype(dtype)
         assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("lag_factor", [False, True])
+    @pytest.mark.parametrize("kernel,lag_factor", KERNEL_CASES)
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_exact_zeros_above_support(self, dtype, lag_factor):
+    def test_exact_zeros_above_support(self, dtype, kernel, lag_factor):
         # Rows end at different levels; every level above the highest nonzero
         # one is an empty sum, and so is the top level.
         rng = np.random.default_rng(14)
@@ -129,8 +149,8 @@ class TestJ0LagApply:
         for b, top in enumerate(rng.integers(0, 30, size=len(profiles))):
             profiles[b, top + 1 :] = 0.0
         highest = np.flatnonzero(np.any(profiles != 0.0, axis=0))[-1]
-        expected = dense_lag_apply(profiles, us, 0.05, lag_factor)
-        _j0_lag_apply(profiles, us, 0.05, lag_factor)
+        expected = dense_lag_apply(profiles, us, 0.05, kernel, lag_factor)
+        _lag_kernel_apply(profiles, us, 0.05, kernel, lag_factor)
         assert np.all(profiles[:, highest + 1 :] == 0.0)
         assert np.linalg.norm(profiles - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -205,8 +225,8 @@ class TestInvertFrequencyProfile:
         zax = AxisSpec(32, -1.0, 1.0)
         with pytest.raises(ValueError):
             invert_frequency_profile(np.zeros(16), zax, 1.0)  # length mismatch
-        with pytest.raises(ValueError):
-            invert_frequency_profile(np.zeros(4), AxisSpec(4, 0, 1), 1.0)
+        with pytest.raises(ValueError, match="at least 6 z samples"):
+            invert_frequency_profile(np.zeros(5), AxisSpec(5, 0, 1), 1.0)
         with pytest.raises(ValueError):
             invert_frequency_profile(np.zeros(32), zax, -1.0)
 
