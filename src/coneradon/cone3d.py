@@ -4,7 +4,9 @@ The forward transform and the inversion both work per transverse frequency
 pair (lambda, mu) with u = tan(beta) sqrt(lambda^2 + mu^2), on the ky >= 0
 half of a real 2D DFT of zero-padded data, and apply their z-kernels through
 ``grids._lag_kernel_apply`` with the J0 kernel: a z-correlation by FFT, the
-engine the V-line's spectral oracle runs with the cosine kernel.
+engine the V-line's spectral oracle runs with the cosine kernel.  The
+inversion's z derivatives are ``grids._derivative``'s central stencils, the
+helper the V-line inversion differences with too.
 
 The forward transform is the kernel identity
 
@@ -36,7 +38,9 @@ from .grids import (
     AxisSpec,
     ConeGeometry,
     RealGrid3D,
+    _derivative,
     _lag_kernel_apply,
+    _pad_factor,
     _ring_quadrature,
     _smooth_size,
     cumint_from_top,
@@ -54,8 +58,8 @@ __all__ = [
 ]
 
 _MIN_PHI_SAMPLES = 16
-# The inversion's order-3 z stencil (``_derivative_last_axis``) needs order + 3
-# samples.
+# The inversion's order-3 z stencil takes order + 3 samples at each end, so
+# the z axis needs at least that many.
 _MIN_Z_SAMPLES = 6
 # Transverse frequency rolloff for the inversion, in units of the z Nyquist
 # frequency pi/dz: full weight while the J0 kernel oscillation is well resolved
@@ -198,42 +202,6 @@ def dft2_slices(g: RealGrid3D) -> SpectralStack:
     return SpectralStack(fx, fy, g.z_axis, (dx * dy) * spectra)
 
 
-def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
-    # Stencil weights on integer offsets reproducing the given derivative order
-    # exactly on polynomials of degree < len(offsets).
-    o = np.asarray(offsets, dtype=float)
-    n = len(offsets)
-    rhs = np.zeros(n)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(np.vander(o, n, increasing=True).T, rhs)
-
-
-def _derivative_last_axis(values: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    """Second-order-accurate derivative along the last axis: central stencils in
-    the interior, skewed/one-sided stencils of the same formal order at the ends."""
-    half = (order + 1) // 2
-    offsets = tuple(range(-half, half + 1))
-    weights = _fd_weights(offsets, order)
-    n = values.shape[-1]
-    n_side = order + 3  # one-sided points for O(spacing^2) consistency
-    if n < n_side:
-        raise ValueError(f"need at least {n_side} samples for order {order}")
-
-    out = np.zeros(values.shape, dtype=values.dtype)
-    for off, w in zip(offsets, weights):
-        if w != 0.0:
-            out[..., half : n - half] += w * values[..., half + off : n - half + off]
-
-    for edge in range(half):
-        lo = tuple(range(-edge, n_side - edge))
-        w_lo = _fd_weights(lo, order)
-        out[..., edge] = values[..., : n_side] @ w_lo
-        hi = tuple(range(-(n_side - 1 - edge), edge + 1))
-        w_hi = _fd_weights(hi, order)
-        out[..., n - 1 - edge] = values[..., n - n_side :] @ w_hi
-    return out / spacing**order
-
-
 def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, z_axis: AxisSpec) -> np.ndarray:
     # Batched inversion for strictly positive u, one profile G per row.
     # H^2 of the tail integral P(x) = int_x^top G is evaluated through the exact
@@ -242,9 +210,10 @@ def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, z_axis: AxisSpe
     # by repeated division by dz^2.
     dz = z_axis.spacing
     u2 = (us * us)[:, None]
-    p = profiles.astype(np.result_type(profiles.dtype, float), copy=False)
-    tail = cumint_from_top(p, dz, axis=-1)
-    q = -_derivative_last_axis(p, dz, 3) - 2.0 * u2 * _derivative_last_axis(p, dz, 1) + u2 * u2 * tail
+    tail = cumint_from_top(profiles, dz, axis=-1)
+    d3 = _derivative(profiles, dz, 3, (-2, -1, 0, 1, 2), 6)
+    d1 = _derivative(profiles, dz, 1, (-1, 0, 1), 4)
+    q = -d3 - 2.0 * u2 * d1 + u2 * u2 * tail
     _lag_kernel_apply(q, us, dz, bessel_j0)
     return q
 
@@ -270,8 +239,7 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
         raise ValueError(f"u must be nonnegative, got {u}")
     if u == 0.0:
         # Degenerate kernel: G(z_v) = int (z - z_v) fhat dz, so fhat = G''.
-        p = p.astype(np.result_type(p.dtype, float), copy=False)
-        return _derivative_last_axis(p, z_axis.spacing, 2)
+        return _derivative(p, z_axis.spacing, 2, (-1, 0, 1), 5)
     return _invert_profiles_batch(p[None, :], np.array([u]), z_axis)[0]
 
 
@@ -304,12 +272,11 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     only, so the result at (-lambda, -mu) is the conjugate of the one at
     (lambda, mu).  The real inverse DFT fills in the rest.
     """
+    pad_factor = _pad_factor(pad_factor)
     if g.x_axis.n_samples < 4 or g.y_axis.n_samples < 4:
         raise ValueError("inversion needs at least 4 samples along x and y")
     if g.z_axis.n_samples < _MIN_Z_SAMPLES:
         raise ValueError(f"inversion needs at least {_MIN_Z_SAMPLES} samples along z")
-    if pad_factor < 1:
-        raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
 
     nx, ny, nz = g.values.shape
     nxp, nyp = pad_factor * nx, pad_factor * ny
@@ -322,7 +289,9 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     normalized *= geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)
 
     out = np.zeros_like(normalized)
-    out[0, 0, :] = weights[0, 0] * invert_frequency_profile(normalized[0, 0, :], g.z_axis, 0.0)
+    # The zero-frequency bin inverts as fhat = G'' (``invert_frequency_profile``).
+    dc = _derivative(normalized[0, 0, :], g.z_axis.spacing, 2, (-1, 0, 1), 5)
+    out[0, 0, :] = weights[0, 0] * dc
 
     kept = np.flatnonzero(((weights > 0.0) & (radial > 0.0)).ravel())
     rows = max(1, _BLOCK_ELEMENTS // nz)

@@ -21,9 +21,17 @@ frequency, with kernel J0(u h) for the cone's circles and cos(lambda tan(beta) h
 for the V-line's two rays.  ``_lag_kernel_apply`` is that engine, a
 correlation along the axis by FFT; ``cone3d`` runs its forward and inversion
 through it, ``vline2d`` its spectral oracle.
+
+Differencing convention: both inversions differentiate the data, and
+``_derivative`` is the one finite-difference stencil helper for it: a stencil
+on given offsets inside, one-sided stencils on a given number of samples at
+the ends.  ``vline2d`` takes the forward difference in y and the central
+second difference in x; ``cone3d`` takes central stencils of orders 1 to 3
+along z, each with order + 3 samples at the ends.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +43,6 @@ __all__ = [
     "RealGrid2D",
     "RealGrid3D",
     "cumint_from_top",
-    "diff2_x_central",
-    "diff_y_forward",
 ]
 
 
@@ -148,40 +154,60 @@ class RealGrid3D:
         return (self.x_axis, self.y_axis, self.z_axis)
 
 
-def diff_y_forward(grid: RealGrid2D) -> RealGrid2D:
-    """First-order forward difference along y; the top row replicates the one below.
+def _fd_weights(offsets, order: int) -> np.ndarray:
+    # Stencil weights on integer offsets reproducing the given derivative order
+    # exactly on polynomials of degree < len(offsets).
+    o = np.asarray(offsets, dtype=float)
+    n = len(o)
+    rhs = np.zeros(n)
+    rhs[order] = math.factorial(order)
+    return np.linalg.solve(np.vander(o, n, increasing=True).T, rhs)
 
-    The replication keeps the output on the input grid; data is expected to be
-    (near-)zero at the top row because supports sit strictly inside the domain.
+
+def _derivative(
+    values: np.ndarray, spacing: float, order: int, offsets: tuple[int, ...], n_edge: int, axis=-1
+) -> np.ndarray:
+    """Derivative of the given order along ``axis`` by finite differences.
+
+    The stencil on the integer ``offsets`` applies wherever it fits.  A
+    position too near an end for it takes a one-sided stencil on the
+    ``n_edge`` samples nearest that end.  Each stencil is exact on polynomials
+    of degree below its number of points.  A high-end stencil is the low-end
+    one mirrored with sign (-1)^order (solving for it directly can be an ulp
+    off), and terms are added in position order.  So a symmetric ``offsets``
+    treats both ends alike, and the forward difference on (0, 1) with
+    ``n_edge`` 2 and the second difference on (-1, 0, 1) with ``n_edge`` 3
+    repeat, bit for bit, the interior value next to each end they cannot reach.
     """
-    v = grid.values
-    if grid.y_axis.n_samples < 2:
-        raise ValueError("forward difference needs at least 2 samples along y")
-    dy = grid.y_axis.spacing
-    out = np.empty_like(v)
-    out[:, :-1] = (v[:, 1:] - v[:, :-1]) / dy
-    out[:, -1] = out[:, -2]
-    return RealGrid2D(grid.x_axis, grid.y_axis, out)
-
-
-def _diff2_central(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
-    # Central second difference along ``axis``; the two end entries replicate
-    # the nearest interior value.
     v = np.moveaxis(values, axis, -1)
-    d2 = np.empty_like(v)
-    d2[..., 1:-1] = (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]) / (spacing * spacing)
-    d2[..., 0] = d2[..., 1]
-    d2[..., -1] = d2[..., -2]
-    return np.moveaxis(d2, -1, axis)
+    n = v.shape[-1]
+    if n < n_edge:
+        raise ValueError(f"need at least {n_edge} samples for an order-{order} stencil")
+    lo, hi = -min(offsets), max(offsets)
+    out = np.zeros(v.shape, dtype=np.result_type(v.dtype, float))
+    for off, w in zip(offsets, _fd_weights(offsets, order)):
+        if w != 0.0:
+            out[..., lo : n - hi] += w * v[..., lo + off : n - hi + off]
+    sign = (-1) ** order
+    for edge in range(max(lo, hi)):
+        w_lo = _fd_weights(range(-edge, n_edge - edge), order)
+        for k in range(n_edge):
+            if edge < lo:
+                out[..., edge] += w_lo[k] * v[..., k]
+            if edge < hi:
+                out[..., n - 1 - edge] += sign * w_lo[n_edge - 1 - k] * v[..., n - n_edge + k]
+    return np.moveaxis(out / spacing**order, -1, axis)
 
 
-def diff2_x_central(grid: RealGrid2D) -> RealGrid2D:
-    """Central second difference along x; boundary columns replicate the adjacent
-    interior value."""
-    if grid.x_axis.n_samples < 3:
-        raise ValueError("second difference needs at least 3 samples along x")
-    out = _diff2_central(grid.values, grid.x_axis.spacing, axis=0)
-    return RealGrid2D(grid.x_axis, grid.y_axis, out)
+def _pad_factor(value) -> int:
+    # A zero-padding factor: an integer >= 1.
+    try:
+        pad = operator.index(value)
+    except TypeError:
+        raise TypeError(f"pad_factor must be an integer, got {value!r}") from None
+    if pad < 1:
+        raise ValueError(f"pad_factor must be >= 1, got {pad}")
+    return pad
 
 
 def cumint_from_top(profile, spacing: float, axis: int = -1):

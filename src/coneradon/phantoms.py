@@ -52,42 +52,30 @@ def _accumulate(values: np.ndarray, rho2: np.ndarray, spec: BumpSpec):
     values[mask] += spec.intensity * np.exp(-r2 / (r2 - rho2[mask]))
 
 
+def _render_bumps(specs, axes: tuple[AxisSpec, ...]):
+    dim = len(axes)
+    coords = np.meshgrid(*(axis.coordinates() for axis in axes), indexing="ij")
+    values = np.zeros(coords[0].shape)
+    for spec in specs:
+        if len(spec.center) != dim:
+            raise ValueError(f"{dim}D rendering needs {dim}D bump centers")
+        _check_support(spec, axes)
+        rho2 = sum((g - c) ** 2 for g, c in zip(coords, spec.center))
+        _accumulate(values, rho2, spec)
+    return (RealGrid2D if dim == 2 else RealGrid3D)(*axes, values)
+
+
 def render_bumps_2d(specs, x_axis: AxisSpec, y_axis: AxisSpec) -> RealGrid2D:
     """Sum of smooth bumps sampled on the given 2D grid.
 
     Every bump must be supported strictly inside the rectangle.
     """
-    xs = x_axis.coordinates()
-    ys = y_axis.coordinates()
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    values = np.zeros(gx.shape)
-    for spec in specs:
-        if len(spec.center) != 2:
-            raise ValueError("2D rendering needs 2D bump centers")
-        _check_support(spec, (x_axis, y_axis))
-        rho2 = (gx - spec.center[0]) ** 2 + (gy - spec.center[1]) ** 2
-        _accumulate(values, rho2, spec)
-    return RealGrid2D(x_axis, y_axis, values)
+    return _render_bumps(specs, (x_axis, y_axis))
 
 
 def render_bumps_3d(specs, x_axis: AxisSpec, y_axis: AxisSpec, z_axis: AxisSpec) -> RealGrid3D:
     """3D analog of :func:`render_bumps_2d` with Euclidean distance in the ball."""
-    xs = x_axis.coordinates()
-    ys = y_axis.coordinates()
-    zs = z_axis.coordinates()
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    values = np.zeros(gx.shape)
-    for spec in specs:
-        if len(spec.center) != 3:
-            raise ValueError("3D rendering needs 3D bump centers")
-        _check_support(spec, (x_axis, y_axis, z_axis))
-        rho2 = (
-            (gx - spec.center[0]) ** 2
-            + (gy - spec.center[1]) ** 2
-            + (gz - spec.center[2]) ** 2
-        )
-        _accumulate(values, rho2, spec)
-    return RealGrid3D(x_axis, y_axis, z_axis, values)
+    return _render_bumps(specs, (x_axis, y_axis, z_axis))
 
 
 def _matched_values(a, b):

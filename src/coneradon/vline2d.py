@@ -9,9 +9,11 @@ reference); ``vline_invert`` applies the exact reconstruction
 
     f(x, y) = -(cos(beta)/2) * (dg/dy + tan^2(beta) * int_y^{y_top} d2g/dx2 dt)
 
-with the first-order forward difference in y, the central second difference in
-x and trapezoidal cumulative integration.  ``vline_spectral_oracle`` is an
-independent second forward route through the per-frequency relation
+with the first-order forward difference in y (the top row repeats the one
+below) and the central second difference in x (the end columns repeat their
+neighbours), both from ``grids._derivative``, the cone inversion's stencil
+helper too, and trapezoidal cumulative integration.  ``vline_spectral_oracle``
+is an independent second forward route through the per-frequency relation
 G_lambda(y_v) = int_{y_v}^{y_top} fhat_lambda(y) cos(lambda t (y - y_v)) dy,
 applied by ``grids._lag_kernel_apply`` with the cosine kernel (the engine the
 cone transforms run with J0).
@@ -26,10 +28,10 @@ from .grids import (
     AxisSpec,
     ConeGeometry,
     RealGrid2D,
+    _derivative,
     _lag_kernel_apply,
+    _pad_factor,
     cumint_from_top,
-    diff2_x_central,
-    diff_y_forward,
 )
 from .specfun import frequency_axis
 
@@ -165,8 +167,8 @@ def vline_invert(projection: VLineProjection) -> RealGrid2D:
     if g.x_axis.n_samples < 3:
         raise ValueError("inversion needs at least 3 samples along x")
     geom = projection.geometry
-    dgdy = diff_y_forward(g).values
-    d2gdx2 = diff2_x_central(g).values
+    dgdy = _derivative(g.values, g.y_axis.spacing, 1, (0, 1), 2, axis=1)
+    d2gdx2 = _derivative(g.values, g.x_axis.spacing, 2, (-1, 0, 1), 3, axis=0)
     tail = cumint_from_top(d2gdx2, g.y_axis.spacing, axis=1)
     t2 = geom.tan_beta * geom.tan_beta
     f = -(geom.cos_beta / 2.0) * (dgdy + t2 * tail)
@@ -184,8 +186,7 @@ def vline_spectral_oracle(
     on each side must be at least y_extent * tan(beta) so the projection data
     cannot wrap around the periodic boundary.
     """
-    if pad_factor < 1:
-        raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
+    pad_factor = _pad_factor(pad_factor)
     nx = f.x_axis.n_samples
     ny = f.y_axis.n_samples
     dx = f.x_axis.spacing

@@ -233,7 +233,7 @@ class TestInvertFrequencyProfile:
     def test_intermediate_identity_shrinks_with_resolution(self):
         # H applied to the tail integral of G equals the J0-weighted integral
         # of the underlying profile; the discrete residual shrinks with n.
-        from coneradon.grids import _diff2_central, cumint_from_top
+        from coneradon.grids import _derivative, cumint_from_top
 
         u = 2.0
         residuals = {}
@@ -244,7 +244,8 @@ class TestInvertFrequencyProfile:
                 oracles.smooth_bump_1d, z, zax.max, u, bessel_j0, oversample=6
             )
             tail = cumint_from_top(data, zax.spacing)
-            lhs = _diff2_central(tail, zax.spacing, axis=-1) + u * u * tail  # H(tail)
+            d2 = _derivative(tail, zax.spacing, 2, (-1, 0, 1), 3)  # as vline_invert's x
+            lhs = d2 + u * u * tail  # H(tail)
             rhs = np.zeros(n)
             for j in range(n - 1):
                 zf = np.linspace(z[j], zax.max, (n - 1 - j) * 6 + 1)
@@ -458,6 +459,10 @@ class TestConeInvert:
         g = RealGrid3D(ax, ax, AxisSpec(8, -1, 1), np.zeros((3, 3, 8)))
         with pytest.raises(ValueError):
             cone_invert(g, GEOM)
+        ax = AxisSpec(8, -1.0, 1.0)
+        g = RealGrid3D(ax, ax, ax, np.zeros((8, 8, 8)))
+        with pytest.raises(TypeError, match="pad_factor"):
+            cone_invert(g, GEOM, pad_factor=2.0)
 
     @pytest.mark.parametrize("pad", [1, 2, 3])
     @pytest.mark.parametrize("n", [12, 13])

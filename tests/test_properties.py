@@ -1,6 +1,7 @@
 """Property-based checks: the grid file formats on arbitrary finite payloads,
-linearity and nonnegativity of the V-line forward transform, and linearity and
-support vanishing of the 3D cone transforms."""
+linearity and nonnegativity of the V-line forward transform, linearity and
+support vanishing of the 3D cone transforms, and exactness and mirror symmetry
+of the finite-difference stencils both inversions use."""
 
 import math
 
@@ -11,9 +12,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.polynomial import polynomial as poly
 
 from coneradon.cone3d import cone_forward, cone_invert
-from coneradon.grids import AxisSpec, ConeGeometry, RealGrid2D, RealGrid3D
+from coneradon.grids import AxisSpec, ConeGeometry, RealGrid2D, RealGrid3D, _derivative
 from coneradon.gridio import read_grid, write_grid, write_grid_csv
 from coneradon.vline2d import vline_forward
 
@@ -197,3 +199,55 @@ class TestConeProperties:
         np.testing.assert_allclose(
             combined, split, rtol=0.0, atol=np.finfo(float).eps * scale + 1e-300
         )
+
+
+# (order, offsets, n_edge) of every _derivative call in the library.
+STENCILS = {
+    "vline-dy": (1, (0, 1), 2),
+    "vline-d2x": (2, (-1, 0, 1), 3),
+    "cone-d1": (1, (-1, 0, 1), 4),
+    "cone-d2": (2, (-1, 0, 1), 5),
+    "cone-d3": (3, (-2, -1, 0, 1, 2), 6),
+}
+EPS = np.finfo(float).eps
+
+
+class TestDerivativeStencils:
+    @pytest.mark.parametrize("name", STENCILS)
+    @SETTINGS
+    @given(data=st.data())
+    def test_exact_on_polynomials(self, name, data):
+        # Every stencil, the one-sided ones at the ends included, is exact on
+        # polynomials of degree below its number of points.
+        order, offsets, n_edge = STENCILS[name]
+        degree = min(len(offsets), n_edge) - 1
+        coef = data.draw(hnp.arrays(np.float64, degree + 1, elements=st.floats(-1.0, 1.0)))
+        spacing = data.draw(st.floats(0.01, 10.0))
+        n = data.draw(st.integers(n_edge, n_edge + 20))
+        x = data.draw(st.floats(-5.0, 5.0)) + spacing * np.arange(n)
+        exact_coef = poly.polyder(coef, order)
+        out = _derivative(poly.polyval(x, coef), spacing, order, offsets, n_edge)
+        exact = poly.polyval(x, exact_coef)
+        # Rounding of the samples, amplified by the stencil weights (|w| sums
+        # to < 100) over spacing^order, plus rounding of the exact value;
+        # 1e-300 absorbs products that underflow.
+        powers = np.abs(x).max() ** np.arange(degree + 1)
+        size = np.abs(coef) @ powers
+        size_exact = np.abs(exact_coef) @ powers[: exact_coef.size]
+        tol = 1e3 * EPS * (size / spacing**order + size_exact) + 1e-300
+        np.testing.assert_allclose(out, exact, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("name", [k for k, s in STENCILS.items() if s[1][0] == -s[1][-1]])
+    @SETTINGS
+    @given(data=st.data())
+    def test_reversal_symmetry(self, name, data):
+        # A symmetric stencil treats both ends alike: reversing the input
+        # gives (-1)^order times the reversed output, to rounding.
+        order, offsets, n_edge = STENCILS[name]
+        n = data.draw(st.integers(n_edge, n_edge + 20))
+        values = data.draw(hnp.arrays(np.float64, (3, n), elements=st.floats(-1.0, 1.0)))
+        spacing = data.draw(st.floats(0.01, 10.0))
+        out = _derivative(values, spacing, order, offsets, n_edge)
+        reversed_out = _derivative(values[:, ::-1], spacing, order, offsets, n_edge)
+        tol = 1e3 * EPS * np.abs(values).max() / spacing**order + 1e-300
+        np.testing.assert_allclose(reversed_out, (-1) ** order * out[:, ::-1], rtol=0.0, atol=tol)

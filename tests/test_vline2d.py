@@ -275,6 +275,8 @@ class TestSpectralOracle:
         f = bump_grid(32)
         with pytest.raises(ValueError):
             vline_spectral_oracle(f, GEOM, pad_factor=1)
+        with pytest.raises(TypeError, match="pad_factor"):
+            vline_spectral_oracle(f, GEOM, pad_factor=2.0)
 
 
 class TestFourierRelation:
