@@ -235,6 +235,17 @@ def _save_heatmap(config: RunConfig, name: str, grid, outputs: dict, metrics: di
     metrics[f"{name}_heatmap_max"] = vmax
 
 
+def _projection_edge_fraction(g) -> float:
+    """Truncation alarm: max |g| on the lateral faces (both ends of every axis
+    but the last, the vertex height) over max |g|, and 0 for g == 0."""
+    g_abs = np.abs(g.values)
+    peak = g_abs.max()
+    if not peak:
+        return 0.0
+    faces = max(np.take(g_abs, [0, -1], axis=a).max() for a in range(g_abs.ndim - 1))
+    return float(faces / peak)
+
+
 def _metrics_against(config: RunConfig, recon, phantom, metrics: dict) -> None:
     metrics["relative_l2"] = relative_l2(recon, phantom)
     metrics["max_abs_error"] = max_abs_error(recon, phantom)
@@ -267,12 +278,16 @@ def _cmd_forward(config: RunConfig, stage, outputs: dict, metrics: dict) -> None
         g = _forward(config, f)
     _save_grid(config, "projection", g, outputs)
     metrics["projection_max"] = float(g.values.max())
+    if config.dim == 3:
+        metrics["projection_edge_fraction"] = _projection_edge_fraction(g)
 
 
 def _cmd_invert(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
     if not config.input_path:
         raise ValueError(f"{config.command} needs --input with projection data")
     g = _read_grid_checked(config.input_path, config.dim)
+    if config.dim == 3:
+        metrics["projection_edge_fraction"] = _projection_edge_fraction(g)
     with stage("inversion"):
         recon = _invert(config, g)
     _save_grid(config, "reconstruction", recon, outputs)
@@ -284,6 +299,8 @@ def _cmd_roundtrip(config: RunConfig, stage, outputs: dict, metrics: dict) -> No
         f = _render_phantom(config)
     with stage("forward transform"):
         g = _forward(config, f)
+    if config.dim == 3:
+        metrics["projection_edge_fraction"] = _projection_edge_fraction(g)
     with stage("inversion"):
         recon = _invert(config, g)
     if recon.axes() != f.axes():  # extended vertex grid: compare on f's rows
@@ -318,9 +335,7 @@ def _cmd_oracle_check(config: RunConfig, stage, outputs: dict, metrics: dict) ->
     with stage("frequency-identity residual"):
         metrics["fourier_relation_residual"] = fourier_relation_check(f, g)
     # Truncation alarm: the identity needs g to fit inside the x domain.
-    g_abs = np.abs(g.grid.values)
-    edge_fraction = g_abs[[0, -1]].max() / g_abs.max() if denom else 0.0
-    metrics["projection_edge_fraction"] = float(edge_fraction)
+    metrics["projection_edge_fraction"] = _projection_edge_fraction(g.grid)
 
     with stage("kernel quadrature check"):
         rng = np.random.default_rng(config.seed)

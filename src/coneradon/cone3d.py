@@ -4,7 +4,11 @@ The forward transform and the inversion both work per transverse frequency
 pair (lambda, mu) with u = tan(beta) sqrt(lambda^2 + mu^2), on the ky >= 0
 half of a real 2D DFT of zero-padded data, and apply their z-kernels through
 ``grids._lag_kernel_apply`` with the J0 kernel: a z-correlation by FFT, the
-engine the V-line's spectral oracle runs with the cosine kernel.  The
+engine the V-line's spectral oracle runs with the cosine kernel.  Both take
+their 2D DFTs through one pruned pair, ``_half_spectrum`` and
+``_from_half_spectrum``: the inversion transforms, inverts and synthesizes
+only the ky band its frequency taper keeps, and the inverse DFT's y step runs
+on the returned x rows only.  The
 inversion's z derivatives are ``grids._derivative``'s central stencils, the
 helper the V-line inversion differences with too.
 
@@ -13,13 +17,8 @@ The forward transform is the kernel identity
     ghat(z_v) = int_{z_v}^{z_top} (2 pi tan(beta)/cos(beta)) (z - z_v)
                 J0(u (z - z_v)) fhat(z) dz.
 
-``_cone_forward_rings`` evaluates the same cone-surface integral in space, by
-splitting the surface element into circles of radius r = (z - z_v) tan(beta),
-
-    g = (tan(beta)/cos(beta)) * int_{z_v}^{z_top} (z - z_v)
-        * [2 pi * mean_phi f(x_v + r cos(phi), y_v + r sin(phi), z)] dz;
-
-it is the independent reference route the tests compare against.
+The test suite's ring route (``tests/oracles.py``) evaluates the same
+cone-surface integral in space, circle by circle, as an independent reference.
 
 With G = (cos(beta)/(2 pi tan(beta))) * ghat, the reconstruction is
 
@@ -41,7 +40,6 @@ from .grids import (
     _derivative,
     _lag_kernel_apply,
     _pad_factor,
-    _ring_quadrature,
     _smooth_size,
     cumint_from_top,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "kernel_eval",
 ]
 
-_MIN_PHI_SAMPLES = 16
 # The inversion's order-3 z stencil takes order + 3 samples at each end, so
 # the z axis needs at least that many.
 _MIN_Z_SAMPLES = 6
@@ -109,13 +106,6 @@ def kernel_eval(params: KernelParams, z, z_v):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _n_phi(radius: float, dx: float) -> int:
-    # At least one sample per transverse grid cell along the circle, rounded up
-    # to a multiple of 4 so 90-degree rotations map the sample set to itself.
-    needed = max(_MIN_PHI_SAMPLES, math.ceil(2.0 * math.pi * radius / dx))
-    return 4 * math.ceil(needed / 4)
-
-
 def _forward_pad(f: RealGrid3D, geometry: ConeGeometry) -> tuple[int, int]:
     # Padded (x, y) sizes.  The rings reach tan(beta) * (z extent) beyond a
     # vertex, so the zero gap of the periodic grid must hold that reach plus
@@ -125,6 +115,21 @@ def _forward_pad(f: RealGrid3D, geometry: ConeGeometry) -> tuple[int, int]:
         _smooth_size(axis.n_samples + 1 + math.ceil(reach / axis.spacing))
         for axis in (f.x_axis, f.y_axis)
     )
+
+
+def _half_spectrum(values: np.ndarray, nxp: int, nyp: int, n_ky: int) -> np.ndarray:
+    # rfft2(values, s=(nxp, nyp), axes=(0, 1))[:, :n_ky]: the y transform
+    # first, then the x transform on the kept ky columns only.
+    return np.fft.fft(np.fft.rfft(values, nyp, axis=1)[:, :n_ky], nxp, axis=0)
+
+
+def _from_half_spectrum(spectrum: np.ndarray, nx: int, ny: int, nyp: int) -> np.ndarray:
+    # irfft2(spectrum zero-filled to nyp // 2 + 1 ky columns, s=(nxp, nyp),
+    # axes=(0, 1))[:nx, :ny]: the x transform first, then the y transform on
+    # the nx kept rows only (irfft zero-fills the missing columns).  The copy
+    # lets the padded array go.
+    rows = np.fft.ifft(spectrum, axis=0)[:nx]
+    return np.fft.irfft(rows, nyp, axis=1)[:, :ny].copy()
 
 
 def _half_spectrum_radial(grid: RealGrid3D, nxp: int, nyp: int) -> np.ndarray:
@@ -150,41 +155,13 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     nxp, nyp = _forward_pad(f, geometry)
     u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
 
-    spectrum = np.fft.rfft2(f.values, s=(nxp, nyp), axes=(0, 1))
+    spectrum = _half_spectrum(f.values, nxp, nyp, nyp // 2 + 1)
     spectrum *= 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta
     _lag_kernel_apply(
         spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, bessel_j0, lag_factor=True
     )
-    # s= is needed when nyp is odd; the copy lets the padded array go.
-    values = np.fft.irfft2(spectrum, s=(nxp, nyp), axes=(0, 1))[:nx, :ny].copy()
+    values = _from_half_spectrum(spectrum, nx, ny, nyp)
     return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, values)
-
-
-def _cone_forward_rings(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
-    """Spatial reference route for ``cone_forward``, kept for the tests.
-
-    Trapezoid in z over the grid levels, uniform phi samples on each circle,
-    zero-extended linear sampling in (x, y); the cone opens toward +z only.
-    """
-    t = geometry.tan_beta
-    dz = f.z_axis.spacing
-    dx = f.x_axis.spacing
-    dy = f.y_axis.spacing
-    const = 2.0 * np.pi * t / geometry.cos_beta * dz * dz
-
-    def circle(lag: int):
-        r = lag * dz * t
-        nphi = _n_phi(r, dx)
-        # One quadrant of angles; the other three by exact 90-degree rotation.
-        quarter = 2.0 * np.pi * np.arange(nphi // 4) / nphi
-        c = r * np.cos(quarter)
-        s = r * np.sin(quarter)
-        ox = np.concatenate([c, -s, -c, s]) / dx
-        oy = np.concatenate([s, c, -s, -c]) / dy
-        return const * lag, ox, oy
-
-    g = _ring_quadrature(f.values, circle)
-    return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, g)
 
 
 def dft2_slices(g: RealGrid3D) -> SpectralStack:
@@ -270,7 +247,9 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     Only the ky >= 0 half of the spectrum is inverted (a real 2D DFT): g is
     real, and the per-frequency inversion depends on sqrt(lambda^2 + mu^2)
     only, so the result at (-lambda, -mu) is the conjugate of the one at
-    (lambda, mu).  The real inverse DFT fills in the rest.
+    (lambda, mu).  The real inverse DFT fills in the rest.  Of that half, only
+    the ky columns up to the last one with a nonzero weight are transformed,
+    inverted and synthesized; the columns past it are zero.
     """
     pad_factor = _pad_factor(pad_factor)
     if g.x_axis.n_samples < 4 or g.y_axis.n_samples < 4:
@@ -283,9 +262,13 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     radial = _half_spectrum_radial(g, nxp, nyp)
     u_map = geometry.tan_beta * radial
     weights = _frequency_weights(u_map, radial, g)
+    # ky columns past the last one with a nonzero weight invert to zero, so
+    # they are neither transformed nor synthesized.
+    n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
+    radial, u_map, weights = radial[:, :n_ky], u_map[:, :n_ky], weights[:, :n_ky]
 
     # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat.
-    normalized = np.fft.rfft2(g.values, s=(nxp, nyp), axes=(0, 1))
+    normalized = _half_spectrum(g.values, nxp, nyp, n_ky)
     normalized *= geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)
 
     out = np.zeros_like(normalized)
@@ -294,6 +277,8 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     out[0, 0, :] = weights[0, 0] * dc
 
     kept = np.flatnonzero(((weights > 0.0) & (radial > 0.0)).ravel())
+    # In order of u, so each block evaluates the J0 taps of its own u's only.
+    kept = kept[np.argsort(u_map.ravel()[kept], kind="stable")]
     rows = max(1, _BLOCK_ELEMENTS // nz)
     flat_out = out.reshape(-1, nz)
     for start in range(0, kept.size, rows):
@@ -302,6 +287,5 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
             normalized.reshape(-1, nz)[idx], u_map.ravel()[idx], g.z_axis
         )
 
-    # s= is needed when nyp is odd; the copy lets the padded array go.
-    values = np.fft.irfft2(out, s=(nxp, nyp), axes=(0, 1))[:nx, :ny].copy()
+    values = _from_half_spectrum(out, nx, ny, nyp)
     return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, values)

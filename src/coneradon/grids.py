@@ -5,15 +5,12 @@ Coordinate conventions: every axis is sampled uniformly from ``min`` to ``max``
 inclusive, and grid values are indexed ``values[ix, iy]`` (2D) or
 ``values[ix, iy, iz]`` (3D).
 
-Sampling convention: the spatial forward projectors evaluate the
-zero-extended linear interpolant of the samples: f is taken as 0 beyond the
-grid, and a point within one cell of an edge blends the edge sample with that
-zero.  ``_ring_quadrature`` is the shift-and-add engine for it: points of a
-ring are whole shifted copies of the array, never per-point gathers.  It runs
-the cone transform's reference route (the 3D forward itself is spectral, see
-``cone3d``) and, with a two-point ring, the tests' reference for the V-line
-forward, which ``vline2d`` computes with its own lag loop over only the
-vertex rows it returns.
+Sampling convention: the spatial forward projector (``vline2d``'s) evaluates
+the zero-extended linear interpolant of the samples: f is taken as 0 beyond
+the grid, and a point within one cell of an edge blends the edge sample with
+that zero.  The test suite's ring route (``tests/oracles.py``) samples the same
+way and is the reference for both forwards; the 3D forward itself is spectral
+(see ``cone3d``).
 
 Spectral convention: after a Fourier transform across the axis, every
 spectral route is one trapezoid-weighted lag-kernel integral up the axis per
@@ -275,56 +272,3 @@ def _lag_kernel_apply(
         profiles[block] = ifft(product, m)[:, :n]
     profiles[:, empty_from:] = 0.0
 
-
-def _accumulate_shift(out: np.ndarray, vol: np.ndarray, da: int, db: int, w: float):
-    # out[i, j, :] += w * vol[i + da, j + db, :], zero outside the array.
-    nx, ny = vol.shape[:2]
-    i0, i1 = max(0, -da), min(nx, nx - da)
-    j0, j1 = max(0, -db), min(ny, ny - db)
-    if i0 >= i1 or j0 >= j1 or w == 0.0:
-        return
-    out[i0:i1, j0:j1] += w * vol[i0 + da : i1 + da, j0 + db : j1 + db]
-
-
-def _ring_average(vol: np.ndarray, offsets_x: np.ndarray, offsets_y: np.ndarray) -> np.ndarray:
-    """Mean over the ring points of vol linearly shifted by (ox, oy) index
-    offsets, for every (x, y, level) at once; vol is zero outside its array."""
-    acc = np.zeros_like(vol)
-    for ox, oy in zip(offsets_x, offsets_y):
-        a = math.floor(ox)
-        b = math.floor(oy)
-        fx = ox - a
-        fy = oy - b
-        _accumulate_shift(acc, vol, a, b, (1.0 - fx) * (1.0 - fy))
-        _accumulate_shift(acc, vol, a + 1, b, fx * (1.0 - fy))
-        _accumulate_shift(acc, vol, a, b + 1, (1.0 - fx) * fy)
-        _accumulate_shift(acc, vol, a + 1, b + 1, fx * fy)
-    return acc / len(offsets_x)
-
-
-def _ring_quadrature(vol: np.ndarray, ring) -> np.ndarray:
-    """Trapezoidal integral, from every level of ``vol`` (last axis) to the top,
-    of ring averages that widen with the lag.
-
-    ``ring(lag)`` returns ``(weight, offsets_x, offsets_y)`` for the ring sampled
-    ``lag`` levels above the vertex level; lags of weight 0 are skipped.  The
-    result is
-
-        out[..., k] = sum_lag weight(lag) * T(k, lag) * ring average of vol[..., k + lag]
-
-    with T the trapezoid weights of the integral from level k to the top: 1/2
-    at both ends (so 0 for the empty integral at the top level), 1 between.
-    """
-    n = vol.shape[-1]
-    out = np.zeros_like(vol)
-    for lag in range(n):
-        weight, ox, oy = ring(lag)
-        if weight == 0.0:
-            continue
-        trap = np.ones(n - lag)
-        trap[-1] = 0.5  # the top level is the upper endpoint of every integral
-        if lag == 0:
-            trap *= 0.5  # the vertex level is the lower endpoint
-            trap[-1] = 0.0
-        out[..., : n - lag] += weight * _ring_average(vol[..., lag:], ox, oy) * trap
-    return out

@@ -164,9 +164,11 @@ def frequency_axis(n: int, spacing: float) -> FrequencyAxis:
 
 
 def _polevl(x, coeffs):
+    # Horner's rule, in place in one output array.
     out = np.full_like(x, coeffs[0])
     for c in coeffs[1:]:
-        out = out * x + c
+        out *= x
+        out += c
     return out
 
 
@@ -174,7 +176,8 @@ def _p1evl(x, coeffs):
     # Same as _polevl with an implicit leading coefficient of 1.
     out = x + coeffs[0]
     for c in coeffs[1:]:
-        out = out * x + c
+        out *= x
+        out += c
     return out
 
 

@@ -4,8 +4,8 @@ A projection value g(x_v, y_v) integrates f along the two upward rays
 x = x_v +/- (y - y_v) tan(beta), y >= y_v, with arclength element dy/cos(beta).
 ``vline_forward`` evaluates this by trapezoidal quadrature in y, sampling the
 zero-extended linear interpolant of f at x_v +/- (y - y_v) tan(beta), the
-operator of the two-point ring of ``grids._ring_quadrature`` (its test
-reference); ``vline_invert`` applies the exact reconstruction
+operator of the two-point ring of the test suite's ring route (its reference
+in ``tests/oracles.py``); ``vline_invert`` applies the exact reconstruction
 
     f(x, y) = -(cos(beta)/2) * (dg/dy + tan^2(beta) * int_y^{y_top} d2g/dx2 dt)
 

@@ -6,6 +6,8 @@ quadrature) and stays independent of the library code paths it checks; only
 plain numpy is used.
 """
 
+import math
+
 import numpy as np
 
 
@@ -211,3 +213,102 @@ def kernel_profile_quadrature(fhat_fn, z_nodes, z_top: float, u: float,
         gap = zf - z_nodes[j]
         out[j] = float(np.trapezoid(fhat_fn(zf) * gap * j0_fn(u * gap), zf))
     return out
+
+
+def _accumulate_shift(out: np.ndarray, vol: np.ndarray, da: int, db: int, w: float):
+    # out[i, j, :] += w * vol[i + da, j + db, :], zero outside the array.
+    nx, ny = vol.shape[:2]
+    i0, i1 = max(0, -da), min(nx, nx - da)
+    j0, j1 = max(0, -db), min(ny, ny - db)
+    if i0 >= i1 or j0 >= j1 or w == 0.0:
+        return
+    out[i0:i1, j0:j1] += w * vol[i0 + da : i1 + da, j0 + db : j1 + db]
+
+
+def _ring_average(vol: np.ndarray, offsets_x: np.ndarray, offsets_y: np.ndarray) -> np.ndarray:
+    """Mean over the ring points of vol linearly shifted by (ox, oy) index
+    offsets, for every (x, y, level) at once; vol is zero outside its array."""
+    acc = np.zeros_like(vol)
+    for ox, oy in zip(offsets_x, offsets_y):
+        a = math.floor(ox)
+        b = math.floor(oy)
+        fx = ox - a
+        fy = oy - b
+        _accumulate_shift(acc, vol, a, b, (1.0 - fx) * (1.0 - fy))
+        _accumulate_shift(acc, vol, a + 1, b, fx * (1.0 - fy))
+        _accumulate_shift(acc, vol, a, b + 1, (1.0 - fx) * fy)
+        _accumulate_shift(acc, vol, a + 1, b + 1, fx * fy)
+    return acc / len(offsets_x)
+
+
+def ring_quadrature(vol: np.ndarray, ring) -> np.ndarray:
+    """Trapezoidal integral, from every level of ``vol`` (last axis) to the top,
+    of ring averages that widen with the lag: a shift-and-add engine sampling
+    the zero-extended linear interpolant of ``vol``, where the points of a
+    ring are whole shifted copies of the array, never per-point gathers.
+
+    ``ring(lag)`` returns ``(weight, offsets_x, offsets_y)`` for the ring sampled
+    ``lag`` levels above the vertex level; lags of weight 0 are skipped.  The
+    result is
+
+        out[..., k] = sum_lag weight(lag) * T(k, lag) * ring average of vol[..., k + lag]
+
+    with T the trapezoid weights of the integral from level k to the top: 1/2
+    at both ends (so 0 for the empty integral at the top level), 1 between.
+    """
+    n = vol.shape[-1]
+    out = np.zeros_like(vol)
+    for lag in range(n):
+        weight, ox, oy = ring(lag)
+        if weight == 0.0:
+            continue
+        trap = np.ones(n - lag)
+        trap[-1] = 0.5  # the top level is the upper endpoint of every integral
+        if lag == 0:
+            trap *= 0.5  # the vertex level is the lower endpoint
+            trap[-1] = 0.0
+        out[..., : n - lag] += weight * _ring_average(vol[..., lag:], ox, oy) * trap
+    return out
+
+
+_MIN_PHI_SAMPLES = 16
+
+
+def _n_phi(radius: float, dx: float) -> int:
+    # At least one sample per transverse grid cell along the circle, rounded up
+    # to a multiple of 4 so 90-degree rotations map the sample set to itself.
+    needed = max(_MIN_PHI_SAMPLES, math.ceil(2.0 * math.pi * radius / dx))
+    return 4 * math.ceil(needed / 4)
+
+
+def cone_forward_rings(f, geometry) -> np.ndarray:
+    """Spatial route for the cone transform's values on f's own grid.
+
+    The cone-surface integral split into circles of radius
+    r = (z - z_v) tan(beta),
+
+        g = (tan(beta)/cos(beta)) * int_{z_v}^{z_top} (z - z_v)
+            * [2 pi * mean_phi f(x_v + r cos(phi), y_v + r sin(phi), z)] dz,
+
+    by the trapezoid in z over the grid levels, uniform phi samples on each
+    circle and zero-extended linear sampling in (x, y); the cone opens toward
+    +z only.
+    """
+    t = geometry.tan_beta
+    dz = f.z_axis.spacing
+    dx = f.x_axis.spacing
+    dy = f.y_axis.spacing
+    const = 2.0 * np.pi * t / geometry.cos_beta * dz * dz
+
+    def circle(lag: int):
+        r = lag * dz * t
+        nphi = _n_phi(r, dx)
+        # One quadrant of angles; the other three by exact 90-degree rotation.
+        quarter = 2.0 * np.pi * np.arange(nphi // 4) / nphi
+        c = r * np.cos(quarter)
+        s = r * np.sin(quarter)
+        ox = np.concatenate([c, -s, -c, s]) / dx
+        oy = np.concatenate([s, c, -s, -c]) / dy
+        return const * lag, ox, oy
+
+    return ring_quadrature(f.values, circle)

@@ -171,6 +171,39 @@ class TestFileChain:
         assert math.isfinite(report["metrics"]["relative_l2"])
 
 
+class TestTruncationAlarm3D:
+    """``projection_edge_fraction``: max |g| on the four lateral faces over max |g|."""
+
+    def test_centred_bump_reads_near_zero(self, tmp_path):
+        # Measured at N = 24: 0.0025.  invert3d reads the same g from the file.
+        fout = tmp_path / "f"
+        assert run_cli("forward3d", "--n", "24", "--beta", "pi/8", "--outdir", str(fout)) == 0
+        edge = load_report(fout)["metrics"]["projection_edge_fraction"]
+        assert edge < 0.01
+        iout = tmp_path / "i"
+        assert run_cli("invert3d", "--input", str(fout / "projection.crtg"),
+                       "--outdir", str(iout)) == 0
+        assert load_report(iout)["metrics"]["projection_edge_fraction"] == edge
+
+    def test_off_centre_bumps_read_high(self, tmp_path):
+        # Bumps reaching the lateral faces: the round trip is worse than
+        # returning zero here.  Measured at N = 24: 0.665.
+        scene = tmp_path / "two.txt"
+        scene.write_text("0.6 0.6 0.3 0.35 1\n-0.6 0 -0.4 0.3 2\n")
+        out = tmp_path / "r"
+        assert run_cli("roundtrip3d", "--n", "24", "--beta", "pi/4", "--scene", str(scene),
+                       "--outdir", str(out)) == 0
+        assert load_report(out)["metrics"]["projection_edge_fraction"] > 0.5
+
+    def test_zero_projection_reads_zero(self, tmp_path):
+        ax = AxisSpec(8, -1.0, 1.0)
+        write_grid(tmp_path / "zero.crtg", RealGrid3D(ax, ax, ax, np.zeros((8, 8, 8))))
+        out = tmp_path / "i"
+        assert run_cli("invert3d", "--input", str(tmp_path / "zero.crtg"),
+                       "--outdir", str(out)) == 0
+        assert load_report(out)["metrics"]["projection_edge_fraction"] == 0.0
+
+
 class TestOracleCheck:
     def test_runs_and_reports(self, tmp_path):
         out = tmp_path / "oc"

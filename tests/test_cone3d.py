@@ -3,8 +3,9 @@ import pytest
 
 from coneradon.cone3d import (
     KernelParams,
-    _cone_forward_rings,
     _frequency_weights,
+    _from_half_spectrum,
+    _half_spectrum,
     cone_forward,
     cone_invert,
     dft2_slices,
@@ -42,7 +43,7 @@ def quadrature_vertices(f):
 def rings_48():
     # BUMP3 at N = 48 and its ring-route projection, shared by the oracle tests.
     f = bump_volume(48)
-    return f, _cone_forward_rings(f, GEOM).values
+    return f, oracles.cone_forward_rings(f, GEOM)
 
 
 def full_spectrum_invert(g, geometry, pad):
@@ -370,7 +371,7 @@ class TestConeForward:
         yz_axis = AxisSpec(9, 0.0, 2.0)
         values = np.zeros((6, 9, 9))
         values[5, 4, 7] = 3.0
-        g = _cone_forward_rings(RealGrid3D(x_axis, yz_axis, yz_axis, values), geom).values
+        g = oracles.cone_forward_rings(RealGrid3D(x_axis, yz_axis, yz_axis, values), geom)
         dz = yz_axis.spacing
         fx = 5 * dz * geom.tan_beta - 1.0
         # g = (tan/cos) int (z - z_v) 2 pi mean_phi f dz, one lag of 5 dz.
@@ -384,7 +385,7 @@ class TestConeForward:
         geom = ConeGeometry(3 * np.pi / 8)
         f = bump_volume(24, BumpSpec((0.6, 0.0, 0.3), 0.3, 1.0))
         g = cone_forward(f, geom).values[:6]
-        ref = _cone_forward_rings(f, geom).values[:6]
+        ref = oracles.cone_forward_rings(f, geom)[:6]
         assert np.linalg.norm(g - ref) <= 0.05 * np.linalg.norm(ref)
 
     def test_returns_owned_array(self):
@@ -424,6 +425,59 @@ class TestConeForward:
         )
         g_rotated = cone_forward(rotated, GEOM).values
         np.testing.assert_allclose(g_rotated, np.rot90(g, axes=(0, 1)), rtol=1e-10, atol=1e-12)
+
+
+class TestHalfSpectrum:
+    """The pruned 2D transform pair both cone transforms run through."""
+
+    @staticmethod
+    def cases():
+        # Odd and even padded sizes along both axes; n_ky from one column
+        # through the middle to the whole half spectrum.
+        for n in (8, 9):
+            for pad in (1, 2, 3):
+                nxp, nyp = pad * n, pad * (n + 1)
+                for n_ky in sorted({1, (nyp // 2 + 1) // 2, nyp // 2 + 1}):
+                    yield pytest.param(n, pad, n_ky, id=f"{n}-{pad}-{n_ky}")
+
+    @pytest.mark.parametrize("n, pad, n_ky", cases())
+    def test_forward_matches_rfft2(self, n, pad, n_ky):
+        values = np.random.default_rng(n_ky).normal(size=(n, n + 1, 3))
+        nxp, nyp = pad * n, pad * (n + 1)
+        expected = np.fft.rfft2(values, s=(nxp, nyp), axes=(0, 1))[:, :n_ky]
+        np.testing.assert_array_equal(_half_spectrum(values, nxp, nyp, n_ky), expected)
+
+    @pytest.mark.parametrize("n, pad, n_ky", cases())
+    def test_inverse_matches_cropped_irfft2(self, n, pad, n_ky):
+        rng = np.random.default_rng(n_ky)
+        nxp, nyp = pad * n, pad * (n + 1)
+        spectrum = rng.normal(size=(nxp, n_ky, 3)) + 1j * rng.normal(size=(nxp, n_ky, 3))
+        full = np.zeros((nxp, nyp // 2 + 1, 3), dtype=complex)
+        full[:, :n_ky] = spectrum
+        expected = np.fft.irfft2(full, s=(nxp, nyp), axes=(0, 1))[:n, : n + 1]
+        values = _from_half_spectrum(spectrum, n, n + 1, nyp)
+        np.testing.assert_array_equal(values, expected)
+        assert values.base is None
+
+    def test_transforms_only_the_kept_rows_and_columns(self, monkeypatch):
+        # The x transform runs on the n_ky kept columns, and the inverse's y
+        # transform on the nx returned rows, never on the padded ones.
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def spy(a, *args, _name=name, _real=getattr(np.fft, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        values = np.random.default_rng(0).normal(size=(9, 8, 3))
+        spectrum = _half_spectrum(values, 27, 24, 5)
+        _from_half_spectrum(spectrum, 9, 8, 24)
+        assert calls == [
+            ("rfft", (9, 8, 3)),
+            ("fft", (9, 5, 3)),
+            ("ifft", (27, 5, 3)),
+            ("irfft", (9, 5, 3)),
+        ]
 
 
 class TestConeInvert:
@@ -480,16 +534,22 @@ class TestConeInvert:
         expected = np.rot90(rec, axes=(0, 1))
         assert np.linalg.norm(rec_rotated - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("pad", [1, 2, 3])
-    @pytest.mark.parametrize("n", [8, 9, 10])
-    def test_matches_full_spectrum_reference(self, n, pad):
+    @pytest.mark.parametrize(
+        "n, pad, nz",
+        [pytest.param(n, pad, 24, id=f"{n}-{pad}") for n in (8, 9, 10) for pad in (1, 2, 3)]
+        + [pytest.param(24, 3, 48, id="24-3-nz48"), pytest.param(24, 3, 24, id="24-3-nz24")],
+    )
+    def test_matches_full_spectrum_reference(self, n, pad, nz):
         # Pins the half spectrum, odd padded sizes and the independence of the
         # result from where the zero padding sits; nz = 24 keeps many bins
-        # inside the u-taper.
+        # inside the u-taper.  At n = 24, pad 3 the kept bins fill 7 blocks of
+        # the per-frequency loop (nz = 48) or 2 blocks of a ky band cut to 22
+        # of the 37 columns (nz = 24); the smaller cases fit in one block and
+        # keep every column.
         rng = np.random.default_rng(12)
         ax = AxisSpec(n, -1.0, 1.0)
-        az = AxisSpec(24, -1.0, 1.0)
-        g = RealGrid3D(ax, ax, az, rng.normal(size=(n, n, 24)))
+        az = AxisSpec(nz, -1.0, 1.0)
+        g = RealGrid3D(ax, ax, az, rng.normal(size=(n, n, nz)))
         expected = full_spectrum_invert(g, GEOM, pad)
         rec = cone_invert(g, GEOM, pad_factor=pad).values
         assert np.linalg.norm(rec - expected) <= 1e-12 * np.linalg.norm(expected)

@@ -9,8 +9,9 @@ from coneradon.grids import (
     RealGrid3D,
     cumint_from_top,
     _derivative,
-    _ring_quadrature,
 )
+
+import oracles
 
 
 def unit_axis(n, lo=-1.0, hi=1.0):
@@ -178,7 +179,7 @@ class TestRingQuadrature:
         # reproduces the trapezoidal integral from each level to the top.
         rng = np.random.default_rng(5)
         vol = rng.normal(size=(4, 3, 11))
-        out = _ring_quadrature(vol, lambda lag: (0.1, np.zeros(1), np.zeros(1)))
+        out = oracles.ring_quadrature(vol, lambda lag: (0.1, np.zeros(1), np.zeros(1)))
         np.testing.assert_allclose(out, cumint_from_top(vol, 0.1), rtol=1e-13, atol=1e-15)
 
 

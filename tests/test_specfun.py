@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coneradon import specfun
 from coneradon.specfun import bessel_j0, bessel_j1, frequency_axis
 
 from oracles import j0_first_zero, j0_quadrature
@@ -114,3 +115,33 @@ class TestFrequencyAxis:
             frequency_axis(1, 1.0)
         with pytest.raises(ValueError):
             frequency_axis(8, 0.0)
+
+
+class TestHornerInPlace:
+    """The in-place polynomial loops give the bits of the plain Horner rule."""
+
+    @staticmethod
+    def arguments():
+        # z = x^2 for x <= 5 and z = (5/x)^2 beyond, as _j0 and _j1 pass them.
+        x = np.random.default_rng(0).uniform(0.0, 60.0, 2000)
+        return np.concatenate([x[x <= 5.0] ** 2, (5.0 / x[x > 5.0]) ** 2])
+
+    @pytest.mark.parametrize(
+        "name", ["_RP0", "_PP0", "_PQ0", "_QP0", "_RP1", "_PP1", "_PQ1", "_QP1"]
+    )
+    def test_polevl(self, name):
+        coeffs = getattr(specfun, name)
+        z = self.arguments()
+        expected = np.full_like(z, coeffs[0])
+        for c in coeffs[1:]:
+            expected = expected * z + c
+        np.testing.assert_array_equal(specfun._polevl(z, coeffs), expected)
+
+    @pytest.mark.parametrize("name", ["_RQ0", "_QQ0", "_RQ1", "_QQ1"])
+    def test_p1evl(self, name):
+        coeffs = getattr(specfun, name)
+        z = self.arguments()
+        expected = z + coeffs[0]
+        for c in coeffs[1:]:
+            expected = expected * z + c
+        np.testing.assert_array_equal(specfun._p1evl(z, coeffs), expected)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coneradon.grids import AxisSpec, ConeGeometry, RealGrid2D, _ring_quadrature
+from coneradon.grids import AxisSpec, ConeGeometry, RealGrid2D
 from coneradon.phantoms import BumpSpec, relative_l2, render_bumps_2d
 from coneradon.vline2d import (
     VLineProjection,
@@ -48,7 +48,7 @@ def ring_engine_forward(f, geometry, n_below):
         d = t * lag * h / dx
         return 2.0 * h / geometry.cos_beta, np.array([d, -d]), np.zeros(2)
 
-    return _ring_quadrature(nodes[:, None, :], two_rays)[:, 0, ::n_sub]
+    return oracles.ring_quadrature(nodes[:, None, :], two_rays)[:, 0, ::n_sub]
 
 
 class TestVlineForward:
