@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone3d import KernelParams, cone_forward, cone_invert, kernel_eval
+from .cone3d import KernelParams, _taper_band_fraction, cone_forward, cone_invert, kernel_eval
 from .grids import AxisSpec, ConeGeometry, NonFiniteGridError, RealGrid2D
 from .gridio import GridFormatError, export_heatmap, read_grid, write_grid, write_grid_csv
 from .phantoms import (
@@ -246,6 +246,13 @@ def _projection_edge_fraction(g) -> float:
     return float(faces / peak)
 
 
+def _support_fraction(f) -> float:
+    """Share of f's levels along the last axis (y rows in 2D, z levels in 3D)
+    holding a nonzero sample: the part of the grid the forward sweeps."""
+    held = np.any(f.values, axis=tuple(range(f.values.ndim - 1)))
+    return float(held.mean())
+
+
 def _metrics_against(config: RunConfig, recon, phantom, metrics: dict) -> None:
     metrics["relative_l2"] = relative_l2(recon, phantom)
     metrics["max_abs_error"] = max_abs_error(recon, phantom)
@@ -274,6 +281,7 @@ def _cmd_forward(config: RunConfig, stage, outputs: dict, metrics: dict) -> None
         with stage("render phantom"):
             f = _render_phantom(config)
         _save_grid(config, "phantom", f, outputs)
+    metrics["support_fraction"] = _support_fraction(f)
     with stage("forward transform"):
         g = _forward(config, f)
     _save_grid(config, "projection", g, outputs)
@@ -288,6 +296,7 @@ def _cmd_invert(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
     g = _read_grid_checked(config.input_path, config.dim)
     if config.dim == 3:
         metrics["projection_edge_fraction"] = _projection_edge_fraction(g)
+        metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
     with stage("inversion"):
         recon = _invert(config, g)
     _save_grid(config, "reconstruction", recon, outputs)
@@ -297,10 +306,12 @@ def _cmd_invert(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
 def _cmd_roundtrip(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
     with stage("render phantom"):
         f = _render_phantom(config)
+    metrics["support_fraction"] = _support_fraction(f)
     with stage("forward transform"):
         g = _forward(config, f)
     if config.dim == 3:
         metrics["projection_edge_fraction"] = _projection_edge_fraction(g)
+        metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
     with stage("inversion"):
         recon = _invert(config, g)
     if recon.axes() != f.axes():  # extended vertex grid: compare on f's rows

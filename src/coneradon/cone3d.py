@@ -7,8 +7,9 @@ half of a real 2D DFT of zero-padded data, and apply their z-kernels through
 engine the V-line's spectral oracle runs with the cosine kernel.  Both take
 their 2D DFTs through one pruned pair, ``_half_spectrum`` and
 ``_from_half_spectrum``: the inversion transforms, inverts and synthesizes
-only the ky band its frequency taper keeps, and the inverse DFT's y step runs
-on the returned x rows only.  The
+only the ky band its frequency taper keeps, the forward only f's slab of
+nonzero z levels and the levels below its top, and the inverse DFT's y step
+runs on the returned x rows only.  The
 inversion's z derivatives are ``grids._derivative``'s central stencils, the
 helper the V-line inversion differences with too.
 
@@ -149,18 +150,30 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     (``grids._lag_kernel_apply``); the cone opens toward +z only.  f is
     zero-padded at the far x and y ends to fast FFT sizes that hold the widest
     ring (``_forward_pad``), and only the ky >= 0 half of its real 2D DFT is
-    transformed, as in ``cone_invert``.
+    transformed, as in ``cone_invert``.  Only f's slab of levels holding a
+    nonzero sample is transformed, and only the levels up to its top are
+    synthesized: cones with a vertex above the slab see nothing, so g is
+    exactly 0 there.
     """
     nx, ny, nz = f.values.shape
+    levels = np.flatnonzero(np.any(f.values, axis=(0, 1)))
+    if levels.size == 0:
+        return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, np.zeros((nx, ny, nz)))
+    lo, top = int(levels[0]), int(levels[-1]) + 1  # f's nonzero levels: the slab [lo, top)
     nxp, nyp = _forward_pad(f, geometry)
     u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
 
-    spectrum = _half_spectrum(f.values, nxp, nyp, nyp // 2 + 1)
+    spectrum = _half_spectrum(f.values[:, :, lo:top], nxp, nyp, nyp // 2 + 1)
     spectrum *= 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta
+    if top - lo < nz:
+        slab, spectrum = spectrum, np.zeros(spectrum.shape[:2] + (nz,), spectrum.dtype)
+        spectrum[:, :, lo:top] = slab
     _lag_kernel_apply(
         spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, bessel_j0, lag_factor=True
     )
-    values = _from_half_spectrum(spectrum, nx, ny, nyp)
+    values = _from_half_spectrum(spectrum[:, :, :top], nx, ny, nyp)
+    if top < nz:
+        values = np.pad(values, ((0, 0), (0, 0), (0, nz - top)))
     return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, values)
 
 
@@ -232,6 +245,14 @@ def _frequency_weights(u_map: np.ndarray, radial: np.ndarray, g: RealGrid3D) -> 
     w[ramp] *= np.cos(0.5 * np.pi * (u_map[ramp] - u1) / (u2 - u1)) ** 2
     w[u_map >= u2] = 0.0
     return w
+
+
+def _taper_band_fraction(g: RealGrid3D, geometry: ConeGeometry) -> float:
+    # Radial share of the transverse band, out to the Nyquist circle, that
+    # ``_frequency_weights`` lets through: the taper stops at
+    # u = _TAPER_STOP * pi / dz, the circle sits at pi / max(dx, dy).
+    dxy = max(g.x_axis.spacing, g.y_axis.spacing)
+    return min(1.0, _TAPER_STOP * dxy / (geometry.tan_beta * g.z_axis.spacing))
 
 
 def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> RealGrid3D:

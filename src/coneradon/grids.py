@@ -27,6 +27,7 @@ second difference in x; ``cone3d`` takes central stencils of orders 1 to 3
 along z, each with order + 3 samples at the ends.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -151,14 +152,18 @@ class RealGrid3D:
         return (self.x_axis, self.y_axis, self.z_axis)
 
 
-def _fd_weights(offsets, order: int) -> np.ndarray:
+@functools.cache
+def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
     # Stencil weights on integer offsets reproducing the given derivative order
-    # exactly on polynomials of degree < len(offsets).
+    # exactly on polynomials of degree < len(offsets).  Solved once per stencil
+    # and shared, so the array is read-only.
     o = np.asarray(offsets, dtype=float)
     n = len(o)
     rhs = np.zeros(n)
     rhs[order] = math.factorial(order)
-    return np.linalg.solve(np.vander(o, n, increasing=True).T, rhs)
+    weights = np.linalg.solve(np.vander(o, n, increasing=True).T, rhs)
+    weights.flags.writeable = False
+    return weights
 
 
 def _derivative(
@@ -182,12 +187,12 @@ def _derivative(
         raise ValueError(f"need at least {n_edge} samples for an order-{order} stencil")
     lo, hi = -min(offsets), max(offsets)
     out = np.zeros(v.shape, dtype=np.result_type(v.dtype, float))
-    for off, w in zip(offsets, _fd_weights(offsets, order)):
+    for off, w in zip(offsets, _fd_weights(tuple(offsets), order)):
         if w != 0.0:
             out[..., lo : n - hi] += w * v[..., lo + off : n - hi + off]
     sign = (-1) ** order
     for edge in range(max(lo, hi)):
-        w_lo = _fd_weights(range(-edge, n_edge - edge), order)
+        w_lo = _fd_weights(tuple(range(-edge, n_edge - edge)), order)
         for k in range(n_edge):
             if edge < lo:
                 out[..., edge] += w_lo[k] * v[..., k]
@@ -233,7 +238,9 @@ _BLOCK_ELEMENTS = 1 << 14
 
 def _smooth_size(n: int) -> int:
     # Smallest 5-smooth integer >= n, a fast FFT length: n < 2**64 divides
-    # 30**64 exactly when its only prime factors are 2, 3 and 5.
+    # 30**64 exactly when its only prime factors are 2, 3 and 5.  A numpy
+    # integer is taken as a Python one, since 30**64 overflows its type.
+    n = operator.index(n)
     while 30**64 % n:
         n += 1
     return n
@@ -248,27 +255,36 @@ def _lag_kernel_apply(
 
     ``cone_forward`` and ``cone_invert`` pass ``bessel_j0``,
     ``vline_spectral_oracle`` passes ``np.cos``.  The sum is a correlation
-    along the last axis, applied by FFT of length >= 2n - 1 (no wrap) with one
-    kernel spectrum per distinct u.  Levels above the highest
-    nonzero input level are zeroed, so the result vanishes there exactly, as
-    every sum does.
+    along the last axis, applied by FFT with one kernel spectrum per distinct
+    u.  Only the band of levels [lo, top] holding a nonzero input is
+    transformed: the lags run 0..top, and an FFT of length >= 2 top - lo + 1
+    holds the band's correlation with them without wrap.  Levels above top
+    are empty sums and are zeroed exactly, and so is the axis's last level;
+    the trapezoid's top end stays that last level, wherever the band ends.
     """
     n = profiles.shape[-1]
-    m = _smooth_size(2 * n - 1)
+    levels = np.flatnonzero(np.any(profiles, axis=0))
+    if levels.size == 0:
+        profiles[...] = 0.0
+        return
+    lo, top = int(levels[0]), int(levels[-1])
+    m = _smooth_size(2 * top - lo + 1)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if np.isrealobj(profiles) else (np.fft.fft, np.fft.ifft)
     distinct, inverse = np.unique(us, return_inverse=True)
-    h = spacing * np.arange(n)
+    h = spacing * np.arange(top + 1)
     taps = spacing * kernel(distinct[:, None] * h) * (h if lag_factor else 1.0)
     taps[:, 0] *= 0.5  # trapezoid half weight at the vertex end
     spectra = fft(taps, m).conj()
-    levels = np.flatnonzero(np.any(profiles != 0.0, axis=0))
-    empty_from = min(levels[-1] + 1 if levels.size else 0, n - 1)
     profiles[:, -1] *= 0.5  # and at the top end
     rows = max(1, _BLOCK_ELEMENTS // m)
     for start in range(0, profiles.shape[0], rows):
         block = slice(start, start + rows)
-        product = fft(profiles[block], m)
+        product = fft(profiles[block, lo : top + 1], m)
         product *= spectra[inverse[block]]
-        profiles[block] = ifft(product, m)[:, :n]
-    profiles[:, empty_from:] = 0.0
+        # Output level i sits at lag i - lo of the band: levels below lo
+        # at the end of the transform, the band's own levels at its start.
+        correlation = ifft(product, m)
+        profiles[block, :lo] = correlation[:, m - lo :]
+        profiles[block, lo : top + 1] = correlation[:, : top + 1 - lo]
+    profiles[:, min(top + 1, n - 1) :] = 0.0
 

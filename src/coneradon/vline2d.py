@@ -65,7 +65,10 @@ def vline_forward(
     trapezoid rule over quadrature nodes that subdivide the y rows, sampling
     the zero-extended linear interpolant of f.  Only the vertex rows returned
     are computed: each lag adds its two rays' linear-interpolation taps
-    straight into the vertex rows whose integral reaches that many nodes up.
+    straight into the vertex rows whose integral reaches that many nodes up,
+    and of those only into the rows whose node that many nodes up lies
+    between the first and last node row holding data.  The skipped terms are
+    exact zeros, so the result is the same bit for bit, and f = 0 runs no lag.
     """
     vy_axis = f.y_axis
     n_below = 0
@@ -86,6 +89,11 @@ def vline_forward(
     ny = vy_axis.n_samples
     levels = np.concatenate([np.zeros((n_below, nx)), f.values.T])
     flat = _phase_nodes(levels, n_sub)
+    # Rows of phase p holding a nonzero node lie in [first[p], last[p]]; an
+    # all-zero phase has last = -1.
+    held = np.any(flat[nx:-nx].reshape(n_sub, ny, nx), axis=2)
+    first = held.argmax(axis=1).tolist()
+    last = np.where(held.any(axis=1), ny - 1 - held[:, ::-1].argmax(axis=1), -1).tolist()
     # Each ray carries half of the two-ray weight 2h/cos(beta).
     ray_weight = h / geometry.cos_beta
 
@@ -96,16 +104,23 @@ def vline_forward(
         # Vertex row j reads node n_sub * j + lag: the contiguous rows of phase
         # lag % n_sub from row lag // n_sub on.  At lag 0 the vertex node is
         # the lower endpoint (weight 1/2), and the top row's integral is empty.
+        # Only the vertex rows whose node row holds data are read; the rest
+        # would add zeros.
+        phase, offset = lag % n_sub, lag // n_sub
         n_rows = (top - lag) // n_sub + 1
         w = ray_weight
         if lag == 0:
             n_rows -= 1
             w *= 0.5
-        size = n_rows * nx
-        start = nx * (1 + (lag % n_sub) * ny + lag // n_sub)
-        acc = out[:size]
+        row0 = max(0, first[phase] - offset)
+        row1 = min(n_rows, last[phase] - offset + 1)
+        if row1 <= row0:
+            continue
+        size = (row1 - row0) * nx
+        start = nx * (1 + phase * ny + offset + row0)
+        acc = out[row0 * nx : row1 * nx]
         buf = scratch[:size]
-        buf_rows = buf.reshape(n_rows, nx)
+        buf_rows = buf.reshape(row1 - row0, nx)
         d = t * lag * h / dx
         for ox in (d, -d):
             a = math.floor(ox)

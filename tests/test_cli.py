@@ -204,6 +204,47 @@ class TestTruncationAlarm3D:
         assert load_report(out)["metrics"]["projection_edge_fraction"] == 0.0
 
 
+class TestReportFractions:
+    """``support_fraction`` (forward and round-trip commands) and
+    ``taper_band_fraction`` (3D inversions) in report.json."""
+
+    @pytest.mark.parametrize("command", ["forward2d", "roundtrip2d"])
+    def test_support_fraction_2d(self, tmp_path, command):
+        # The default bump covers 6 of the 24 y rows (measured once).
+        assert run_cli(command, "--n", "24", "--outdir", str(tmp_path)) == 0
+        metrics = load_report(tmp_path)["metrics"]
+        assert metrics["support_fraction"] == 0.25
+        assert "taper_band_fraction" not in metrics
+
+    def test_forward3d_then_invert3d(self, tmp_path):
+        # The default bump covers 6 of the 24 z levels.  At nz = N the taper
+        # keeps 0.25 / tan(pi/8) = 0.604 of the transverse band.
+        fout, iout = tmp_path / "f", tmp_path / "i"
+        assert run_cli("forward3d", "--n", "24", "--outdir", str(fout)) == 0
+        assert load_report(fout)["metrics"]["support_fraction"] == 0.25
+        assert run_cli("invert3d", "--input", str(fout / "projection.crtg"),
+                       "--outdir", str(iout)) == 0
+        metrics = load_report(iout)["metrics"]
+        assert metrics["taper_band_fraction"] == pytest.approx(0.604, abs=5e-4)
+        assert "support_fraction" not in metrics
+
+    def test_roundtrip3d_at_quarter_pi(self, tmp_path):
+        assert run_cli("roundtrip3d", "--n", "24", "--beta", "pi/4",
+                       "--outdir", str(tmp_path)) == 0
+        metrics = load_report(tmp_path)["metrics"]
+        assert metrics["taper_band_fraction"] == pytest.approx(0.25, rel=1e-12)
+        assert metrics["support_fraction"] == 0.25
+
+    def test_taper_band_fraction_saturates(self, tmp_path):
+        # dz ten times finer than dx: the taper stops past the Nyquist circle.
+        ax = AxisSpec(8, -1.0, 1.0)
+        z_axis = AxisSpec(8, -0.1, 0.1)
+        write_grid(tmp_path / "g.crtg", RealGrid3D(ax, ax, z_axis, np.zeros((8, 8, 8))))
+        out = tmp_path / "i"
+        assert run_cli("invert3d", "--input", str(tmp_path / "g.crtg"), "--outdir", str(out)) == 0
+        assert load_report(out)["metrics"]["taper_band_fraction"] == 1.0
+
+
 class TestOracleCheck:
     def test_runs_and_reports(self, tmp_path):
         out = tmp_path / "oc"

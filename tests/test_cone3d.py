@@ -3,9 +3,11 @@ import pytest
 
 from coneradon.cone3d import (
     KernelParams,
+    _forward_pad,
     _frequency_weights,
     _from_half_spectrum,
     _half_spectrum,
+    _half_spectrum_radial,
     cone_forward,
     cone_invert,
     dft2_slices,
@@ -104,6 +106,20 @@ def dense_lag_apply(profiles, us, spacing, kernel, lag_factor):
     return out
 
 
+def full_axis_forward(f, geometry):
+    # Reference for cone_forward's slab pruning: the full padded rfft2 over
+    # every z level and one dense lag-kernel matrix per frequency bin.
+    nx, ny, nz = f.values.shape
+    nxp, nyp = _forward_pad(f, geometry)
+    u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
+    spectrum = np.fft.rfft2(f.values, s=(nxp, nyp), axes=(0, 1))
+    profiles = dense_lag_apply(
+        spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, bessel_j0, True
+    )
+    values = np.fft.irfft2(profiles.reshape(spectrum.shape), s=(nxp, nyp), axes=(0, 1))
+    return 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta * values[:nx, :ny]
+
+
 # (kernel, lag_factor): the cone's J0 kernel keeps the bare lag_factor ids,
 # the V-line's cosine kernel is marked "cos".
 KERNEL_CASES = [
@@ -154,6 +170,29 @@ class TestJ0LagApply:
         _lag_kernel_apply(profiles, us, 0.05, kernel, lag_factor)
         assert np.all(profiles[:, highest + 1 :] == 0.0)
         assert np.linalg.norm(profiles - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("kernel,lag_factor", KERNEL_CASES)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    # Bands [lo, top] of nonzero levels on a 48-level axis.  2 top - lo + 1 is
+    # 81 for (8, 44) and (14, 47), and 80 is 5-smooth too, so an FFT one
+    # level short would wrap; top = 47 is the axis's last level.
+    @pytest.mark.parametrize("lo, top", [(8, 44), (1, 10), (20, 20), (0, 0), (14, 47), (47, 47)])
+    def test_nonzero_band_matches_dense_matrices(self, dtype, kernel, lag_factor, lo, top):
+        rng = np.random.default_rng(lo + 100 * top)
+        profiles, us = lag_apply_case(rng, 48, dtype)
+        profiles[:, :lo] = 0.0
+        profiles[:, top + 1 :] = 0.0
+        expected = dense_lag_apply(profiles, us, 0.05, kernel, lag_factor)
+        _lag_kernel_apply(profiles, us, 0.05, kernel, lag_factor)
+        assert np.all(profiles[:, top + 1 :] == 0.0)
+        assert np.all(profiles[:, -1] == 0.0)  # the empty integral at the top
+        assert np.linalg.norm(profiles - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_zero_profiles_stay_zero(self):
+        profiles = np.zeros((4, 12), dtype=complex)
+        profiles[1, 3] = -0.0
+        _lag_kernel_apply(profiles, np.arange(4.0), 0.1, bessel_j0, True)
+        np.testing.assert_array_equal(profiles, 0.0)
 
 
 class TestKernelEval:
@@ -391,6 +430,36 @@ class TestConeForward:
     def test_returns_owned_array(self):
         # A view of the padded array would keep pad^2 times the result alive.
         assert cone_forward(bump_volume(16), GEOM).values.base is None
+
+    # f's nonzero levels [lo, top] on a 16-level axis: inside, touching level
+    # 0, touching level 15, and single levels.
+    @pytest.mark.parametrize("lo, top", [(4, 10), (0, 6), (9, 15), (7, 7), (15, 15)])
+    def test_slab_matches_full_axis_reference(self, lo, top):
+        ax = AxisSpec(16, -1.0, 1.0)
+        values = np.zeros((16, 16, 16))
+        values[:, :, lo : top + 1] = np.random.default_rng(lo + 16 * top).normal(
+            size=(16, 16, top + 1 - lo)
+        )
+        f = RealGrid3D(ax, ax, ax, values)
+        g = cone_forward(f, GEOM).values
+        ref = full_axis_forward(f, GEOM)
+        assert np.all(g[:, :, top + 1 :] == 0.0)
+        assert np.linalg.norm(g - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert g.base is None
+
+    @pytest.mark.parametrize("shift", [0, -7, 7])
+    def test_slab_against_rings(self, shift):
+        # A bump on levels 7..16 of 24, moved along z to touch level 0
+        # (shift -7) or level 23 (shift 7).  Measured: 0.022, 0.024, 0.022.
+        ax = AxisSpec(24, -1.0, 1.0)
+        bump = render_bumps_3d([BumpSpec((0.1, -0.1, 0.0), 0.4, 1.0)], ax, ax, ax).values
+        f = RealGrid3D(ax, ax, ax, np.roll(bump, shift, axis=2))
+        top = 16 + shift
+        assert np.any(f.values[:, :, top]) and not np.any(f.values[:, :, top + 1 :])
+        g = cone_forward(f, GEOM).values
+        ref = oracles.cone_forward_rings(f, GEOM)
+        assert np.all(g[:, :, top + 1 :] == 0.0)
+        assert np.linalg.norm(g - ref) <= 0.05 * np.linalg.norm(ref)
 
     def test_linearity(self):
         rng = np.random.default_rng(8)

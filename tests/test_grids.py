@@ -9,6 +9,8 @@ from coneradon.grids import (
     RealGrid3D,
     cumint_from_top,
     _derivative,
+    _fd_weights,
+    _smooth_size,
 )
 
 import oracles
@@ -200,3 +202,23 @@ class TestLinearity:
         combined = cumint_from_top(a * v1 + b * v2, 0.17)
         split = a * cumint_from_top(v1, 0.17) + b * cumint_from_top(v2, 0.17)
         np.testing.assert_allclose(combined, split, rtol=1e-12, atol=1e-12)
+
+
+class TestSmoothSize:
+    @pytest.mark.parametrize("n, expected", [(1, 1), (7, 8), (81, 81), (95, 96), (97, 100)])
+    def test_smallest_5_smooth_at_least_n(self, n, expected):
+        assert _smooth_size(n) == expected
+
+    def test_numpy_integer(self):
+        # 30**64 overflows int64, so a numpy integer is taken as a Python one.
+        size = _smooth_size(np.int64(95))
+        assert size == 96 and type(size) is int
+
+
+class TestFdWeights:
+    def test_solved_once_and_read_only(self):
+        weights = _fd_weights((-1, 0, 1), 2)
+        assert _fd_weights((-1, 0, 1), 2) is weights
+        np.testing.assert_array_equal(weights, [1.0, -2.0, 1.0])
+        with pytest.raises(ValueError):
+            weights[0] = 0.0

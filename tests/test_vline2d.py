@@ -185,6 +185,35 @@ class TestVlineForward:
         np.testing.assert_array_equal(g == 0.0, ref == 0.0)
         assert np.count_nonzero(ref == 0.0) > n  # more zeros than the top row
 
+    @pytest.mark.parametrize("row", [0, 1, -2, -1])
+    @pytest.mark.parametrize("beta,n_sub", [(np.pi / 8, 1), (np.pi / 4, 2), (3 * np.pi / 8, 5)])
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_single_row_support_matches_ring_engine(self, row, beta, n_sub, extra):
+        # Each lag reads only the vertex rows whose node row holds data; a
+        # single nonzero f row puts that range at its narrowest, next to
+        # either end of the node buffer.
+        geom = ConeGeometry(beta)
+        n = 24
+        assert math.ceil(2.0 * geom.tan_beta) == n_sub
+        ax = AxisSpec(n, -1.0, 1.0)
+        values = np.zeros((n, n))
+        values[:, row] = np.random.default_rng(n_sub + extra).uniform(0.5, 1.0, size=n)
+        f = RealGrid2D(ax, ax, values)
+        g = vline_forward(f, geom, (ax, extended_below(ax, extra))).grid.values
+        ref = ring_engine_forward(f, geom, extra)
+        assert ref.max() > 0.0
+        assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(g == 0.0, ref == 0.0)
+
+    @pytest.mark.parametrize("beta", [np.pi / 8, 3 * np.pi / 8])
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_zero_in_zero_out_every_grid(self, beta, extra):
+        ax = AxisSpec(16, -1.0, 1.0)
+        f = RealGrid2D(ax, ax, np.zeros((16, 16)))
+        g = vline_forward(f, ConeGeometry(beta), (ax, extended_below(ax, extra))).grid.values
+        assert g.shape == (16, 16 + extra)
+        np.testing.assert_array_equal(g, 0.0)
+
     def test_against_ray_marching_below_domain_subdivided_rows(self):
         # beta = pi/4 gives n_sub = 2 at dx = dy; the vertices sit 6 to 18 rows
         # below f, on a vertex grid extended by 30 rows.
