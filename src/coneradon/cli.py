@@ -9,7 +9,7 @@ failure, 3 numerical failure (non-finite values).
 ``--vertex-ymin`` extends the 2D vertex grid down by whole rows, but no deeper
 than y_min - dy - (x_max - x_min + dx) / tan(beta): vertex rows below that see
 no data, and a deeper value exits 1 naming the limit.  An option the command
-does not read (``_OPTION_READERS``) exits 1.
+does not read (``_OPTION_READERS``, and ``--scene`` next to ``--input``) exits 1.
 """
 
 import argparse
@@ -74,7 +74,10 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         for name, readers in _OPTION_READERS.items():
             if getattr(self, name) is not None and self.command not in readers:
-                raise ValueError(f"--{name.replace('_', '-')} does not apply to {self.command}")
+                flag = name.removesuffix("_path").replace("_", "-")  # input_path: --input
+                raise ValueError(f"--{flag} does not apply to {self.command}")
+        if self.input_path is not None and self.scene_path is not None:
+            raise ValueError(f"--scene does not apply to {self.command} with --input")
         if not (0.0 < self.beta < math.pi / 2):
             raise ValueError(f"beta must lie in (0, pi/2), got {self.beta}")
         if self.n < 8:
@@ -275,7 +278,7 @@ def _cmd_phantom(config: RunConfig, stage, outputs: dict, metrics: dict) -> None
 
 
 def _cmd_forward(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
-    if config.input_path:
+    if config.input_path is not None:
         f = _read_grid_checked(config.input_path, config.dim)
     else:
         with stage("render phantom"):
@@ -383,6 +386,10 @@ _OPTION_READERS = {
     "vertex_ymin": ("forward2d", "roundtrip2d"),
     "dim": ("phantom",),
     "pad_factor": ("invert3d", "roundtrip3d"),
+    "input_path": ("forward2d", "invert2d", "forward3d", "invert3d"),
+    "scene_path": (
+        "phantom", "forward2d", "roundtrip2d", "forward3d", "roundtrip3d", "oracle-check",
+    ),
 }
 
 

@@ -165,9 +165,8 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
 
     spectrum = _half_spectrum(f.values[:, :, lo:top], nxp, nyp, nyp // 2 + 1)
     spectrum *= 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta
-    if top - lo < nz:
-        slab, spectrum = spectrum, np.zeros(spectrum.shape[:2] + (nz,), spectrum.dtype)
-        spectrum[:, :, lo:top] = slab
+    if top - lo < nz:  # rebinding frees the slab's spectrum before the engine runs
+        spectrum = np.pad(spectrum, ((0, 0), (0, 0), (lo, nz - top)))
     _lag_kernel_apply(
         spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, bessel_j0, lag_factor=True
     )

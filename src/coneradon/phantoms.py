@@ -54,8 +54,8 @@ def _accumulate(values: np.ndarray, rho2: np.ndarray, spec: BumpSpec):
 
 def _render_bumps(specs, axes: tuple[AxisSpec, ...]):
     dim = len(axes)
-    coords = np.meshgrid(*(axis.coordinates() for axis in axes), indexing="ij")
-    values = np.zeros(coords[0].shape)
+    coords = np.meshgrid(*(axis.coordinates() for axis in axes), indexing="ij", sparse=True)
+    values = np.zeros(tuple(axis.n_samples for axis in axes))
     for spec in specs:
         if len(spec.center) != dim:
             raise ValueError(f"{dim}D rendering needs {dim}D bump centers")

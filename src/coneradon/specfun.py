@@ -29,6 +29,7 @@ _RP0 = (
     9.70862251047306323952e15,
 )
 _RQ0 = (  # monic
+    1.0,
     4.99563147152651017219e2,
     1.73785401676374683123e5,
     4.84409658339962045305e7,
@@ -69,6 +70,7 @@ _QP0 = (
     -6.05014350600728481186e0,
 )
 _QQ0 = (  # monic
+    1.0,
     6.43178256118178023184e1,
     8.56430025976980587198e2,
     3.88240183605401609683e3,
@@ -88,6 +90,7 @@ _RP1 = (
     3.68295732863852883286e15,
 )
 _RQ1 = (  # monic
+    1.0,
     6.20836478118054335476e2,
     2.56987256757748830383e5,
     8.35146791431949253037e7,
@@ -128,6 +131,7 @@ _QP1 = (
     2.52070205858023719784e1,
 )
 _QQ1 = (  # monic
+    1.0,
     7.42373277035675149943e1,
     1.05644886038262816351e3,
     4.98641058337653607651e3,
@@ -172,20 +176,11 @@ def _polevl(x, coeffs):
     return out
 
 
-def _p1evl(x, coeffs):
-    # Same as _polevl with an implicit leading coefficient of 1.
-    out = x + coeffs[0]
-    for c in coeffs[1:]:
-        out *= x
-        out += c
-    return out
-
-
 def _asymptotic(x, pp, pq, qp, qq, phase_shift):
     w = 5.0 / x
     z = w * w
     p = _polevl(z, pp) / _polevl(z, pq)
-    q = _polevl(z, qp) / _p1evl(z, qq)
+    q = _polevl(z, qp) / _polevl(z, qq)
     xn = x - phase_shift
     return _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(x)
 
@@ -196,7 +191,7 @@ def _j0(x):
     if small.any():
         xs = x[small]
         z = xs * xs
-        val = (z - _DR1) * (z - _DR2) * _polevl(z, _RP0) / _p1evl(z, _RQ0)
+        val = (z - _DR1) * (z - _DR2) * _polevl(z, _RP0) / _polevl(z, _RQ0)
         tiny = xs < 1e-5
         if tiny.any():
             val[tiny] = 1.0 - 0.25 * z[tiny]
@@ -212,7 +207,7 @@ def _j1(x):
     small = x <= 5.0
     if small.any():
         z = x[small] * x[small]
-        w = _polevl(z, _RP1) / _p1evl(z, _RQ1)
+        w = _polevl(z, _RP1) / _polevl(z, _RQ1)
         out[small] = w * x[small] * (z - _Z1) * (z - _Z2)
     big = ~small
     if big.any():

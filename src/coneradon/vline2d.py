@@ -43,6 +43,10 @@ __all__ = [
     "vline_spectral_oracle",
 ]
 
+# fourier_relation_check's floor on a bin's norm, as a share of the strongest.
+_SIGNAL_FRACTION = 0.05
+
+
 @dataclass
 class VLineProjection:
     """V-line projection data g(x_v, y_v) with the geometry that produced it."""
@@ -63,8 +67,10 @@ def vline_forward(
     downward by whole rows (as ``coneradon roundtrip2d --vertex-ymin`` builds
     it); any other vertex grid raises ``ValueError``.  Integration is the
     trapezoid rule over quadrature nodes that subdivide the y rows, sampling
-    the zero-extended linear interpolant of f.  Only the vertex rows returned
-    are computed: each lag adds its two rays' linear-interpolation taps
+    the zero-extended linear interpolant of f.  The nodes are built one
+    quadrature phase (one offset within a y row) at a time, so memory stays a
+    few grids' worth however many phases a row holds.  Only the vertex rows
+    returned are computed: each lag adds its two rays' linear-interpolation taps
     straight into the vertex rows whose integral reaches that many nodes up,
     and of those only into the rows whose node that many nodes up lies
     between the first and last node row holding data.  The skipped terms are
@@ -88,56 +94,64 @@ def vline_forward(
     nx = f.x_axis.n_samples
     ny = vy_axis.n_samples
     levels = np.concatenate([np.zeros((n_below, nx)), f.values.T])
-    flat = _phase_nodes(levels, n_sub)
-    # Rows of phase p holding a nonzero node lie in [first[p], last[p]]; an
-    # all-zero phase has last = -1.
-    held = np.any(flat[nx:-nx].reshape(n_sub, ny, nx), axis=2)
-    first = held.argmax(axis=1).tolist()
-    last = np.where(held.any(axis=1), ny - 1 - held[:, ::-1].argmax(axis=1), -1).tolist()
     # Each ray carries half of the two-ray weight 2h/cos(beta).
     ray_weight = h / geometry.cos_beta
 
     out = np.zeros(ny * nx)  # out[j * nx + i]: vertex row j, column i
     scratch = np.empty(ny * nx)
+    # One phase's node rows, between a row of zeros at each end so that a read
+    # shifted by less than a row stays in bounds.
+    flat = np.zeros((ny + 2) * nx)
+    nodes = flat[nx:-nx].reshape(ny, nx)
     top = n_sub * (ny - 1)
-    for lag in range(top + 1):
-        # Vertex row j reads node n_sub * j + lag: the contiguous rows of phase
-        # lag % n_sub from row lag // n_sub on.  At lag 0 the vertex node is
-        # the lower endpoint (weight 1/2), and the top row's integral is empty.
-        # Only the vertex rows whose node row holds data are read; the rest
-        # would add zeros.
-        phase, offset = lag % n_sub, lag // n_sub
-        n_rows = (top - lag) // n_sub + 1
-        w = ray_weight
-        if lag == 0:
-            n_rows -= 1
-            w *= 0.5
-        row0 = max(0, first[phase] - offset)
-        row1 = min(n_rows, last[phase] - offset + 1)
-        if row1 <= row0:
+    for phase in range(n_sub):
+        # Node n_sub * r + phase, linear in y between the rows of ``levels``;
+        # the top node is the upper endpoint of every integral (weight 1/2).
+        s = phase / n_sub
+        nodes[:-1] = (1.0 - s) * levels[:-1] + s * levels[1:]
+        nodes[-1] = 0.5 * levels[-1] if phase == 0 else 0.0
+        held = np.flatnonzero(nodes.any(axis=1))
+        if held.size == 0:
             continue
-        size = (row1 - row0) * nx
-        start = nx * (1 + phase * ny + offset + row0)
-        acc = out[row0 * nx : row1 * nx]
-        buf = scratch[:size]
-        buf_rows = buf.reshape(row1 - row0, nx)
-        d = t * lag * h / dx
-        for ox in (d, -d):
-            a = math.floor(ox)
-            fx = ox - a
-            for shift, tap in ((a, 1.0 - fx), (a + 1, fx)):
-                # out[j, i] += w * tap * node[j, i + shift], zero outside f.
-                if tap == 0.0 or abs(shift) >= nx:
-                    continue
-                np.multiply(flat[start + shift : start + shift + size], w * tap, out=buf)
-                # One contiguous read instead of a clipped 2D slice (numpy runs
-                # those ~4x slower); where i + shift leaves f it wrapped into a
-                # neighbouring row, and f is 0 there.
-                if shift > 0:
-                    buf_rows[:, nx - shift :] = 0.0
-                elif shift < 0:
-                    buf_rows[:, :-shift] = 0.0
-                acc += buf
+        first, last = int(held[0]), int(held[-1])
+        for lag in range(phase, top + 1, n_sub):
+            # Vertex row j reads node n_sub * j + lag: the contiguous rows of
+            # this phase from row lag // n_sub on.  At lag 0 the vertex node is
+            # the lower endpoint (weight 1/2), and the top row's integral is
+            # empty.  Only the vertex rows whose node row holds data are read;
+            # the rest would add zeros.
+            offset = lag // n_sub
+            n_rows = (top - lag) // n_sub + 1
+            w = ray_weight
+            if lag == 0:
+                n_rows -= 1
+                w *= 0.5
+            row0 = max(0, first - offset)
+            row1 = min(n_rows, last - offset + 1)
+            if row1 <= row0:
+                continue
+            size = (row1 - row0) * nx
+            start = nx * (1 + offset + row0)
+            acc = out[row0 * nx : row1 * nx]
+            buf = scratch[:size]
+            buf_rows = buf.reshape(row1 - row0, nx)
+            d = t * lag * h / dx
+            for ox in (d, -d):
+                a = math.floor(ox)
+                fx = ox - a
+                for shift, tap in ((a, 1.0 - fx), (a + 1, fx)):
+                    # out[j, i] += w * tap * node[j, i + shift], zero outside f.
+                    if tap == 0.0 or abs(shift) >= nx:
+                        continue
+                    np.multiply(flat[start + shift : start + shift + size], w * tap, out=buf)
+                    # One contiguous read instead of a clipped 2D slice (numpy
+                    # runs those ~4x slower); where i + shift leaves f it
+                    # wrapped into a neighbouring row, and f is 0 there.
+                    if shift > 0:
+                        buf_rows[:, nx - shift :] = 0.0
+                    elif shift < 0:
+                        buf_rows[:, :-shift] = 0.0
+                    acc += buf
     g = np.ascontiguousarray(out.reshape(ny, nx).T)
     return VLineProjection(RealGrid2D(f.x_axis, vy_axis, g), geometry)
 
@@ -156,22 +170,6 @@ def _rows_below(f: RealGrid2D, vx_axis: AxisSpec, vy_axis: AxisSpec) -> int:
             "vertex grid must be f's x axis and f's y rows extended downward by whole rows"
         )
     return vy_axis.n_samples - y.n_samples
-
-
-def _phase_nodes(levels: np.ndarray, n_sub: int) -> np.ndarray:
-    # Quadrature nodes, linear in y between the rows of ``levels`` (vertex rows
-    # along the first axis), with the top node halved as the upper endpoint of
-    # every integral.  Node n_sub * r + p sits at flat[nx * (1 + p * ny + r) + ix]:
-    # phase-major, so one phase's rows are contiguous, between a row of zeros
-    # at each end so that a read shifted by less than a row stays in bounds.
-    ny, nx = levels.shape
-    flat = np.zeros((n_sub * ny + 2) * nx)
-    nodes = flat[nx:-nx].reshape(n_sub, ny, nx)
-    for p in range(n_sub):  # one phase at a time bounds the temporaries
-        s = p / n_sub
-        nodes[p, :-1] = (1.0 - s) * levels[:-1] + s * levels[1:]
-    nodes[0, -1] = 0.5 * levels[-1]
-    return flat
 
 
 def vline_invert(projection: VLineProjection) -> RealGrid2D:
@@ -233,16 +231,14 @@ def vline_spectral_oracle(
     return VLineProjection(RealGrid2D(f.x_axis, f.y_axis, g), geometry)
 
 
-def fourier_relation_check(
-    f: RealGrid2D, projection: VLineProjection, signal_fraction: float = 0.05
-) -> float:
+def fourier_relation_check(f: RealGrid2D, projection: VLineProjection) -> float:
     """Residual of the per-frequency identity linking fhat and the projection.
 
     For each x-frequency bin the identity
     fhat_lambda(z) = -G'_lambda(z) + (lambda t)^2 int_z^{y_top} G_lambda
     (with G = ghat cos(beta)/2) is evaluated from the inputs.  The result is
     the maximum over bins of ||LHS - RHS||_2 / max(||LHS||_2, floor) with
-    floor = ``signal_fraction`` times the strongest bin norm; the floor keeps
+    floor = 0.05 times the strongest bin norm; the floor keeps
     near-empty high-frequency bins from reporting pure discretization noise as
     relative error.  A diagnostic only, not a reconstruction.
 
@@ -262,7 +258,7 @@ def fourier_relation_check(
     big_g = np.fft.rfft(grid.values, axis=0) * (geom.cos_beta / 2.0)
     lam = frequency_axis(f.x_axis.n_samples, f.x_axis.spacing).frequencies[: fhat.shape[0]]
 
-    dgdz = np.gradient(big_g, dy, axis=1)
+    dgdz = _derivative(big_g, dy, 1, (-1, 0, 1), 2, axis=1)
     tail = cumint_from_top(big_g, dy, axis=1)
     rhs = -dgdz + (lam[:, None] * geom.tan_beta) ** 2 * tail
 
@@ -271,5 +267,5 @@ def fourier_relation_check(
     if peak == 0.0:
         consistent = np.linalg.norm(rhs) <= 1e-12 * max(1.0, float(np.linalg.norm(grid.values)))
         return 0.0 if consistent else float("inf")
-    resid = np.linalg.norm(fhat - rhs, axis=1) / np.maximum(lhs_norms, signal_fraction * peak)
+    resid = np.linalg.norm(fhat - rhs, axis=1) / np.maximum(lhs_norms, _SIGNAL_FRACTION * peak)
     return float(resid.max())

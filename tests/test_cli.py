@@ -330,6 +330,13 @@ class TestExitCodes:
                      "--pad-factor does not apply", id="pad-factor-on-2d"),
         pytest.param(lambda tmp: ["oracle-check", "--n", "16", "--pad-factor", "3"], 1,
                      "--pad-factor does not apply", id="pad-factor-on-oracle-check"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--input", str(tmp / "f.crtg")], 1,
+                     "--input does not apply to roundtrip2d", id="input-on-roundtrip2d"),
+        pytest.param(lambda tmp: ["invert2d", "--scene", str(tmp / "scene.txt")], 1,
+                     "--scene does not apply to invert2d", id="scene-on-invert2d"),
+        pytest.param(lambda tmp: ["forward2d", "--input", str(tmp / "f.crtg"),
+                                  "--scene", str(tmp / "scene.txt")], 1,
+                     "--scene does not apply to forward2d with --input", id="scene-with-input"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, make_args, code, message):
         args = make_args(tmp_path) + ["--outdir", str(tmp_path / "out")]

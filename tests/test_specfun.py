@@ -127,7 +127,9 @@ class TestHornerInPlace:
         return np.concatenate([x[x <= 5.0] ** 2, (5.0 / x[x > 5.0]) ** 2])
 
     @pytest.mark.parametrize(
-        "name", ["_RP0", "_PP0", "_PQ0", "_QP0", "_RP1", "_PP1", "_PQ1", "_QP1"]
+        "name",
+        ["_RP0", "_RQ0", "_PP0", "_PQ0", "_QP0", "_QQ0",
+         "_RP1", "_RQ1", "_PP1", "_PQ1", "_QP1", "_QQ1"],
     )
     def test_polevl(self, name):
         coeffs = getattr(specfun, name)
@@ -136,12 +138,3 @@ class TestHornerInPlace:
         for c in coeffs[1:]:
             expected = expected * z + c
         np.testing.assert_array_equal(specfun._polevl(z, coeffs), expected)
-
-    @pytest.mark.parametrize("name", ["_RQ0", "_QQ0", "_RQ1", "_QQ1"])
-    def test_p1evl(self, name):
-        coeffs = getattr(specfun, name)
-        z = self.arguments()
-        expected = z + coeffs[0]
-        for c in coeffs[1:]:
-            expected = expected * z + c
-        np.testing.assert_array_equal(specfun._p1evl(z, coeffs), expected)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,7 +187,9 @@ class TestVlineForward:
         assert np.count_nonzero(ref == 0.0) > n  # more zeros than the top row
 
     @pytest.mark.parametrize("row", [0, 1, -2, -1])
-    @pytest.mark.parametrize("beta,n_sub", [(np.pi / 8, 1), (np.pi / 4, 2), (3 * np.pi / 8, 5)])
+    @pytest.mark.parametrize(
+        "beta,n_sub", [(np.pi / 8, 1), (np.pi / 4, 2), (3 * np.pi / 8, 5), (1.5, 29)]
+    )
     @pytest.mark.parametrize("extra", [0, 7])
     def test_single_row_support_matches_ring_engine(self, row, beta, n_sub, extra):
         # Each lag reads only the vertex rows whose node row holds data; a
@@ -204,6 +207,32 @@ class TestVlineForward:
         assert ref.max() > 0.0
         assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
         np.testing.assert_array_equal(g == 0.0, ref == 0.0)
+
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_wide_angle_matches_ring_engine(self, extra):
+        # beta = 1.5 puts 29 quadrature nodes in each y row at dx = dy.
+        geom = ConeGeometry(1.5)
+        assert math.ceil(2.0 * geom.tan_beta) == 29
+        ax = AxisSpec(16, -1.0, 1.0)
+        values = np.random.default_rng(extra).uniform(0.0, 1.0, size=(16, 16))
+        values[:, :3] = 0.0  # no data in the lowest rows
+        f = RealGrid2D(ax, ax, values)
+        g = vline_forward(f, geom, (ax, extended_below(ax, extra))).grid.values
+        ref = ring_engine_forward(f, geom, extra)
+        assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(g == 0.0, ref == 0.0)
+
+    def test_memory_does_not_grow_with_nodes_per_row(self):
+        # 29 quadrature nodes per row; the nodes of one phase are held at a time.
+        ax = AxisSpec(48, -1.0, 1.0)
+        f = RealGrid2D(ax, ax, np.random.default_rng(0).uniform(size=(48, 48)))
+        tracemalloc.start()
+        try:
+            vline_forward(f, ConeGeometry(1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * f.values.nbytes
 
     @pytest.mark.parametrize("beta", [np.pi / 8, 3 * np.pi / 8])
     @pytest.mark.parametrize("extra", [0, 7])
