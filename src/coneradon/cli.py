@@ -62,11 +62,11 @@ class RunConfig:
     input_path: str | None = None
     output_dir: str = "."
     scene_path: str | None = None
-    seed: int = 0
+    seed: int | None = None  # not given: 0 for oracle-check
     default_radius: float = 0.25
     vertex_ymin: float | None = None
-    masked_metrics: bool = False
-    write_csv: bool = False
+    masked_metrics: bool | None = None
+    write_csv: bool | None = None
     dim: int | None = None  # phantom only; not given: 2
 
     def validate(self) -> None:
@@ -74,8 +74,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         for name, readers in _OPTION_READERS.items():
             if getattr(self, name) is not None and self.command not in readers:
-                flag = name.removesuffix("_path").replace("_", "-")  # input_path: --input
-                raise ValueError(f"--{flag} does not apply to {self.command}")
+                flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
+                raise ValueError(f"{flag} does not apply to {self.command}")
         if self.input_path is not None and self.scene_path is not None:
             raise ValueError(f"--scene does not apply to {self.command} with --input")
         if not (0.0 < self.beta < math.pi / 2):
@@ -390,7 +390,14 @@ _OPTION_READERS = {
     "scene_path": (
         "phantom", "forward2d", "roundtrip2d", "forward3d", "roundtrip3d", "oracle-check",
     ),
+    "seed": ("oracle-check",),
+    "masked_metrics": ("roundtrip2d", "roundtrip3d"),
+    "write_csv": tuple(c for c in _COMMANDS if c != "oracle-check"),  # every grid writer
 }
+# What a reading command uses when the option is not given.
+_OPTION_DEFAULTS = {"pad_factor": 2, "seed": 0, "masked_metrics": False}
+# Flags whose name is not the field's with dashes.
+_FLAGS = {"input_path": "--input", "scene_path": "--scene", "write_csv": "--csv"}
 
 
 def _config_dict(config: RunConfig) -> dict:
@@ -409,11 +416,13 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    # The report records the grid rank that ran, and a pad factor only where one is read.
+    # The report records the grid rank that ran, and an option's value only
+    # where the command reads it.
     handler, rank = _DISPATCH[config.command]
     config = dataclasses.replace(config, dim=rank or config.dim or 2)
-    if config.pad_factor is None and config.command in _OPTION_READERS["pad_factor"]:
-        config.pad_factor = 2
+    for name, default in _OPTION_DEFAULTS.items():
+        if getattr(config, name) is None and config.command in _OPTION_READERS[name]:
+            setattr(config, name, default)
 
     timings: dict[str, float] = {}
     outputs: dict[str, str] = {}
@@ -493,7 +502,10 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--scene", "--phantom", dest="scene_path", help="phantom scene description file"
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="seed for oracle-check's randomized checks (default 0)",
+    )
     parser.add_argument(
         "--radius", type=float, default=0.25, dest="default_radius",
         help="radius for scene lines that omit it (default 0.25)",
@@ -503,11 +515,11 @@ def _build_parser() -> _Parser:
         help="extend the vertex grid of forward2d/roundtrip2d down to this y",
     )
     parser.add_argument(
-        "--masked-metrics", action="store_true",
-        help="also report errors restricted to the phantom support",
+        "--masked-metrics", action="store_true", default=None,
+        help="round trips: also report errors restricted to the phantom support",
     )
-    parser.add_argument("--csv", action="store_true", dest="write_csv",
-                        help="additionally export grids as CSV")
+    parser.add_argument("--csv", action="store_true", default=None, dest="write_csv",
+                        help="additionally export every saved grid as CSV")
     parser.add_argument("--dim", type=int, choices=(2, 3), default=None,
                         help="dimension for the phantom command (default 2)")
     return parser

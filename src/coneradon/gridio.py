@@ -7,9 +7,11 @@ payload as f64 in x-fastest order (then y, then z).  The format round-trips
 bit-exactly for every finite payload.
 """
 
+import functools
 import math
 import os
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +45,7 @@ def write_grid(path, grid) -> None:
     payload = np.ascontiguousarray(grid.values.ravel(order="F"), dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(bytes(header))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def _read_exact(fh, count: int, offset: int, what: str) -> bytes:
@@ -99,21 +101,221 @@ def read_grid(path):
         raise GridFormatError(f"non-finite payload: {exc}") from exc
 
 
+# The CSV formatter works on blocks of about this many values, rounded to
+# whole rows of n_x (at least one row), so its temporaries stay a fixed size
+# whatever the grid's.
+_CSV_BLOCK = 8192
+
+# Decimal exponents the vectorized formatter handles: on |x| in about
+# [1e-280, 1e280] no step of the scaled product below overflows or underflows.
+# The table spans one exponent more on each side, since log10 can land one off.
+_X_MIN, _X_MAX = -281, 281
+_CSV_MIN, _CSV_MAX = 1e-280, 1e280
+
+# A scaled value whose fractional part lies this close to 1/2 may round
+# either way; the product's error is below 1e-14, so this is a wide margin.
+_TIE_MARGIN = 2.0**-40
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for doubles
+
+# Each value becomes one row of four little-endian 64-bit words (32 bytes)
+# holding every byte a %.17g token can use, NUL where the token has none:
+#   byte 0       sign
+#   bytes 1-5    "0.000", the lead of a fixed token below 1 ("0." and up to 3 zeros)
+#   byte 7       d0, the first digit
+#   bytes 8-24   digit columns 1..17: d1..d16 with one point slot
+#   bytes 26-30  exponent, "e+NN" or "e+NNN"
+#   byte 31      separator
+# Deleting the NULs from the rows' bytes gives the CSV text.
+_WORD = np.dtype("<u8")
+_LEADS = 6  # lead lengths 0..5
+_KEEPS = 18  # last kept digit column: 0 (d0 alone) .. 17
+_TOP_BYTE = np.uint64(56)  # shift to or from a word's last byte
+
+
+class _CsvTables(NamedTuple):
+    pow10: np.ndarray  # row x - _X_MIN: 10**(16 - x) as hi, lo, and hi's Veltkamp halves
+    chunk: np.ndarray  # k < 10**4 -> its 4 ASCII digits in the low 4 bytes of a word
+    trailing: np.ndarray  # k < 10**4 -> trailing zero digits of k written as 4 digits
+    exponent: np.ndarray  # row x - _X_MIN: word 3 with x's exponent; last row empty
+    head: np.ndarray  # _LEADS * sign + lead length -> word 0 without d0
+    tail: np.ndarray  # _KEEPS * (P + 1) + last kept column -> words 1-3 masks
+
+
+def _tail_masks(point: int, keep: int) -> bytes:
+    # Masks of words 1-3, which hold digit columns 1..17 at bytes 0..16, for
+    # a point after digit P (P = -1: no point): column j holds d_j while
+    # j <= P, the point at j = P + 1 and d_(j-1) beyond.  Columns after the
+    # last kept one are NUL.  Returns the masks of d_j, of d_(j-1) and the
+    # point itself.
+    digit, moved, dot = bytearray(24), bytearray(24), bytearray(24)
+    for j in range(1, keep + 1):
+        if point < 0 or j <= point:
+            digit[j - 1] = 0xFF
+        elif j == point + 1:
+            dot[j - 1] = ord(".")
+        else:
+            moved[j - 1] = 0xFF
+    return bytes(digit + moved + dot)
+
+
+@functools.cache
+def _csv_tables() -> _CsvTables:
+    # Exact by construction: int / int and int -> float round correctly, so
+    # hi is 10**s rounded and lo is the exact remainder 10**s - hi rounded.
+    pairs = []
+    for x in range(_X_MIN, _X_MAX + 1):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        pairs.append((hi, (num * hi_den - hi_num * den) / (den * hi_den)))
+    hi, lo = np.array(pairs).T
+    c = _SPLIT * hi
+    hi_h = c - (c - hi)
+    pow10 = np.stack([hi, lo, hi_h, hi - hi_h], axis=1)
+    pow10.flags.writeable = False
+
+    k = np.arange(10**4)
+    digits = np.zeros((10**4, 8), dtype=np.uint8)
+    digits[:, :4] = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1) + ord("0")
+    chunk = digits.view(_WORD).ravel()
+    chunk.flags.writeable = False
+    trailing = (k % 10 == 0).astype(np.int64) + (k % 100 == 0) + (k % 1000 == 0) + (k == 0)
+    trailing.flags.writeable = False
+
+    def words(rows):
+        return np.frombuffer(b"".join(rows), dtype=_WORD)  # read-only
+
+    exponent = words(
+        [f"\0\0e{x:+03d}".encode("ascii").ljust(8, b"\0") for x in range(_X_MIN, _X_MAX + 1)]
+        + [bytes(8)]
+    )
+    head = words(
+        [(b"-" if sign else b"\0") + b"0.000"[:lead].ljust(7, b"\0")
+         for sign in (0, 1) for lead in range(_LEADS)]
+    )
+    tail = words([_tail_masks(p, k) for p in range(-1, 17) for k in range(_KEEPS)]).reshape(-1, 9)
+    return _CsvTables(pow10, chunk, trailing, exponent, head, tail)
+
+
+def _format_block(v: np.ndarray, nx: int) -> bytes:
+    """Rows of n_x values as CSV text, every token exactly ``format(x, ".17g")``."""
+    t = _csv_tables()
+    n = v.size
+    a = np.abs(v)
+    zero = a == 0
+    in_range = (a >= _CSV_MIN) & (a <= _CSV_MAX)
+    a = np.where(in_range, a, 1.0)  # zeros and fallbacks format 1.0 meanwhile
+    x = np.floor(np.log10(a)).astype(np.intp)
+
+    # a * 10**(16 - x) = p + e up to ~1e-14: Dekker's exact product of a with
+    # the table's hi, plus a * lo.  p >= 1e16 > 2**53 is integer-valued
+    # wherever the digits below are used.
+    hi, lo, hi_h, hi_l = np.take(t.pow10, x - _X_MIN, axis=0).T
+    c = _SPLIT * a
+    a_h = c - (c - a)
+    a_l = a - a_h
+    p = a * hi
+    e = ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l + a * lo
+    e_floor = np.floor(e)
+    frac = e - e_floor
+    d_floor = p.astype(np.int64) + e_floor.astype(np.int64)
+    # Where 10**(16 - x) is a double (lo == 0) p + e is exact, so a half is a
+    # true tie: round it to even, as %.17g does.
+    exact_scale = lo == 0
+    d = d_floor + ((frac > 0.5) | (exact_scale & (frac == 0.5) & (d_floor % 2 == 1)))
+    # The 17 digits d hold only if the rounding is clear and x is the exponent
+    # of the rounded value; any other value takes the exact per-value path.
+    fallback = ~in_range | (~exact_scale & (np.abs(frac - 0.5) < _TIE_MARGIN))
+    fallback |= (d_floor < 10**16) | (d >= 10**17)
+    fallback &= ~zero
+    d[zero] = 0
+
+    # Digits: d0, then d1..d16 as four 4-digit chunks.
+    d0 = d // 10**16
+    rest = d - d0 * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    c1 = upper // 10**4
+    c3 = lower // 10**4
+    chunks = (c1, upper - c1 * 10**4, c3, lower - c3 * 10**4)
+    zeros = 0
+    for chunk in chunks:  # trailing zeros of d1..d16
+        z = t.trailing[chunk]
+        zeros = np.where(z == 4, zeros + 4, z)
+    last = 16 - zeros  # column of the last nonzero digit, 0 for d0 alone
+    word1 = t.chunk[chunks[0]] | (t.chunk[chunks[1]] << np.uint64(32))
+    word2 = t.chunk[chunks[2]] | (t.chunk[chunks[3]] << np.uint64(32))
+
+    # %g: fixed notation for -4 <= x < 17, exponent notation otherwise.  The
+    # point follows digit x (fixed, x >= 0) or d0 (exponent notation); fixed
+    # tokens below 1 carry "0." and -x - 1 zeros instead.  Trailing zeros of
+    # the fraction and a bare point are dropped: the last kept column is the
+    # last nonzero digit's, counting the point when it is kept.
+    fixed = (x >= -4) & (x < 17)
+    below = fixed & (x < 0)
+    point = np.where(fixed, x, 0)
+    point[below] = -1
+    keep = np.where(last > point, last + 1, point)  # a kept point is one more column
+    keep[below] = last[below]
+    masks = np.take(t.tail, (point + 1) * _KEEPS + keep, axis=0)
+
+    row = np.empty((n, 4), dtype=_WORD)
+    lead = np.where(below, 1 - x, 0)
+    d0_byte = (d0 + ord("0")).astype(np.uint64) << _TOP_BYTE
+    row[:, 0] = t.head[np.signbit(v) * _LEADS + lead] | d0_byte
+    row[:, 1] = (word1 & masks[:, 0]) | ((word1 << np.uint64(8)) & masks[:, 3]) | masks[:, 6]
+    moved = (word2 << np.uint64(8)) | (word1 >> _TOP_BYTE)
+    row[:, 2] = (word2 & masks[:, 1]) | (moved & masks[:, 4]) | masks[:, 7]
+    row[:, 3] = ((word2 >> _TOP_BYTE) & masks[:, 5]) | masks[:, 8]
+    row[:, 3] |= t.exponent[np.where(fixed, len(t.exponent) - 1, x - _X_MIN)]
+    row[:, 3] |= np.uint64(ord(",")) << _TOP_BYTE
+    row[nx - 1 :: nx, 3] ^= np.uint64(ord(",") ^ ord("\n")) << _TOP_BYTE
+
+    text = row.view(np.uint8)
+    for i in np.flatnonzero(fallback):
+        token = format(float(v[i]), ".17g").encode("ascii")
+        text[i, :-1] = 0
+        text[i, : len(token)] = np.frombuffer(token, dtype=np.uint8)
+    return text.tobytes().translate(None, b"\0")
+
+
+def _row_blocks(values: np.ndarray):
+    # Whole rows of the x-fastest payload, about _CSV_BLOCK values at a time:
+    # whole z slices when a slice fits, else runs of rows within one slice.
+    nx, ny = values.shape[:2]
+    v = values.reshape(nx, ny, -1)
+    rows = max(1, _CSV_BLOCK // nx)
+    dy = min(ny, rows)
+    dz = max(1, rows // ny)
+    for z0 in range(0, v.shape[2], dz):
+        for y0 in range(0, ny, dy):
+            yield v[:, y0 : y0 + dy, z0 : z0 + dz].T.reshape(-1)
+
+
 def write_grid_csv(path, grid) -> None:
     """CSV mirror of the binary format: header comments, then payload rows of
-    n_x comma-separated values in x-fastest order (17 significant digits)."""
+    n_x comma-separated values in x-fastest order.
+
+    Every value token is exactly ``format(value, ".17g")``: 17 significant
+    digits that parse back to the same double.  numpy builds the tokens in
+    blocks of whole rows (about 8192 values), so memory does not grow with
+    the grid.  A value whose digits the block's error bound cannot decide (a
+    near tie, a magnitude outside about [1e-280, 1e280], a subnormal) is
+    formatted exactly by Python, one value at a time.
+    """
     axes = grid.axes()
     nx = axes[0].n_samples
-    rows = grid.values.ravel(order="F").reshape(-1, nx)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# CRTG-CSV {_VERSION}\n")
-        fh.write(f"# rank {len(axes)}\n")
-        fh.write("# dims " + " ".join(str(ax.n_samples) for ax in axes) + "\n")
-        for i, ax in enumerate(axes):
-            fh.write(f"# axis{i} {ax.min:.17g} {ax.max:.17g}\n")
-        row_format = ",".join(["%.17g"] * nx) + "\n"
-        for row in rows:
-            fh.write(row_format % tuple(row.tolist()))
+    header = [
+        f"# CRTG-CSV {_VERSION}",
+        f"# rank {len(axes)}",
+        "# dims " + " ".join(str(ax.n_samples) for ax in axes),
+    ]
+    header += [f"# axis{i} {ax.min:.17g} {ax.max:.17g}" for i, ax in enumerate(axes)]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        for block in _row_blocks(grid.values):
+            fh.write(_format_block(block, nx))
 
 
 def export_heatmap(grid, path) -> tuple[float, float]:

@@ -87,8 +87,7 @@ class TestRoundtrip2D:
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert run_cli("roundtrip2d", "--n", "32", "--seed", "7",
-                           "--outdir", str(out)) == 0
+            assert run_cli("roundtrip2d", "--n", "32", "--outdir", str(out)) == 0
             outs.append(out)
         for fname in ("phantom.crtg", "projection.crtg", "reconstruction.crtg",
                       "phantom.pgm", "reconstruction.pgm"):
@@ -99,6 +98,16 @@ class TestRoundtrip2D:
             rep["outputs"] = {k: v.split("/")[-1] for k, v in rep["outputs"].items()}
             rep["parameters"].pop("domain")  # identical lists compare fine, keep anyway
         assert reports[0]["metrics"] == reports[1]["metrics"]
+
+    def test_csv_mirrors_every_saved_grid(self, tmp_path):
+        assert run_cli("roundtrip2d", "--n", "16", "--csv", "--outdir", str(tmp_path)) == 0
+        outputs = load_report(tmp_path)["outputs"]
+        for name in ("phantom", "projection", "reconstruction"):
+            grid = read_grid(outputs[name])
+            with open(outputs[f"{name}_csv"], encoding="ascii") as fh:
+                lines = fh.read().splitlines()
+            tokens = [tok for ln in lines if not ln.startswith("#") for tok in ln.split(",")]
+            assert tokens == [format(v, ".17g") for v in grid.values.ravel(order="F").tolist()]
 
     def test_vertex_extension(self, tmp_path):
         out = tmp_path / "ext"
@@ -256,6 +265,14 @@ class TestOracleCheck:
         assert metrics["fourier_relation_residual"] < 0.2
         assert metrics["projection_edge_fraction"] < 0.01
 
+    def test_seed_defaults_to_0(self, tmp_path):
+        assert run_cli("oracle-check", "--n", "16", "--outdir", str(tmp_path / "a")) == 0
+        assert run_cli("oracle-check", "--n", "16", "--seed", "0",
+                       "--outdir", str(tmp_path / "b")) == 0
+        reports = [load_report(tmp_path / name) for name in ("a", "b")]
+        assert reports[0]["parameters"]["seed"] == 0
+        assert reports[0]["metrics"] == reports[1]["metrics"]
+
     def test_reports_truncated_projection(self, tmp_path):
         # At beta = pi/4 g leaves the x domain, which explains the large
         # identity residual.
@@ -330,6 +347,18 @@ class TestExitCodes:
                      "--pad-factor does not apply", id="pad-factor-on-2d"),
         pytest.param(lambda tmp: ["oracle-check", "--n", "16", "--pad-factor", "3"], 1,
                      "--pad-factor does not apply", id="pad-factor-on-oracle-check"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--seed", "7"], 1,
+                     "--seed does not apply to roundtrip2d", id="seed-on-roundtrip2d"),
+        pytest.param(lambda tmp: ["phantom", "--n", "16", "--seed", "0"], 1,
+                     "--seed does not apply to phantom", id="seed-on-phantom"),
+        pytest.param(lambda tmp: ["forward3d", "--n", "12", "--masked-metrics"], 1,
+                     "--masked-metrics does not apply to forward3d",
+                     id="masked-metrics-on-forward3d"),
+        pytest.param(lambda tmp: ["oracle-check", "--n", "16", "--masked-metrics"], 1,
+                     "--masked-metrics does not apply to oracle-check",
+                     id="masked-metrics-on-oracle-check"),
+        pytest.param(lambda tmp: ["oracle-check", "--n", "16", "--csv"], 1,
+                     "--csv does not apply to oracle-check", id="csv-on-oracle-check"),
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--input", str(tmp / "f.crtg")], 1,
                      "--input does not apply to roundtrip2d", id="input-on-roundtrip2d"),
         pytest.param(lambda tmp: ["invert2d", "--scene", str(tmp / "scene.txt")], 1,

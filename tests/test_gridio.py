@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from coneradon import gridio
 from coneradon.grids import AxisSpec, RealGrid2D, RealGrid3D
 from coneradon.gridio import (
     GridFormatError,
@@ -18,6 +20,47 @@ def random_grid2d(rng, nx=7, ny=5):
     return RealGrid2D(
         AxisSpec(nx, -1.5, 2.0), AxisSpec(ny, 0.25, 0.75), rng.normal(size=(nx, ny))
     )
+
+
+def reference_csv(grid) -> bytes:
+    # The CSV writer as one %-format per row: the byte-for-byte reference.
+    axes = grid.axes()
+    nx = axes[0].n_samples
+    lines = ["# CRTG-CSV 1", f"# rank {len(axes)}"]
+    lines.append("# dims " + " ".join(str(ax.n_samples) for ax in axes))
+    lines += [f"# axis{i} {ax.min:.17g} {ax.max:.17g}" for i, ax in enumerate(axes)]
+    row_format = ",".join(["%.17g"] * nx)
+    rows = grid.values.ravel(order="F").reshape(-1, nx).tolist()
+    lines += [row_format % tuple(row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def csv_tokens(values, tmp_path, nx):
+    # Write values as rows of nx (zero-padded to whole rows, at least two);
+    # returns the tokens of the given values in file order.
+    values = np.asarray(values, dtype=float)
+    padded = np.concatenate([values, np.zeros(max(-values.size % nx, 2 * nx - values.size))])
+    grid = RealGrid2D(AxisSpec(nx, 0, 1), AxisSpec(padded.size // nx, 0, 1),
+                      padded.reshape((nx, -1), order="F"))
+    path = tmp_path / "t.csv"
+    write_grid_csv(path, grid)
+    lines = path.read_text(encoding="ascii").splitlines()[5:]
+    tokens = [tok for ln in lines for tok in ln.split(",")]
+    return tokens[: values.size]
+
+
+def hard_cases():
+    powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    fixed = [1.2345678901234567 * 10.0**k for k in range(-4, 17)]
+    values = [
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        [5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300],
+        [1e16, 1e17], np.nextafter([1e16, 1e17], 0), np.nextafter([1e16, 1e17], np.inf),
+        [9.999999999999999e22], fixed, [0.0, -0.0],
+        # Exact ties at the 18th digit, scaled by 10**24, which is no double.
+        [2.0**-25, 3 * 2.0**-25],
+    ]
+    return np.concatenate([np.ravel(v) for v in values])
 
 
 class TestBinaryRoundTrip:
@@ -171,6 +214,60 @@ class TestCsvExport:
             ["0.33333333333333331", "2"],
         ]
         assert [tok for row in rows for tok in row] == [format(v, ".17g") for v in special]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_hard_cases_match_format(self, tmp_path, sign):
+        # Powers of ten and their neighbours (log10 may land one off near
+        # them), the subnormal and normal extremes, both ends of the 17-digit
+        # range, the double nearest 1e23 (9.9999999999999992e+22), every
+        # fixed-notation exponent, both zeros and half-way cases.
+        values = sign * hard_cases()
+        assert csv_tokens(values, tmp_path, nx=2) == [format(v, ".17g") for v in values.tolist()]
+
+    def test_random_bit_patterns_match_format(self, tmp_path):
+        bits = np.random.default_rng(5).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:199_000]
+        assert csv_tokens(values, tmp_path, nx=7) == [format(v, ".17g") for v in values.tolist()]
+
+    @pytest.mark.parametrize("shape", [(gridio._CSV_BLOCK + 5, 3), (48, 47, 5), (97, 90, 2)])
+    def test_block_edges(self, tmp_path, shape):
+        # A row longer than the block budget, and element counts that are no
+        # multiple of it (whole z slices per block, and runs of rows within one).
+        values = np.random.default_rng(6).normal(size=shape) * 10.0 ** np.arange(shape[-1])
+        axes = [AxisSpec(n, -1.0, 1.0) for n in shape]
+        grid = (RealGrid2D if len(shape) == 2 else RealGrid3D)(*axes, values)
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, grid)
+        assert path.read_bytes() == reference_csv(grid)
+
+    @pytest.mark.parametrize("budget", [1, 12, 20, 40])
+    def test_every_block_split(self, tmp_path, monkeypatch, budget):
+        # Rows of 4 values, 5 per z slice: one row per block, runs of 3 rows,
+        # one whole slice, and two slices then one.
+        monkeypatch.setattr(gridio, "_CSV_BLOCK", budget)
+        values = np.random.default_rng(7).normal(size=(4, 5, 3))
+        ax = AxisSpec(4, 0.0, 1.0)
+        grid = RealGrid3D(ax, AxisSpec(5, 0.0, 1.0), AxisSpec(3, 0.0, 1.0), values)
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, grid)
+        assert path.read_bytes() == reference_csv(grid)
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # Blocks of ~8192 values: the traced peak was 2.9 MiB at 48^3 (a
+        # 0.84 MiB grid) and 3.4 MiB at 96^3 (6.75 MiB), whose blocks are larger.
+        rng = np.random.default_rng(8)
+        write_grid_csv(tmp_path / "warm.csv", random_grid2d(rng))  # builds the lookup tables
+        for n in (48, 96):
+            ax = AxisSpec(n, -1.0, 1.0)
+            grid = RealGrid3D(ax, ax, ax, rng.normal(size=(n, n, n)))
+            tracemalloc.start()
+            try:
+                write_grid_csv(tmp_path / "g.csv", grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2**20
 
 
 class TestHeatmap:

@@ -66,6 +66,7 @@ class TestGridFormats:
     @SETTINGS
     @given(grid=grids())
     def test_csv_parses_back_to_the_same_bits(self, workdir, grid):
+        # Every token is format(v, ".17g"), subnormals and both zeros included.
         path = workdir / "g.csv"
         write_grid_csv(path, grid)
         lines = path.read_text(encoding="ascii").splitlines()
@@ -75,9 +76,11 @@ class TestGridFormats:
             name, lo, hi = lines[3 + i].split()[1:]
             assert name == f"axis{i}"
             assert bits([float(lo), float(hi)]) == bits([ax.min, ax.max])
-        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[3 + len(dims) :]]
+        rows = [ln.split(",") for ln in lines[3 + len(dims) :]]
         assert all(len(row) == dims[0] for row in rows)
-        assert bits(rows) == bits(grid.values.ravel(order="F"))
+        values = grid.values.ravel(order="F")
+        assert bits([[float(tok) for tok in row] for row in rows]) == bits(values)
+        assert [tok for row in rows for tok in row] == [format(v, ".17g") for v in values.tolist()]
 
 
 @st.composite
