@@ -30,6 +30,7 @@ from .grids import AxisSpec, ConeGeometry, NonFiniteGridError, RealGrid2D
 from .gridio import GridFormatError, export_heatmap, read_grid, write_grid, write_grid_csv
 from .phantoms import (
     BumpSpec,
+    _l2_norm,
     max_abs_error,
     parse_scene,
     relative_l2,
@@ -249,6 +250,29 @@ def _projection_edge_fraction(g) -> float:
     return float(faces / peak)
 
 
+# Above this projection_edge_fraction the 3D commands warn of truncated data.
+# Measured once at N = 24, 32, 48 over one- and two-bump scenes and beta from
+# pi/12 to pi/4: up to 0.266 (one bump at x = 0.45, beta = pi/8) the pad-2 round
+# trip is as good as for the centred bump; from 0.369 (two bumps reaching the
+# faces, beta = pi/12) it is worse than returning zero at N = 48.
+_TRUNCATION_EDGE_FRACTION = 0.3
+
+
+def _truncation_alarm(g, metrics: dict) -> None:
+    """Record ``projection_edge_fraction`` of a 3D projection and whether it
+    is above the truncation threshold; warn on stderr if it is."""
+    edge = _projection_edge_fraction(g)
+    metrics["projection_edge_fraction"] = edge
+    metrics["truncation_warning"] = edge > _TRUNCATION_EDGE_FRACTION
+    if metrics["truncation_warning"]:
+        print(
+            f"warning: projection_edge_fraction {edge:.3f} is above "
+            f"{_TRUNCATION_EDGE_FRACTION}: the projection is truncated at the lateral "
+            "faces, so its 3D inversion is unreliable",
+            file=sys.stderr,
+        )
+
+
 def _support_fraction(f) -> float:
     """Share of f's levels along the last axis (y rows in 2D, z levels in 3D)
     holding a nonzero sample: the part of the grid the forward sweeps."""
@@ -263,9 +287,7 @@ def _metrics_against(config: RunConfig, recon, phantom, metrics: dict) -> None:
         mask = phantom.values > 0
         if mask.any():
             diff = recon.values[mask] - phantom.values[mask]
-            metrics["relative_l2_masked"] = float(
-                np.linalg.norm(diff) / np.linalg.norm(phantom.values[mask])
-            )
+            metrics["relative_l2_masked"] = _l2_norm(diff) / _l2_norm(phantom.values[mask])
 
 
 def _cmd_phantom(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
@@ -274,7 +296,7 @@ def _cmd_phantom(config: RunConfig, stage, outputs: dict, metrics: dict) -> None
     _save_grid(config, "phantom", f, outputs)
     _save_heatmap(config, "phantom", f, outputs, metrics)
     metrics["phantom_max"] = float(f.values.max())
-    metrics["phantom_l2"] = float(np.linalg.norm(f.values))
+    metrics["phantom_l2"] = _l2_norm(f.values)
 
 
 def _cmd_forward(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
@@ -290,7 +312,7 @@ def _cmd_forward(config: RunConfig, stage, outputs: dict, metrics: dict) -> None
     _save_grid(config, "projection", g, outputs)
     metrics["projection_max"] = float(g.values.max())
     if config.dim == 3:
-        metrics["projection_edge_fraction"] = _projection_edge_fraction(g)
+        _truncation_alarm(g, metrics)
 
 
 def _cmd_invert(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
@@ -298,7 +320,7 @@ def _cmd_invert(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
         raise ValueError(f"{config.command} needs --input with projection data")
     g = _read_grid_checked(config.input_path, config.dim)
     if config.dim == 3:
-        metrics["projection_edge_fraction"] = _projection_edge_fraction(g)
+        _truncation_alarm(g, metrics)
         metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
     with stage("inversion"):
         recon = _invert(config, g)
@@ -313,7 +335,7 @@ def _cmd_roundtrip(config: RunConfig, stage, outputs: dict, metrics: dict) -> No
     with stage("forward transform"):
         g = _forward(config, f)
     if config.dim == 3:
-        metrics["projection_edge_fraction"] = _projection_edge_fraction(g)
+        _truncation_alarm(g, metrics)
         metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
     with stage("inversion"):
         recon = _invert(config, g)
@@ -343,8 +365,8 @@ def _cmd_oracle_check(config: RunConfig, stage, outputs: dict, metrics: dict) ->
     pad_factor = 1 + math.ceil(2 * reach / f.x_axis.n_samples)
     with stage("spectral forward route"):
         g_spec = vline_spectral_oracle(f, geom, pad_factor=pad_factor)
-    denom = float(np.linalg.norm(g.grid.values))
-    diff = float(np.linalg.norm(g.grid.values - g_spec.grid.values))
+    denom = _l2_norm(g.grid.values)
+    diff = _l2_norm(g.grid.values - g_spec.grid.values)
     metrics["forward_vs_spectral_rel_l2"] = diff / denom if denom else diff
     with stage("frequency-identity residual"):
         metrics["fourier_relation_residual"] = fourier_relation_check(f, g)

@@ -4,14 +4,22 @@ The forward transform and the inversion both work per transverse frequency
 pair (lambda, mu) with u = tan(beta) sqrt(lambda^2 + mu^2), on the ky >= 0
 half of a real 2D DFT of zero-padded data, and apply their z-kernels through
 ``grids._lag_kernel_apply`` with the J0 kernel: a z-correlation by FFT, the
-engine the V-line's spectral oracle runs with the cosine kernel.  Both take
-their 2D DFTs through one pruned pair, ``_half_spectrum`` and
-``_from_half_spectrum``: the inversion transforms, inverts and synthesizes
-only the ky band its frequency taper keeps, the forward only f's slab of
-nonzero z levels and the levels below its top, and the inverse DFT's y step
-runs on the returned x rows only.  The
-inversion's z derivatives are ``grids._derivative``'s central stencils, the
-helper the V-line inversion differences with too.
+engine the V-line's spectral oracle runs with the cosine kernel.
+
+Each transform allocates one padded half spectrum and works on it in place,
+through one pruned pair: ``_half_spectrum`` writes the y transforms into it
+per block of z levels and runs the x transform on it through ``out=``; the
+per-bin results overwrite it; ``_from_half_spectrum`` runs the inverse x
+transform on it in place and the inverse y transform, per block of z levels
+and on the returned x rows only, into the output grid.  So a call's traced
+peak is about that one spectrum, 16 nxp n_ky nz bytes, plus the output grid
+and fixed-size blocks, and for the forward the engine's kernel spectra (one
+per distinct u): at 48^3 the inversion's is 6.4 MiB at pad 3 (the spectrum
+4.6 MiB) and 3.6 MiB at pad 2.  The inversion transforms, inverts
+and synthesizes only the ky band its frequency taper keeps, the forward only
+f's slab of nonzero z levels and the levels below its top.  The inversion's z
+derivatives are one weighted sweep of ``grids._derivative``'s central
+stencils, the helper the V-line inversion differences with too.
 
 The forward transform is the kernel identity
 
@@ -65,6 +73,9 @@ _MIN_Z_SAMPLES = 6
 # a round-trip convergence study at N = 32/48/64.
 _TAPER_START = 0.10
 _TAPER_STOP = 0.25
+# Elements per block of z levels in the 2D transforms' y steps: ~1 MiB per
+# complex temporary.
+_Y_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -118,19 +129,33 @@ def _forward_pad(f: RealGrid3D, geometry: ConeGeometry) -> tuple[int, int]:
     )
 
 
-def _half_spectrum(values: np.ndarray, nxp: int, nyp: int, n_ky: int) -> np.ndarray:
-    # rfft2(values, s=(nxp, nyp), axes=(0, 1))[:, :n_ky]: the y transform
-    # first, then the x transform on the kept ky columns only.
-    return np.fft.fft(np.fft.rfft(values, nyp, axis=1)[:, :n_ky], nxp, axis=0)
+def _z_blocks(n_levels: int, level_elements: int) -> list[slice]:
+    # Runs of z levels whose y-transform temporaries hold about
+    # _Y_BLOCK_ELEMENTS elements, at least one level each.
+    step = max(1, _Y_BLOCK_ELEMENTS // level_elements)
+    return [slice(z, min(z + step, n_levels)) for z in range(0, n_levels, step)]
 
 
-def _from_half_spectrum(spectrum: np.ndarray, nx: int, ny: int, nyp: int) -> np.ndarray:
-    # irfft2(spectrum zero-filled to nyp // 2 + 1 ky columns, s=(nxp, nyp),
-    # axes=(0, 1))[:nx, :ny]: the x transform first, then the y transform on
-    # the nx kept rows only (irfft zero-fills the missing columns).  The copy
-    # lets the padded array go.
-    rows = np.fft.ifft(spectrum, axis=0)[:nx]
-    return np.fft.irfft(rows, nyp, axis=1)[:, :ny].copy()
+def _half_spectrum(values: np.ndarray, spectrum: np.ndarray, nyp: int):
+    # In place, spectrum[...] = rfft2(values, s=(nxp, nyp), axes=(0, 1))[:, :n_ky]
+    # for spectrum of shape (nxp, n_ky, nz), whose rows past values' must be
+    # zero: the y transform per block of z levels into the leading rows, then
+    # the x transform on the kept ky columns only.
+    nx, n_ky = values.shape[0], spectrum.shape[1]
+    for block in _z_blocks(values.shape[2], nx * nyp):
+        spectrum[:nx, :, block] = np.fft.rfft(values[:, :, block], nyp, axis=1)[:, :n_ky]
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+
+
+def _from_half_spectrum(spectrum: np.ndarray, out: np.ndarray, nyp: int):
+    # out[...] = irfft2(spectrum zero-filled to nyp // 2 + 1 ky columns,
+    # s=(nxp, nyp), axes=(0, 1))[:nx, :ny] for out of shape (nx, ny, nz): the
+    # x transform in place on spectrum, then the y transform per block of z
+    # levels on the nx kept rows only (irfft zero-fills the missing columns).
+    nx, ny = out.shape[:2]
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
+    for block in _z_blocks(out.shape[2], nx * nyp):
+        out[:, :, block] = np.fft.irfft(spectrum[:nx, :, block], nyp, axis=1)[:, :ny]
 
 
 def _half_spectrum_radial(grid: RealGrid3D, nxp: int, nyp: int) -> np.ndarray:
@@ -163,16 +188,20 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     nxp, nyp = _forward_pad(f, geometry)
     u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
 
-    spectrum = _half_spectrum(f.values[:, :, lo:top], nxp, nyp, nyp // 2 + 1)
-    spectrum *= 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta
-    if top - lo < nz:  # rebinding frees the slab's spectrum before the engine runs
-        spectrum = np.pad(spectrum, ((0, 0), (0, 0), (lo, nz - top)))
+    # Levels 0..top of the padded half spectrum: the slab, the levels below it
+    # whose cones reach it, and one zero level above it where the axis goes
+    # on, so that the engine's top-end trapezoid half weight falls on a zero
+    # as it would on the whole axis.
+    n_levels = min(top + 1, nz)
+    spectrum = np.zeros((nxp, nyp // 2 + 1, n_levels), dtype=complex)
+    slab = spectrum[:, :, lo:top]
+    _half_spectrum(f.values[:, :, lo:top], slab, nyp)
+    slab *= 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta
     _lag_kernel_apply(
-        spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, bessel_j0, lag_factor=True
+        spectrum.reshape(-1, n_levels), u_map.ravel(), f.z_axis.spacing, bessel_j0, lag_factor=True
     )
-    values = _from_half_spectrum(spectrum[:, :, :top], nx, ny, nyp)
-    if top < nz:
-        values = np.pad(values, ((0, 0), (0, 0), (0, nz - top)))
+    values = np.zeros((nx, ny, nz))
+    _from_half_spectrum(spectrum[:, :, :top], values[:, :, :top], nyp)
     return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, values)
 
 
@@ -199,10 +228,8 @@ def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, z_axis: AxisSpe
     # by repeated division by dz^2.
     dz = z_axis.spacing
     u2 = (us * us)[:, None]
-    tail = cumint_from_top(profiles, dz, axis=-1)
-    d3 = _derivative(profiles, dz, 3, (-2, -1, 0, 1, 2), 6)
-    d1 = _derivative(profiles, dz, 1, (-1, 0, 1), 4)
-    q = -d3 - 2.0 * u2 * d1 + u2 * u2 * tail
+    q = _derivative(profiles, dz, [(-1.0, 3, (-2, -1, 0, 1, 2), 6), (-2.0 * u2, 1, (-1, 0, 1), 4)])
+    q += u2 * u2 * cumint_from_top(profiles, dz)
     _lag_kernel_apply(q, us, dz, bessel_j0)
     return q
 
@@ -228,7 +255,7 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
         raise ValueError(f"u must be nonnegative, got {u}")
     if u == 0.0:
         # Degenerate kernel: G(z_v) = int (z - z_v) fhat dz, so fhat = G''.
-        return _derivative(p, z_axis.spacing, 2, (-1, 0, 1), 5)
+        return _derivative(p, z_axis.spacing, [(1.0, 2, (-1, 0, 1), 5)])
     return _invert_profiles_batch(p[None, :], np.array([u]), z_axis)[0]
 
 
@@ -287,25 +314,24 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
     radial, u_map, weights = radial[:, :n_ky], u_map[:, :n_ky], weights[:, :n_ky]
 
-    # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat.
-    normalized = _half_spectrum(g.values, nxp, nyp, n_ky)
-    normalized *= geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)
+    # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat,
+    # and writes each bin's result back into the spectrum it read.
+    spectrum = np.zeros((nxp, n_ky, nz), dtype=complex)
+    _half_spectrum(g.values, spectrum, nyp)
+    spectrum *= geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)
+    profiles, w, us = spectrum.reshape(-1, nz), weights.ravel(), u_map.ravel()
 
-    out = np.zeros_like(normalized)
     # The zero-frequency bin inverts as fhat = G'' (``invert_frequency_profile``).
-    dc = _derivative(normalized[0, 0, :], g.z_axis.spacing, 2, (-1, 0, 1), 5)
-    out[0, 0, :] = weights[0, 0] * dc
-
-    kept = np.flatnonzero(((weights > 0.0) & (radial > 0.0)).ravel())
+    profiles[0] = w[0] * _derivative(profiles[0], g.z_axis.spacing, [(1.0, 2, (-1, 0, 1), 5)])
+    profiles[w == 0.0] = 0.0
+    kept = np.flatnonzero((w > 0.0) & (radial.ravel() > 0.0))
     # In order of u, so each block evaluates the J0 taps of its own u's only.
-    kept = kept[np.argsort(u_map.ravel()[kept], kind="stable")]
+    kept = kept[np.argsort(us[kept], kind="stable")]
     rows = max(1, _BLOCK_ELEMENTS // nz)
-    flat_out = out.reshape(-1, nz)
     for start in range(0, kept.size, rows):
         idx = kept[start : start + rows]
-        flat_out[idx] = weights.ravel()[idx, None] * _invert_profiles_batch(
-            normalized.reshape(-1, nz)[idx], u_map.ravel()[idx], g.z_axis
-        )
+        profiles[idx] = w[idx, None] * _invert_profiles_batch(profiles[idx], us[idx], g.z_axis)
 
-    values = _from_half_spectrum(out, nx, ny, nyp)
+    values = np.empty((nx, ny, nz))
+    _from_half_spectrum(spectrum, values, nyp)
     return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, values)

@@ -22,9 +22,10 @@ through it, ``vline2d`` its spectral oracle.
 Differencing convention: both inversions differentiate the data, and
 ``_derivative`` is the one finite-difference stencil helper for it: a stencil
 on given offsets inside, one-sided stencils on a given number of samples at
-the ends.  ``vline2d`` takes the forward difference in y and the central
-second difference in x; ``cone3d`` takes central stencils of orders 1 to 3
-along z, each with order + 3 samples at the ends.
+the ends, summed over weighted terms in one sweep.  ``vline2d`` takes the
+forward difference in y and the central second difference in x; ``cone3d``
+takes central stencils of orders 1 to 3 along z, each with order + 3 samples
+at the ends, and sums its orders 3 and 1 with one weight per frequency row.
 """
 
 import functools
@@ -166,39 +167,75 @@ def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
     return weights
 
 
-def _derivative(
-    values: np.ndarray, spacing: float, order: int, offsets: tuple[int, ...], n_edge: int, axis=-1
-) -> np.ndarray:
-    """Derivative of the given order along ``axis`` by finite differences.
+def _stencil_at(position: int, n: int, order: int, offsets: tuple[int, ...], n_edge: int) -> dict:
+    # {sample: weight} of one stencil at one position of an n-sample axis:
+    # the interior stencil where it fits, else the one-sided stencil on the
+    # n_edge samples nearest the end, the high end's mirrored with sign
+    # (-1)^order.
+    lo, hi = -min(offsets), max(offsets)
+    if lo <= position < n - hi:
+        return {position + off: w for off, w in zip(offsets, _fd_weights(offsets, order))}
+    if position < lo:
+        w_lo = _fd_weights(tuple(range(-position, n_edge - position)), order)
+        return dict(enumerate(w_lo))
+    edge = n - 1 - position
+    w_lo = _fd_weights(tuple(range(-edge, n_edge - edge)), order)
+    sign = (-1) ** order
+    return {n - n_edge + k: sign * w_lo[n_edge - 1 - k] for k in range(n_edge)}
 
-    The stencil on the integer ``offsets`` applies wherever it fits.  A
-    position too near an end for it takes a one-sided stencil on the
-    ``n_edge`` samples nearest that end.  Each stencil is exact on polynomials
-    of degree below its number of points.  A high-end stencil is the low-end
-    one mirrored with sign (-1)^order (solving for it directly can be an ulp
-    off), and terms are added in position order.  So a symmetric ``offsets``
-    treats both ends alike, and the forward difference on (0, 1) with
-    ``n_edge`` 2 and the second difference on (-1, 0, 1) with ``n_edge`` 3
-    repeat, bit for bit, the interior value next to each end they cannot reach.
+
+def _derivative(values: np.ndarray, spacing: float, stencils, axis=-1) -> np.ndarray:
+    """Weighted sum of derivatives along ``axis`` by finite differences.
+
+    ``stencils`` holds ``(coef, order, offsets, n_edge)`` terms: ``coef``
+    times the derivative of that order.  ``coef`` is a scalar or an array
+    that broadcasts to the shape of ``values`` with ``axis`` moved last, e.g.
+    one coefficient per row.  A term's stencil on the integer ``offsets`` applies
+    wherever it fits.  A position too near an end for it takes a one-sided
+    stencil on the ``n_edge`` samples nearest that end.  Each stencil is exact
+    on polynomials of degree below its number of points.  A high-end stencil
+    is the low-end one mirrored with sign (-1)^order (solving for it directly
+    can be an ulp off).  So a symmetric ``offsets`` treats both ends alike,
+    and the forward difference on (0, 1) with ``n_edge`` 2 and the second
+    difference on (-1, 0, 1) with ``n_edge`` 3 repeat, bit for bit, the
+    interior value next to each end they cannot reach.
+
+    The terms are summed in one sweep, with weights scaled to the highest
+    order's power of ``spacing`` and one division by it at the end: one
+    multiply-add per offset of their union inside, and one per sample at each
+    position some term reaches past an end.  Terms are added in position
+    order, so a single term with ``coef`` 1 gives the bits of its own stencil.
     """
     v = np.moveaxis(values, axis, -1)
     n = v.shape[-1]
-    if n < n_edge:
-        raise ValueError(f"need at least {n_edge} samples for an order-{order} stencil")
-    lo, hi = -min(offsets), max(offsets)
-    out = np.zeros(v.shape, dtype=np.result_type(v.dtype, float))
-    for off, w in zip(offsets, _fd_weights(tuple(offsets), order)):
-        if w != 0.0:
-            out[..., lo : n - hi] += w * v[..., lo + off : n - hi + off]
-    sign = (-1) ** order
-    for edge in range(max(lo, hi)):
-        w_lo = _fd_weights(tuple(range(-edge, n_edge - edge)), order)
-        for k in range(n_edge):
-            if edge < lo:
-                out[..., edge] += w_lo[k] * v[..., k]
-            if edge < hi:
-                out[..., n - 1 - edge] += sign * w_lo[n_edge - 1 - k] * v[..., n - n_edge + k]
-    return np.moveaxis(out / spacing**order, -1, axis)
+    highest = max(order for _, order, _, _ in stencils)
+    terms = []
+    for coef, order, offsets, n_edge in stencils:
+        if n < n_edge:
+            raise ValueError(f"need at least {n_edge} samples for an order-{order} stencil")
+        terms.append((coef * spacing ** (highest - order), order, tuple(offsets), n_edge))
+    out = np.zeros(v.shape, dtype=np.result_type(v.dtype, float, *(c for c, _, _, _ in terms)))
+    lo = max(-min(offsets) for _, _, offsets, _ in terms)
+    hi = max(max(offsets) for _, _, offsets, _ in terms)
+
+    def combined(position):
+        # Sorted (sample, summed weight of every term) at one position.
+        weights = {}
+        for coef, order, offsets, n_edge in terms:
+            for j, w in _stencil_at(position, n, order, offsets, n_edge).items():
+                weights[j] = weights.get(j, 0.0) + coef * w
+        return sorted(weights.items())
+
+    if lo < n - hi:  # inside every term's stencil: one multiply-add per offset
+        width = n - hi - lo
+        for j, w in combined(lo):
+            if np.count_nonzero(w):
+                out[..., lo : n - hi] += w * v[..., j : j + width]
+    for position in [*range(min(lo, n)), *range(max(n - hi, lo), n)]:
+        for j, w in combined(position):
+            out[..., position : position + 1] += w * v[..., j : j + 1]
+    out /= spacing**highest
+    return np.moveaxis(out, -1, axis)
 
 
 def _pad_factor(value) -> int:
@@ -274,7 +311,8 @@ def _lag_kernel_apply(
     h = spacing * np.arange(top + 1)
     taps = spacing * kernel(distinct[:, None] * h) * (h if lag_factor else 1.0)
     taps[:, 0] *= 0.5  # trapezoid half weight at the vertex end
-    spectra = fft(taps, m).conj()
+    spectra = fft(taps, m)
+    np.conjugate(spectra, out=spectra)
     profiles[:, -1] *= 0.5  # and at the top end
     rows = max(1, _BLOCK_ELEMENTS // m)
     for start in range(0, profiles.shape[0], rows):

@@ -6,6 +6,7 @@ is the distance to c.  The bump is infinitely smooth and compactly supported,
 which is exactly the class the inversion formulas assume.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,13 +85,23 @@ def _matched_values(a, b):
     return a.values, b.values
 
 
+def _l2_norm(values) -> float:
+    # Euclidean norm of real values without BLAS: np.linalg.norm of a whole
+    # grid calls BLAS ddot, which wakes OpenBLAS's worker threads; on 2 cores
+    # that took from 0.5 to 13 ms per 48^3 relative L2, with the other core's
+    # load.  einsum's own sum-of-products loop reads the values once and makes
+    # no temporary.
+    flat = np.ravel(np.asarray(values, dtype=float))
+    return math.sqrt(float(np.einsum("i,i->", flat, flat)))
+
+
 def relative_l2(a, b) -> float:
     """||a - b||_2 / ||b||_2 over matching grids; plain ||a||_2 when b is zero."""
     va, vb = _matched_values(a, b)
-    norm_b = float(np.linalg.norm(vb))
-    diff = float(np.linalg.norm(va - vb))
+    norm_b = _l2_norm(vb)
+    diff = _l2_norm(va - vb)
     if norm_b == 0.0:
-        return float(np.linalg.norm(va))
+        return _l2_norm(va)
     return diff / norm_b
 
 

@@ -180,8 +180,8 @@ def vline_invert(projection: VLineProjection) -> RealGrid2D:
     if g.x_axis.n_samples < 3:
         raise ValueError("inversion needs at least 3 samples along x")
     geom = projection.geometry
-    dgdy = _derivative(g.values, g.y_axis.spacing, 1, (0, 1), 2, axis=1)
-    d2gdx2 = _derivative(g.values, g.x_axis.spacing, 2, (-1, 0, 1), 3, axis=0)
+    dgdy = _derivative(g.values, g.y_axis.spacing, [(1.0, 1, (0, 1), 2)], axis=1)
+    d2gdx2 = _derivative(g.values, g.x_axis.spacing, [(1.0, 2, (-1, 0, 1), 3)], axis=0)
     tail = cumint_from_top(d2gdx2, g.y_axis.spacing, axis=1)
     t2 = geom.tan_beta * geom.tan_beta
     f = -(geom.cos_beta / 2.0) * (dgdy + t2 * tail)
@@ -258,7 +258,7 @@ def fourier_relation_check(f: RealGrid2D, projection: VLineProjection) -> float:
     big_g = np.fft.rfft(grid.values, axis=0) * (geom.cos_beta / 2.0)
     lam = frequency_axis(f.x_axis.n_samples, f.x_axis.spacing).frequencies[: fhat.shape[0]]
 
-    dgdz = _derivative(big_g, dy, 1, (-1, 0, 1), 2, axis=1)
+    dgdz = _derivative(big_g, dy, [(1.0, 1, (-1, 0, 1), 2)], axis=1)
     tail = cumint_from_top(big_g, dy, axis=1)
     rhs = -dgdz + (lam[:, None] * geom.tan_beta) ** 2 * tail
 

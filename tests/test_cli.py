@@ -204,6 +204,29 @@ class TestTruncationAlarm3D:
                        "--outdir", str(out)) == 0
         assert load_report(out)["metrics"]["projection_edge_fraction"] > 0.5
 
+    # Each side of the 0.3 warning threshold, measured once at N = 24: one bump
+    # at x = 0.45 and beta = pi/8 reads 0.264 and inverts as well as the
+    # centred bump; two bumps reaching the faces at beta = pi/12 read 0.391.
+    @pytest.mark.parametrize("scene_text, beta, warned", [
+        ("0.45 0 0 0.25 1\n", "pi/8", False),
+        ("0.6 0.6 0.3 0.35 1\n-0.6 0 -0.4 0.3 2\n", "pi/12", True),
+    ], ids=["below", "above"])
+    def test_warns_above_threshold(self, tmp_path, capsys, scene_text, beta, warned):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(scene_text)
+        out = tmp_path / "f"
+        capsys.readouterr()
+        assert run_cli("forward3d", "--n", "24", "--beta", beta, "--scene", str(scene),
+                       "--outdir", str(out)) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        metrics = load_report(out)["metrics"]
+        assert (metrics["projection_edge_fraction"] > 0.3) is warned
+        assert metrics["truncation_warning"] is warned
+        assert len(warnings) == int(warned)
+        if warned:
+            assert "projection_edge_fraction" in warnings[0]
+
     def test_zero_projection_reads_zero(self, tmp_path):
         ax = AxisSpec(8, -1.0, 1.0)
         write_grid(tmp_path / "zero.crtg", RealGrid3D(ax, ax, ax, np.zeros((8, 8, 8))))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from coneradon import cone3d
 from coneradon.cone3d import (
     KernelParams,
     _forward_pad,
@@ -284,7 +287,7 @@ class TestInvertFrequencyProfile:
                 oracles.smooth_bump_1d, z, zax.max, u, bessel_j0, oversample=6
             )
             tail = cumint_from_top(data, zax.spacing)
-            d2 = _derivative(tail, zax.spacing, 2, (-1, 0, 1), 3)  # as vline_invert's x
+            d2 = _derivative(tail, zax.spacing, [(1.0, 2, (-1, 0, 1), 3)])  # as vline_invert's x
             lhs = d2 + u * u * tail  # H(tail)
             rhs = np.zeros(n)
             for j in range(n - 1):
@@ -514,7 +517,9 @@ class TestHalfSpectrum:
         values = np.random.default_rng(n_ky).normal(size=(n, n + 1, 3))
         nxp, nyp = pad * n, pad * (n + 1)
         expected = np.fft.rfft2(values, s=(nxp, nyp), axes=(0, 1))[:, :n_ky]
-        np.testing.assert_array_equal(_half_spectrum(values, nxp, nyp, n_ky), expected)
+        spectrum = np.zeros((nxp, n_ky, 3), dtype=complex)
+        _half_spectrum(values, spectrum, nyp)
+        np.testing.assert_array_equal(spectrum, expected)
 
     @pytest.mark.parametrize("n, pad, n_ky", cases())
     def test_inverse_matches_cropped_irfft2(self, n, pad, n_ky):
@@ -524,13 +529,30 @@ class TestHalfSpectrum:
         full = np.zeros((nxp, nyp // 2 + 1, 3), dtype=complex)
         full[:, :n_ky] = spectrum
         expected = np.fft.irfft2(full, s=(nxp, nyp), axes=(0, 1))[:n, : n + 1]
-        values = _from_half_spectrum(spectrum, n, n + 1, nyp)
+        values = np.empty((n, n + 1, 3))
+        _from_half_spectrum(spectrum, values, nyp)
         np.testing.assert_array_equal(values, expected)
-        assert values.base is None
+
+    def test_z_blocks_give_the_same_bits(self, monkeypatch):
+        # One z level per block of the y transforms, against one block for all.
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(9, 8, 5))
+        results = []
+        for budget in (1, 1 << 16):
+            monkeypatch.setattr(cone3d, "_Y_BLOCK_ELEMENTS", budget)
+            spectrum = np.zeros((27, 5, 5), dtype=complex)
+            _half_spectrum(values, spectrum, 24)
+            out = np.empty((9, 8, 5))
+            _from_half_spectrum(spectrum.copy(), out, 24)
+            results.append((spectrum, out))
+        for first, second in zip(*results):
+            np.testing.assert_array_equal(first, second)
 
     def test_transforms_only_the_kept_rows_and_columns(self, monkeypatch):
-        # The x transform runs on the n_ky kept columns, and the inverse's y
-        # transform on the nx returned rows, never on the padded ones.
+        # The x transform runs in place on the n_ky kept columns, the y
+        # transforms per block of z levels, and the inverse's y transform on
+        # the nx returned rows, never on the padded ones.  A budget of two z
+        # levels per block splits the 3 levels into blocks of 2 and 1.
         calls = []
         for name in ("fft", "ifft", "rfft", "irfft"):
             def spy(a, *args, _name=name, _real=getattr(np.fft, name), **kwargs):
@@ -538,15 +560,69 @@ class TestHalfSpectrum:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, spy)
+        monkeypatch.setattr(cone3d, "_Y_BLOCK_ELEMENTS", 2 * 9 * 24)
         values = np.random.default_rng(0).normal(size=(9, 8, 3))
-        spectrum = _half_spectrum(values, 27, 24, 5)
-        _from_half_spectrum(spectrum, 9, 8, 24)
+        spectrum = np.zeros((27, 5, 3), dtype=complex)
+        _half_spectrum(values, spectrum, 24)
+        _from_half_spectrum(spectrum, np.empty((9, 8, 3)), 24)
         assert calls == [
-            ("rfft", (9, 8, 3)),
-            ("fft", (9, 5, 3)),
+            ("rfft", (9, 8, 2)),
+            ("rfft", (9, 8, 1)),
+            ("fft", (27, 5, 3)),
             ("ifft", (27, 5, 3)),
-            ("irfft", (9, 5, 3)),
+            ("irfft", (9, 5, 2)),
+            ("irfft", (9, 5, 1)),
         ]
+
+
+def traced_peak(fn):
+    # Traced peak of one call, after a warm-up call.
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Each 3D transform holds one padded half spectrum, transformed in place,
+    plus the output grid and block temporaries.
+
+    Allowances above spectrum + output, measured once on random volumes at
+    N = 47 and 48: the inversion's peak sits at most 0.93 MiB above (pad 3),
+    the forward's 2.03 MiB, mostly the lag-kernel engine's kernel spectra (one
+    per distinct u).  Holding a separate spectrum per step (transform,
+    per-bin results, inverse) put them 1.8-12 MiB and 3.2 MiB above.
+    """
+
+    INVERT_ALLOWANCE = 1.25 * 2**20
+    FORWARD_ALLOWANCE = 2.5 * 2**20
+
+    @staticmethod
+    def volume(n):
+        ax = AxisSpec(n, -1.0, 1.0)
+        return RealGrid3D(ax, ax, ax, np.random.default_rng(n).normal(size=(n, n, n)))
+
+    @pytest.mark.parametrize("n", [47, 48])
+    def test_forward_peak(self, n):
+        f = self.volume(n)
+        nxp, nyp = _forward_pad(f, GEOM)
+        spectrum = 16 * nxp * (nyp // 2 + 1) * n
+        peak = traced_peak(lambda: cone_forward(f, GEOM))
+        assert peak <= spectrum + f.values.nbytes + self.FORWARD_ALLOWANCE
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    @pytest.mark.parametrize("n", [47, 48])
+    def test_invert_peak(self, n, pad):
+        g = self.volume(n)
+        radial = _half_spectrum_radial(g, pad * n, pad * n)
+        weights = _frequency_weights(GEOM.tan_beta * radial, radial, g)
+        n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
+        spectrum = 16 * pad * n * n_ky * n
+        peak = traced_peak(lambda: cone_invert(g, GEOM, pad_factor=pad))
+        assert peak <= spectrum + g.values.nbytes + self.INVERT_ALLOWANCE
 
 
 class TestConeInvert:

@@ -22,11 +22,11 @@ def unit_axis(n, lo=-1.0, hi=1.0):
 
 # The two stencils vline_invert differences with.
 def d_dy(grid):
-    return _derivative(grid.values, grid.y_axis.spacing, 1, (0, 1), 2, axis=1)
+    return _derivative(grid.values, grid.y_axis.spacing, [(1.0, 1, (0, 1), 2)], axis=1)
 
 
 def d2_dx2(grid):
-    return _derivative(grid.values, grid.x_axis.spacing, 2, (-1, 0, 1), 3, axis=0)
+    return _derivative(grid.values, grid.x_axis.spacing, [(1.0, 2, (-1, 0, 1), 3)], axis=0)
 
 
 class TestAxisSpec:

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from coneradon.grids import AxisSpec, RealGrid2D
 from coneradon.phantoms import (
     BumpSpec,
+    _l2_norm,
     max_abs_error,
     parse_scene,
     relative_l2,
@@ -121,6 +124,17 @@ class TestMetrics:
         a = RealGrid2D(AX21, AX21, np.full((21, 21), 0.5))
         b = RealGrid2D(AX21, AX21, np.zeros((21, 21)))
         assert relative_l2(a, b) == pytest.approx(np.linalg.norm(a.values))
+
+    @pytest.mark.parametrize("shape", [(48, 48, 48), (240, 240), (13, 7, 5), (1,)])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_l2_norm_against_exact_sum(self, shape, scale):
+        # Within 1e-15 of the correctly rounded sum of the squares, also on a
+        # strided view.
+        values = scale * np.random.default_rng(len(shape)).normal(size=shape)
+        for v in (values, values[::2]):
+            squares = (v * v).ravel().tolist()
+            exact = math.sqrt(math.fsum(squares))
+            assert abs(_l2_norm(v) - exact) <= 1e-15 * exact
 
     def test_max_abs_error(self):
         rng = np.random.default_rng(6)
