@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone3d import KernelParams, _taper_band_fraction, cone_forward, cone_invert, kernel_eval
+from .cone3d import (
+    KernelParams,
+    _inversion_levels,
+    _taper_band_fraction,
+    cone_forward,
+    cone_invert,
+    kernel_eval,
+)
 from .grids import AxisSpec, ConeGeometry, NonFiniteGridError, RealGrid2D
 from .gridio import GridFormatError, export_heatmap, read_grid, write_grid, write_grid_csv
 from .phantoms import (
@@ -322,6 +329,7 @@ def _cmd_invert(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
     if config.dim == 3:
         _truncation_alarm(g, metrics)
         metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
+        metrics["inversion_level_fraction"] = _inversion_levels(g) / g.z_axis.n_samples
     with stage("inversion"):
         recon = _invert(config, g)
     _save_grid(config, "reconstruction", recon, outputs)
@@ -337,6 +345,7 @@ def _cmd_roundtrip(config: RunConfig, stage, outputs: dict, metrics: dict) -> No
     if config.dim == 3:
         _truncation_alarm(g, metrics)
         metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
+        metrics["inversion_level_fraction"] = _inversion_levels(g) / g.z_axis.n_samples
     with stage("inversion"):
         recon = _invert(config, g)
     if recon.axes() != f.axes():  # extended vertex grid: compare on f's rows

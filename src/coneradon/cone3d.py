@@ -21,6 +21,14 @@ f's slab of nonzero z levels and the levels below its top.  The inversion's z
 derivatives are one weighted sweep of ``grids._derivative``'s central
 stencils, the helper the V-line inversion differences with too.
 
+Both transforms skip exact zeros along z.  The forward leaves g exactly 0
+above f's top nonzero level, since no cone with a vertex there meets f.  The
+inversion reads g only at and above each height, so it computes only g's
+levels up to its top nonzero level T plus the _MIN_Z_SAMPLES zero levels its
+top-end stencils read, and its spectrum holds those levels only.  Its result
+is the whole axis's, bit for bit, and where the axis holds those zero levels
+it is exactly 0 above T + 2.
+
 The forward transform is the kernel identity
 
     ghat(z_v) = int_{z_v}^{z_top} (2 pi tan(beta)/cos(beta)) (z - z_v)
@@ -220,13 +228,12 @@ def dft2_slices(g: RealGrid3D) -> SpectralStack:
     return SpectralStack(fx, fy, g.z_axis, (dx * dy) * spectra)
 
 
-def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, z_axis: AxisSpec) -> np.ndarray:
-    # Batched inversion for strictly positive u, one profile G per row.
-    # H^2 of the tail integral P(x) = int_x^top G is evaluated through the exact
-    # relation P' = -G, i.e. H^2(P) = -G''' - 2 u^2 G' + u^4 P: differencing the
-    # data G directly keeps the one-sided boundary errors from being amplified
-    # by repeated division by dz^2.
-    dz = z_axis.spacing
+def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, dz: float) -> np.ndarray:
+    # Batched inversion for strictly positive u, one profile G per row, on z
+    # spacing dz.  H^2 of the tail integral P(x) = int_x^top G is evaluated
+    # through the exact relation P' = -G, i.e. H^2(P) = -G''' - 2 u^2 G' + u^4 P:
+    # differencing the data G directly keeps the one-sided boundary errors from
+    # being amplified by repeated division by dz^2.
     u2 = (us * us)[:, None]
     q = _derivative(profiles, dz, [(-1.0, 3, (-2, -1, 0, 1, 2), 6), (-2.0 * u2, 1, (-1, 0, 1), 4)])
     q += u2 * u2 * cumint_from_top(profiles, dz)
@@ -256,7 +263,7 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
     if u == 0.0:
         # Degenerate kernel: G(z_v) = int (z - z_v) fhat dz, so fhat = G''.
         return _derivative(p, z_axis.spacing, [(1.0, 2, (-1, 0, 1), 5)])
-    return _invert_profiles_batch(p[None, :], np.array([u]), z_axis)[0]
+    return _invert_profiles_batch(p[None, :], np.array([u]), z_axis.spacing)[0]
 
 
 def _frequency_weights(u_map: np.ndarray, radial: np.ndarray, g: RealGrid3D) -> np.ndarray:
@@ -281,6 +288,21 @@ def _taper_band_fraction(g: RealGrid3D, geometry: ConeGeometry) -> float:
     return min(1.0, _TAPER_STOP * dxy / (geometry.tan_beta * g.z_axis.spacing))
 
 
+def _inversion_levels(g: RealGrid3D) -> int:
+    """Number L of g's lowest z levels that ``cone_invert`` computes.
+
+    With T the top level holding a nonzero sample, L = min(nz, T + 1 +
+    _MIN_Z_SAMPLES), and 0 for an all-zero g.  When L = T + 1 +
+    _MIN_Z_SAMPLES the top-end z stencils of [0, L) read only zero levels, so
+    each level up to T + 2 reads the same samples as on the whole axis, and
+    levels above T + 2 are 0.
+    """
+    levels = np.flatnonzero(np.any(g.values, axis=(0, 1)))
+    if levels.size == 0:
+        return 0
+    return min(g.z_axis.n_samples, int(levels[-1]) + 1 + _MIN_Z_SAMPLES)
+
+
 def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> RealGrid3D:
     """Theorem-2 inversion: 2D DFT per slice, per-frequency 1D inversion, inverse DFT.
 
@@ -297,6 +319,13 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     (lambda, mu).  The real inverse DFT fills in the rest.  Of that half, only
     the ky columns up to the last one with a nonzero weight are transformed,
     inverted and synthesized; the columns past it are zero.
+
+    The reconstruction at height t reads g only at t and above.  So only g's
+    levels up to its top nonzero level T, plus the _MIN_Z_SAMPLES zero levels
+    the top-end z stencils read, are transformed, inverted and synthesized
+    (``_inversion_levels``).  The result is the whole axis's, bit for bit;
+    where the axis holds those zero levels it is exactly 0 above level T + 2.
+    An all-zero g returns zeros at once.
     """
     pad_factor = _pad_factor(pad_factor)
     if g.x_axis.n_samples < 4 or g.y_axis.n_samples < 4:
@@ -305,6 +334,10 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
         raise ValueError(f"inversion needs at least {_MIN_Z_SAMPLES} samples along z")
 
     nx, ny, nz = g.values.shape
+    n_levels = _inversion_levels(g)
+    if n_levels == 0:
+        return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, np.zeros((nx, ny, nz)))
+    dz = g.z_axis.spacing
     nxp, nyp = pad_factor * nx, pad_factor * ny
     radial = _half_spectrum_radial(g, nxp, nyp)
     u_map = geometry.tan_beta * radial
@@ -316,22 +349,22 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
 
     # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat,
     # and writes each bin's result back into the spectrum it read.
-    spectrum = np.zeros((nxp, n_ky, nz), dtype=complex)
-    _half_spectrum(g.values, spectrum, nyp)
+    spectrum = np.zeros((nxp, n_ky, n_levels), dtype=complex)
+    _half_spectrum(g.values[:, :, :n_levels], spectrum, nyp)
     spectrum *= geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)
-    profiles, w, us = spectrum.reshape(-1, nz), weights.ravel(), u_map.ravel()
+    profiles, w, us = spectrum.reshape(-1, n_levels), weights.ravel(), u_map.ravel()
 
     # The zero-frequency bin inverts as fhat = G'' (``invert_frequency_profile``).
-    profiles[0] = w[0] * _derivative(profiles[0], g.z_axis.spacing, [(1.0, 2, (-1, 0, 1), 5)])
+    profiles[0] = w[0] * _derivative(profiles[0], dz, [(1.0, 2, (-1, 0, 1), 5)])
     profiles[w == 0.0] = 0.0
     kept = np.flatnonzero((w > 0.0) & (radial.ravel() > 0.0))
     # In order of u, so each block evaluates the J0 taps of its own u's only.
     kept = kept[np.argsort(us[kept], kind="stable")]
-    rows = max(1, _BLOCK_ELEMENTS // nz)
+    rows = max(1, _BLOCK_ELEMENTS // n_levels)
     for start in range(0, kept.size, rows):
         idx = kept[start : start + rows]
-        profiles[idx] = w[idx, None] * _invert_profiles_batch(profiles[idx], us[idx], g.z_axis)
+        profiles[idx] = w[idx, None] * _invert_profiles_batch(profiles[idx], us[idx], dz)
 
-    values = np.empty((nx, ny, nz))
-    _from_half_spectrum(spectrum, values, nyp)
+    values = np.zeros((nx, ny, nz))
+    _from_half_spectrum(spectrum, values[:, :, :n_levels], nyp)
     return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, values)

@@ -237,8 +237,9 @@ class TestTruncationAlarm3D:
 
 
 class TestReportFractions:
-    """``support_fraction`` (forward and round-trip commands) and
-    ``taper_band_fraction`` (3D inversions) in report.json."""
+    """``support_fraction`` (forward and round-trip commands),
+    ``taper_band_fraction`` and ``inversion_level_fraction`` (3D inversions)
+    in report.json."""
 
     @pytest.mark.parametrize("command", ["forward2d", "roundtrip2d"])
     def test_support_fraction_2d(self, tmp_path, command):
@@ -266,6 +267,25 @@ class TestReportFractions:
         metrics = load_report(tmp_path)["metrics"]
         assert metrics["taper_band_fraction"] == pytest.approx(0.25, rel=1e-12)
         assert metrics["support_fraction"] == 0.25
+
+    @pytest.mark.parametrize("top, levels", [(None, 0), (0, 7), (9, 16), (17, 24), (23, 24)])
+    def test_inversion_level_fraction(self, tmp_path, top, levels):
+        # g nonzero up to level ``top`` of 24: the inversion computes the
+        # lowest min(24, top + 7) levels, none for g == 0.
+        ax, z_axis = AxisSpec(8, -1.0, 1.0), AxisSpec(24, -1.0, 1.0)
+        values = np.zeros((8, 8, 24))
+        if top is not None:
+            values[:, :, : top + 1] = np.random.default_rng(top).normal(size=(8, 8, top + 1))
+        write_grid(tmp_path / "g.crtg", RealGrid3D(ax, ax, z_axis, values))
+        out = tmp_path / "i"
+        assert run_cli("invert3d", "--input", str(tmp_path / "g.crtg"), "--outdir", str(out)) == 0
+        assert load_report(out)["metrics"]["inversion_level_fraction"] == levels / 24
+
+    def test_inversion_level_fraction_roundtrip3d(self, tmp_path):
+        # The default bump's top level is 14 of 24 (measured once), and the
+        # forward leaves g at exactly 0 above it.
+        assert run_cli("roundtrip3d", "--n", "24", "--outdir", str(tmp_path)) == 0
+        assert load_report(tmp_path)["metrics"]["inversion_level_fraction"] == 21 / 24
 
     def test_taper_band_fraction_saturates(self, tmp_path):
         # dz ten times finer than dx: the taper stops past the Nyquist circle.

@@ -5,12 +5,14 @@ import pytest
 
 from coneradon import cone3d
 from coneradon.cone3d import (
+    _MIN_Z_SAMPLES,
     KernelParams,
     _forward_pad,
     _frequency_weights,
     _from_half_spectrum,
     _half_spectrum,
     _half_spectrum_radial,
+    _inversion_levels,
     cone_forward,
     cone_invert,
     dft2_slices,
@@ -624,12 +626,80 @@ class TestMemory:
         peak = traced_peak(lambda: cone_invert(g, GEOM, pad_factor=pad))
         assert peak <= spectrum + g.values.nbytes + self.INVERT_ALLOWANCE
 
+    @pytest.mark.parametrize("pad", [2, 3])
+    def test_invert_peak_zero_levels_on_top(self, pad):
+        # g zero above level 23 of 48: the spectrum holds the L = 30 levels
+        # the inversion computes, 0.77 MiB (pad 2) and 1.74 MiB (pad 3) less
+        # than one of all 48.  The peak sat 0.66 and 0.84 MiB above this bound
+        # less the allowance (measured once).
+        n, top = 48, 23
+        g = self.volume(n)
+        g.values[:, :, top + 1 :] = 0.0
+        n_levels = _inversion_levels(g)
+        assert n_levels == top + 1 + _MIN_Z_SAMPLES
+        radial = _half_spectrum_radial(g, pad * n, pad * n)
+        weights = _frequency_weights(GEOM.tan_beta * radial, radial, g)
+        n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
+        spectrum = 16 * pad * n * n_ky * n_levels
+        peak = traced_peak(lambda: cone_invert(g, GEOM, pad_factor=pad))
+        assert peak <= spectrum + g.values.nbytes + self.INVERT_ALLOWANCE
+
 
 class TestConeInvert:
     def test_zero(self):
         ax = AxisSpec(8, -1.0, 1.0)
         g = RealGrid3D(ax, ax, ax, np.zeros((8, 8, 8)))
-        np.testing.assert_allclose(cone_invert(g, GEOM).values, 0.0, atol=1e-14)
+        values = cone_invert(g, GEOM).values
+        assert values.shape == (8, 8, 8)
+        assert values.tobytes() == bytes(values.nbytes)  # every value +0.0
+
+    SLAB_NZ = 20
+
+    @staticmethod
+    def slab_grid(n, top, nz):
+        # Random g on n x n x nz, zero above level ``top``.  The z spacing
+        # 0.125 is exact, so the axis extended upward keeps its bits.
+        ax = AxisSpec(n, -1.0, 1.0)
+        values = np.zeros((n, n, nz))
+        values[:, :, : top + 1] = np.random.default_rng(13 + top).normal(size=(n, n, top + 1))
+        return RealGrid3D(ax, ax, AxisSpec(nz, -1.0, -1.0 + 0.125 * (nz - 1)), values)
+
+    @pytest.mark.parametrize("beta", [np.pi / 8, 3 * np.pi / 8], ids=["pi/8", "3pi/8"])
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("top", [*range(SLAB_NZ - 1, SLAB_NZ - 9, -1), SLAB_NZ // 2, 0])
+    def test_slab_rule(self, top, n, pad, beta):
+        # g's top nonzero level at the last 8 levels, mid-axis and 0.  Where
+        # the axis holds the _MIN_Z_SAMPLES zero levels the top-end stencils
+        # read, the result is exactly 0 above top + 2, and the bits do not
+        # change when 8 more zero levels sit on top.
+        nz = self.SLAB_NZ
+        geometry = ConeGeometry(beta)
+        g = self.slab_grid(n, top, nz)
+        assert _inversion_levels(g) == min(nz, top + 1 + _MIN_Z_SAMPLES)
+        rec = cone_invert(g, geometry, pad_factor=pad).values
+        if top + _MIN_Z_SAMPLES < nz:
+            assert not rec[:, :, top + 3 :].any()
+            tall = self.slab_grid(n, top, nz + 8)
+            rec_tall = cone_invert(tall, geometry, pad_factor=pad).values
+            assert rec_tall[:, :, :nz].tobytes() == rec.tobytes()
+            assert not rec_tall[:, :, nz:].any()
+
+    @pytest.mark.parametrize(
+        "n, pad, beta",
+        [
+            pytest.param(8, 3, np.pi / 8, id="8-pad3-pi/8"),
+            pytest.param(9, 2, 3 * np.pi / 8, id="9-pad2-3pi/8"),
+            pytest.param(9, 1, np.pi / 8, id="9-pad1-pi/8"),
+        ],
+    )
+    @pytest.mark.parametrize("top", [*range(SLAB_NZ - 1, SLAB_NZ - 9, -1), SLAB_NZ // 2, 0])
+    def test_slab_rule_matches_full_spectrum_reference(self, top, n, pad, beta):
+        g = self.slab_grid(n, top, self.SLAB_NZ)
+        geometry = ConeGeometry(beta)
+        expected = full_spectrum_invert(g, geometry, pad)
+        rec = cone_invert(g, geometry, pad_factor=pad).values
+        assert np.linalg.norm(rec - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_roundtrip_small(self):
         f = bump_volume(32)

@@ -225,10 +225,56 @@ class TestCsvExport:
         assert csv_tokens(values, tmp_path, nx=2) == [format(v, ".17g") for v in values.tolist()]
 
     def test_random_bit_patterns_match_format(self, tmp_path):
-        bits = np.random.default_rng(5).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        # About one value in ten is +0.0 or -0.0, scattered among the others.
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
+        bits[rng.random(bits.size) < 0.1] &= np.uint64(1 << 63)
         values = bits.view(np.float64)
         values = values[np.isfinite(values)][:199_000]
+        assert np.count_nonzero(values == 0) > 15_000
         assert csv_tokens(values, tmp_path, nx=7) == [format(v, ".17g") for v in values.tolist()]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zeros_between_hard_cases(self, tmp_path, sign):
+        # Each hard case followed by +0.0 and -0.0, in rows of 3 and of 4.
+        cases = sign * hard_cases()
+        values = np.stack([cases, np.zeros_like(cases), np.full_like(cases, -0.0)], axis=1).ravel()
+        for nx in (3, 4):
+            assert csv_tokens(values, tmp_path, nx) == [format(v, ".17g") for v in values.tolist()]
+
+    @pytest.mark.parametrize("cached_run", [1, gridio._CSV_CACHED_RUN])
+    @pytest.mark.parametrize("shape", [(7, 9), (6, 5, 4), (gridio._CSV_BLOCK + 5, 4)])
+    def test_zero_rows(self, tmp_path, monkeypatch, shape, cached_run):
+        # Rows of +0.0, rows of -0.0, rows of both zeros, rows of zeros and
+        # values, and neighbouring rows of one kind, against the %-loop writer;
+        # with cached_run 1 every row of zeros of one sign is a cached line.
+        monkeypatch.setattr(gridio, "_CSV_CACHED_RUN", cached_run)
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=shape).reshape(shape[0], -1, order="F")
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[rng.random(rows.shape) < 0.3] = -0.0
+        kinds = np.arange(rows.shape[1]) % 7  # 5 and 6: zeros and values
+        rows[:, kinds == 0] = 0.0
+        rows[:, (kinds == 1) | (kinds == 2)] = -0.0
+        rows[:, kinds == 3] = 0.0
+        rows[::2, kinds == 3] = -0.0
+        rows[:, kinds == 4] = rng.normal(size=shape[0])[:, None]
+        values = rows.reshape(shape, order="F")
+        axes = [AxisSpec(n, -1.0, 1.0) for n in shape]
+        grid = (RealGrid2D if len(shape) == 2 else RealGrid3D)(*axes, values)
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, grid)
+        assert path.read_bytes() == reference_csv(grid)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 5), (gridio._CSV_CACHED_RUN + 3, 2)])
+    def test_all_zero_grid(self, tmp_path, shape, zero):
+        axes = [AxisSpec(n, -1.0, 1.0) for n in shape]
+        grid = (RealGrid2D if len(shape) == 2 else RealGrid3D)(*axes, np.full(shape, zero))
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, grid)
+        assert path.read_bytes() == reference_csv(grid)
+        assert path.read_text().splitlines()[-1] == ",".join([format(zero, ".17g")] * shape[0])
 
     @pytest.mark.parametrize("shape", [(gridio._CSV_BLOCK + 5, 3), (48, 47, 5), (97, 90, 2)])
     def test_block_edges(self, tmp_path, shape):
@@ -253,14 +299,41 @@ class TestCsvExport:
         write_grid_csv(path, grid)
         assert path.read_bytes() == reference_csv(grid)
 
+    @pytest.mark.parametrize("cached_run", [1, 8, gridio._CSV_CACHED_RUN])
+    @pytest.mark.parametrize("budget", [1, 4, 12, 20, 40])
+    def test_zero_rows_at_block_edges(self, tmp_path, monkeypatch, budget, cached_run):
+        # The grid of test_every_block_split with rows of +0.0 and -0.0 that
+        # open, close and fill blocks, and its last z slice all +0.0; zero
+        # rows are cached in runs of at least cached_run values.
+        monkeypatch.setattr(gridio, "_CSV_BLOCK", budget)
+        monkeypatch.setattr(gridio, "_CSV_CACHED_RUN", cached_run)
+        values = np.random.default_rng(7).normal(size=(4, 5, 3))
+        values[:, [0, 1], 0] = 0.0
+        values[:, 4, 0] = -0.0
+        values[:, 0, 1] = -0.0
+        values[:, 2, 1] = 0.0
+        values[1, 3, 1] = -0.0
+        values[:, :, 2] = 0.0
+        ax = AxisSpec(4, 0.0, 1.0)
+        grid = RealGrid3D(ax, AxisSpec(5, 0.0, 1.0), AxisSpec(3, 0.0, 1.0), values)
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, grid)
+        assert path.read_bytes() == reference_csv(grid)
+
     def test_memory_does_not_grow_with_the_grid(self, tmp_path):
         # Blocks of ~8192 values: the traced peak was 2.9 MiB at 48^3 (a
         # 0.84 MiB grid) and 3.4 MiB at 96^3 (6.75 MiB), whose blocks are larger.
+        # The second grid of each size has its top third of z levels +0.0 and
+        # a tenth of its other values -0.0.
         rng = np.random.default_rng(8)
         write_grid_csv(tmp_path / "warm.csv", random_grid2d(rng))  # builds the lookup tables
-        for n in (48, 96):
+        for n, zeros in ((48, False), (48, True), (96, False), (96, True)):
             ax = AxisSpec(n, -1.0, 1.0)
-            grid = RealGrid3D(ax, ax, ax, rng.normal(size=(n, n, n)))
+            values = rng.normal(size=(n, n, n))
+            if zeros:
+                values[:, :, 2 * n // 3 :] = 0.0
+                values[rng.random(values.shape) < 0.1] = -0.0
+            grid = RealGrid3D(ax, ax, ax, values)
             tracemalloc.start()
             try:
                 write_grid_csv(tmp_path / "g.csv", grid)
