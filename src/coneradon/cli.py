@@ -28,6 +28,7 @@ import numpy as np
 from .cone3d import (
     KernelParams,
     _inversion_levels,
+    _padded_sizes,
     _taper_band_fraction,
     cone_forward,
     cone_invert,
@@ -66,7 +67,6 @@ class RunConfig:
     beta: float = math.pi / 8
     n: int = 120
     domain: tuple[float, ...] = (-1.0, 1.0)
-    pad_factor: int | None = None  # not given: 2 for the commands that read it
     input_path: str | None = None
     output_dir: str = "."
     scene_path: str | None = None
@@ -90,8 +90,6 @@ class RunConfig:
             raise ValueError(f"beta must lie in (0, pi/2), got {self.beta}")
         if self.n < 8:
             raise ValueError(f"n must be >= 8, got {self.n}")
-        if self.pad_factor is not None and not (1 <= self.pad_factor <= 4):
-            raise ValueError(f"pad_factor must be in [1, 4], got {self.pad_factor}")
         if len(self.domain) not in (2, 4, 6):
             raise ValueError("domain needs 2, 4 or 6 comma-separated numbers")
         bounds = self.domain_bounds(3 if len(self.domain) == 6 else None)
@@ -206,7 +204,7 @@ def _invert(config: RunConfig, g):
     """Exact inversion of a 2D V-line or 3D cone projection grid."""
     if len(g.axes()) == 2:
         return vline_invert(VLineProjection(g, config.geometry()))
-    return cone_invert(g, config.geometry(), pad_factor=config.pad_factor)
+    return cone_invert(g, config.geometry())
 
 
 def _log(stage: str) -> None:
@@ -258,10 +256,10 @@ def _projection_edge_fraction(g) -> float:
 
 
 # Above this projection_edge_fraction the 3D commands warn of truncated data.
-# Measured once at N = 24, 32, 48 over one- and two-bump scenes and beta from
-# pi/12 to pi/4: up to 0.266 (one bump at x = 0.45, beta = pi/8) the pad-2 round
-# trip is as good as for the centred bump; from 0.369 (two bumps reaching the
-# faces, beta = pi/12) it is worse than returning zero at N = 48.
+# Measured at N = 24, 32, 48, beta pi/12 to pi/4, one and two bumps: up to 0.262
+# (one bump at (0.45, 0.1, 0), pi/8) the round trip's rel L2 stays within 1.3x
+# the centred bump's; from 0.369 (two bumps reaching the faces, pi/12) it is
+# worse than returning zero at N = 48.
 _TRUNCATION_EDGE_FRACTION = 0.3
 
 
@@ -278,6 +276,14 @@ def _truncation_alarm(g, metrics: dict) -> None:
             "faces, so its 3D inversion is unreliable",
             file=sys.stderr,
         )
+
+
+def _inversion_diagnostics(config: RunConfig, g, metrics: dict) -> None:
+    """Record the truncation alarm and what the 3D inversion of g will compute."""
+    _truncation_alarm(g, metrics)
+    metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
+    metrics["inversion_level_fraction"] = _inversion_levels(g) / g.z_axis.n_samples
+    metrics["inversion_padded_size"] = _padded_sizes(g, config.geometry(), _inversion_levels(g))
 
 
 def _support_fraction(f) -> float:
@@ -327,9 +333,7 @@ def _cmd_invert(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
         raise ValueError(f"{config.command} needs --input with projection data")
     g = _read_grid_checked(config.input_path, config.dim)
     if config.dim == 3:
-        _truncation_alarm(g, metrics)
-        metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
-        metrics["inversion_level_fraction"] = _inversion_levels(g) / g.z_axis.n_samples
+        _inversion_diagnostics(config, g, metrics)
     with stage("inversion"):
         recon = _invert(config, g)
     _save_grid(config, "reconstruction", recon, outputs)
@@ -343,9 +347,7 @@ def _cmd_roundtrip(config: RunConfig, stage, outputs: dict, metrics: dict) -> No
     with stage("forward transform"):
         g = _forward(config, f)
     if config.dim == 3:
-        _truncation_alarm(g, metrics)
-        metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
-        metrics["inversion_level_fraction"] = _inversion_levels(g) / g.z_axis.n_samples
+        _inversion_diagnostics(config, g, metrics)
     with stage("inversion"):
         recon = _invert(config, g)
     if recon.axes() != f.axes():  # extended vertex grid: compare on f's rows
@@ -416,7 +418,6 @@ _COMMANDS = tuple(_DISPATCH)
 _OPTION_READERS = {
     "vertex_ymin": ("forward2d", "roundtrip2d"),
     "dim": ("phantom",),
-    "pad_factor": ("invert3d", "roundtrip3d"),
     "input_path": ("forward2d", "invert2d", "forward3d", "invert3d"),
     "scene_path": (
         "phantom", "forward2d", "roundtrip2d", "forward3d", "roundtrip3d", "oracle-check",
@@ -426,7 +427,7 @@ _OPTION_READERS = {
     "write_csv": tuple(c for c in _COMMANDS if c != "oracle-check"),  # every grid writer
 }
 # What a reading command uses when the option is not given.
-_OPTION_DEFAULTS = {"pad_factor": 2, "seed": 0, "masked_metrics": False}
+_OPTION_DEFAULTS = {"seed": 0, "masked_metrics": False}
 # Flags whose name is not the field's with dashes.
 _FLAGS = {"input_path": "--input", "scene_path": "--scene", "write_csv": "--csv"}
 
@@ -521,10 +522,6 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--domain", type=_parse_domain, default=(-1.0, 1.0),
         help="axis bounds: 'lo,hi' for all axes or per-axis pairs (default -1,1)",
-    )
-    parser.add_argument(
-        "--pad-factor", type=int, default=None, dest="pad_factor",
-        help="zero-padding factor for invert3d and roundtrip3d, 1..4 (default 2)",
     )
     parser.add_argument("--input", dest="input_path", help="input grid file (.crtg)")
     parser.add_argument(

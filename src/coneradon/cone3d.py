@@ -14,12 +14,12 @@ transform on it in place and the inverse y transform, per block of z levels
 and on the returned x rows only, into the output grid.  So a call's traced
 peak is about that one spectrum, 16 nxp n_ky nz bytes, plus the output grid
 and fixed-size blocks, and for the forward the engine's kernel spectra (one
-per distinct u): at 48^3 the inversion's is 6.4 MiB at pad 3 (the spectrum
-4.6 MiB) and 3.6 MiB at pad 2.  The inversion transforms, inverts
-and synthesizes only the ky band its frequency taper keeps, the forward only
-f's slab of nonzero z levels and the levels below its top.  The inversion's z
-derivatives are one weighted sweep of ``grids._derivative``'s central
-stencils, the helper the V-line inversion differences with too.
+per distinct u): at 48^3 the inversion's is 2.7 MiB at its default padded
+size 72, 3.6 MiB at pad 2 and 6.4 MiB at pad 3.  The inversion transforms,
+inverts and synthesizes only the ky band its frequency taper keeps, the
+forward only f's slab of nonzero z levels and the levels below its top.  The
+inversion's z derivatives are one weighted sweep of ``grids._derivative``'s
+central stencils, the helper the V-line inversion differences with too.
 
 Both transforms skip exact zeros along z.  The forward leaves g exactly 0
 above f's top nonzero level, since no cone with a vertex there meets f.  The
@@ -126,14 +126,16 @@ def kernel_eval(params: KernelParams, z, z_v):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _forward_pad(f: RealGrid3D, geometry: ConeGeometry) -> tuple[int, int]:
-    # Padded (x, y) sizes.  The rings reach tan(beta) * (z extent) beyond a
-    # vertex, so the zero gap of the periodic grid must hold that reach plus
-    # one cell along x and y, or ring points wrap onto the far side of f.
-    reach = geometry.tan_beta * (f.z_axis.max - f.z_axis.min)
+def _padded_sizes(grid: RealGrid3D, geometry: ConeGeometry, n_levels: int, floor: int = 1):
+    # Padded (x, y) sizes of a 3D transform over grid's lowest n_levels z
+    # levels: per axis the smallest 5-smooth size >= floor times the axis whose
+    # zero gap holds one cell plus the cones' reach tan(beta) (n_levels - 1) dz,
+    # taken as a share of the z extent so the whole axis keeps the extent's bits.
+    z = grid.z_axis
+    reach = geometry.tan_beta * ((z.max - z.min) * (max(n_levels - 1, 0) / (z.n_samples - 1)))
     return tuple(
-        _smooth_size(axis.n_samples + 1 + math.ceil(reach / axis.spacing))
-        for axis in (f.x_axis, f.y_axis)
+        _smooth_size(max(floor * a.n_samples, a.n_samples + 1 + math.ceil(reach / a.spacing)))
+        for a in (grid.x_axis, grid.y_axis)
     )
 
 
@@ -182,7 +184,7 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     over the grid levels above z_v, applied as a z-correlation by FFT
     (``grids._lag_kernel_apply``); the cone opens toward +z only.  f is
     zero-padded at the far x and y ends to fast FFT sizes that hold the widest
-    ring (``_forward_pad``), and only the ky >= 0 half of its real 2D DFT is
+    ring (``_padded_sizes``), and only the ky >= 0 half of its real 2D DFT is
     transformed, as in ``cone_invert``.  Only f's slab of levels holding a
     nonzero sample is transformed, and only the levels up to its top are
     synthesized: cones with a vertex above the slab see nothing, so g is
@@ -193,7 +195,7 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     if levels.size == 0:
         return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, np.zeros((nx, ny, nz)))
     lo, top = int(levels[0]), int(levels[-1]) + 1  # f's nonzero levels: the slab [lo, top)
-    nxp, nyp = _forward_pad(f, geometry)
+    nxp, nyp = _padded_sizes(f, geometry, nz)
     u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
 
     # Levels 0..top of the padded half spectrum: the slab, the levels below it
@@ -303,15 +305,15 @@ def _inversion_levels(g: RealGrid3D) -> int:
     return min(g.z_axis.n_samples, int(levels[-1]) + 1 + _MIN_Z_SAMPLES)
 
 
-def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> RealGrid3D:
+def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> RealGrid3D:
     """Theorem-2 inversion: 2D DFT per slice, per-frequency 1D inversion, inverse DFT.
 
-    g is zero-padded at the far x and y ends to ``pad_factor`` times its size
-    to suppress periodic wrap of the vertex data.  Where the zeros sit does not
-    matter: the inversion is a per-frequency filter, so it commutes with
-    circular shifts.  Frequency pairs beyond the transverse Nyquist circle carry
-    only aliasing noise and are zeroed; pairs whose Bessel kernel oscillates too
-    fast for the z grid are tapered out (see ``_frequency_weights``).
+    g is zero-padded at the far x and y ends against periodic wrap, by the
+    forward's rule over the L levels computed (``_padded_sizes``), to at least
+    ``pad_factor`` times its size.  A per-frequency filter commutes with
+    circular shifts, so where the zeros sit does not matter.  Frequency pairs
+    beyond the transverse Nyquist circle (aliasing only) are zeroed, those
+    whose J0 kernel outruns the z grid tapered out (``_frequency_weights``).
 
     Only the ky >= 0 half of the spectrum is inverted (a real 2D DFT): g is
     real, and the per-frequency inversion depends on sqrt(lambda^2 + mu^2)
@@ -338,7 +340,7 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 2) -> R
     if n_levels == 0:
         return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, np.zeros((nx, ny, nz)))
     dz = g.z_axis.spacing
-    nxp, nyp = pad_factor * nx, pad_factor * ny
+    nxp, nyp = _padded_sizes(g, geometry, n_levels, pad_factor)
     radial = _half_spectrum_radial(g, nxp, nyp)
     u_map = geometry.tan_beta * radial
     weights = _frequency_weights(u_map, radial, g)

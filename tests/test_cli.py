@@ -61,7 +61,6 @@ class TestRoundtrip2D:
         assert code == 0
         report = load_report(out)
         assert report["parameters"]["beta"] == pytest.approx(math.pi / 8)
-        assert report["parameters"]["pad_factor"] is None
         assert 0 < report["metrics"]["relative_l2"] < 1
         for name in ("phantom", "projection", "reconstruction"):
             assert (out / f"{name}.crtg").exists()
@@ -164,12 +163,11 @@ class TestFileChain:
         assert len(projection.axes()) == 3
         iout = tmp_path / "i3"
         assert run_cli("invert3d", "--input", str(fout / "projection.crtg"),
-                       "--pad-factor", "3", "--outdir", str(iout)) == 0
+                       "--outdir", str(iout)) == 0
         recon = read_grid(iout / "reconstruction.crtg")
         assert recon.axes() == projection.axes()
         assert (iout / "reconstruction.pgm").exists()
         report = load_report(iout)
-        assert report["parameters"]["pad_factor"] == 3
         assert {"reconstruction_heatmap_min", "reconstruction_heatmap_max"} <= set(report["metrics"])
 
     def test_roundtrip3d_small(self, tmp_path):
@@ -238,8 +236,8 @@ class TestTruncationAlarm3D:
 
 class TestReportFractions:
     """``support_fraction`` (forward and round-trip commands),
-    ``taper_band_fraction`` and ``inversion_level_fraction`` (3D inversions)
-    in report.json."""
+    ``taper_band_fraction``, ``inversion_level_fraction`` and
+    ``inversion_padded_size`` (3D inversions) in report.json."""
 
     @pytest.mark.parametrize("command", ["forward2d", "roundtrip2d"])
     def test_support_fraction_2d(self, tmp_path, command):
@@ -286,6 +284,19 @@ class TestReportFractions:
         # forward leaves g at exactly 0 above it.
         assert run_cli("roundtrip3d", "--n", "24", "--outdir", str(tmp_path)) == 0
         assert load_report(tmp_path)["metrics"]["inversion_level_fraction"] == 21 / 24
+
+    @pytest.mark.parametrize("beta, size", [("pi/8", 36), ("pi/4", 45)])
+    def test_inversion_padded_size(self, tmp_path, beta, size):
+        # The default bump at N = 24: the inversion computes the lowest 21
+        # levels, whose cones reach tan(beta) * 20 dz, 8.3 or 20 cells, so
+        # each axis pads to the 5-smooth size >= 24 + 1 + 9 or 24 + 1 + 20.
+        # invert3d reports the same size for the stored projection.
+        fout, iout = tmp_path / "f", tmp_path / "i"
+        assert run_cli("roundtrip3d", "--n", "24", "--beta", beta, "--outdir", str(fout)) == 0
+        assert load_report(fout)["metrics"]["inversion_padded_size"] == [size, size]
+        assert run_cli("invert3d", "--input", str(fout / "projection.crtg"), "--beta", beta,
+                       "--outdir", str(iout)) == 0
+        assert load_report(iout)["metrics"]["inversion_padded_size"] == [size, size]
 
     def test_taper_band_fraction_saturates(self, tmp_path):
         # dz ten times finer than dx: the taper stops past the Nyquist circle.
@@ -340,6 +351,12 @@ class TestExitCodes:
         assert info.value.code == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_pad_factor_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["roundtrip3d", "--pad-factor", "2"])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --pad-factor 2" in capsys.readouterr().err
+
     def test_bad_angle_exits_1(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["roundtrip2d", "--beta", "half"])
@@ -348,7 +365,6 @@ class TestExitCodes:
     def test_invalid_parameters_exit_1(self, tmp_path, capsys):
         assert run_cli("roundtrip2d", "--n", "4", "--outdir", str(tmp_path)) == 1
         assert run_cli("roundtrip2d", "--beta", "2.0", "--outdir", str(tmp_path)) == 1
-        assert run_cli("roundtrip3d", "--pad-factor", "9", "--outdir", str(tmp_path)) == 1
         # -1e12 is finite but needs an 873 TiB vertex grid.
         for ymin in ("-inf", "-1e12", "nan"):
             code = run_cli("roundtrip2d", "--n", "16", f"--vertex-ymin={ymin}",
@@ -386,10 +402,6 @@ class TestExitCodes:
                      "--vertex-ymin does not apply", id="vertex-ymin-on-3d"),
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--dim", "3"], 1,
                      "--dim does not apply", id="dim-on-roundtrip2d"),
-        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--pad-factor", "4"], 1,
-                     "--pad-factor does not apply", id="pad-factor-on-2d"),
-        pytest.param(lambda tmp: ["oracle-check", "--n", "16", "--pad-factor", "3"], 1,
-                     "--pad-factor does not apply", id="pad-factor-on-oracle-check"),
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--seed", "7"], 1,
                      "--seed does not apply to roundtrip2d", id="seed-on-roundtrip2d"),
         pytest.param(lambda tmp: ["phantom", "--n", "16", "--seed", "0"], 1,

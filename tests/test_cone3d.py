@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,12 @@ from coneradon import cone3d
 from coneradon.cone3d import (
     _MIN_Z_SAMPLES,
     KernelParams,
-    _forward_pad,
     _frequency_weights,
     _from_half_spectrum,
     _half_spectrum,
     _half_spectrum_radial,
     _inversion_levels,
+    _padded_sizes,
     cone_forward,
     cone_invert,
     dft2_slices,
@@ -54,10 +55,11 @@ def rings_48():
 
 
 def full_spectrum_invert(g, geometry, pad):
-    # Reference for cone_invert: centred zero padding, the full complex DFT
-    # stack of dft2_slices and one invert_frequency_profile call per kept bin.
+    # Reference for cone_invert: centred zero padding to the padded sizes of
+    # the levels it computes, the full complex DFT stack of dft2_slices and one
+    # invert_frequency_profile call per kept bin.
     nx, ny, nz = g.values.shape
-    nxp, nyp = pad * nx, pad * ny
+    nxp, nyp = _padded_sizes(g, geometry, _inversion_levels(g), pad)
     left_x, left_y = (nxp - nx) // 2, (nyp - ny) // 2
     padded = np.zeros((nxp, nyp, nz))
     padded[left_x : left_x + nx, left_y : left_y + ny] = g.values
@@ -115,7 +117,7 @@ def full_axis_forward(f, geometry):
     # Reference for cone_forward's slab pruning: the full padded rfft2 over
     # every z level and one dense lag-kernel matrix per frequency bin.
     nx, ny, nz = f.values.shape
-    nxp, nyp = _forward_pad(f, geometry)
+    nxp, nyp = _padded_sizes(f, geometry, nz)
     u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
     spectrum = np.fft.rfft2(f.values, s=(nxp, nyp), axes=(0, 1))
     profiles = dense_lag_apply(
@@ -593,10 +595,11 @@ class TestMemory:
     plus the output grid and block temporaries.
 
     Allowances above spectrum + output, measured once on random volumes at
-    N = 47 and 48: the inversion's peak sits at most 0.93 MiB above (pad 3),
-    the forward's 2.03 MiB, mostly the lag-kernel engine's kernel spectra (one
-    per distinct u).  Holding a separate spectrum per step (transform,
-    per-bin results, inverse) put them 1.8-12 MiB and 3.2 MiB above.
+    N = 47 and 48: the inversion's peak sits at most 0.99 MiB above (pad 3,
+    padded size 144; 0.67-0.72 MiB at the default 72), the forward's 2.03
+    MiB, mostly the lag-kernel engine's kernel spectra (one per distinct u).
+    Holding a separate spectrum per step (transform, per-bin results, inverse)
+    put them 1.8-12 MiB and 3.2 MiB above.
     """
 
     INVERT_ALLOWANCE = 1.25 * 2**20
@@ -610,19 +613,26 @@ class TestMemory:
     @pytest.mark.parametrize("n", [47, 48])
     def test_forward_peak(self, n):
         f = self.volume(n)
-        nxp, nyp = _forward_pad(f, GEOM)
+        nxp, nyp = _padded_sizes(f, GEOM, n)
         spectrum = 16 * nxp * (nyp // 2 + 1) * n
         peak = traced_peak(lambda: cone_forward(f, GEOM))
         assert peak <= spectrum + f.values.nbytes + self.FORWARD_ALLOWANCE
+
+    @staticmethod
+    def invert_spectrum_bytes(g, pad):
+        # The padded half spectrum cone_invert holds: 16 nxp n_ky L bytes.
+        n_levels = _inversion_levels(g)
+        nxp, nyp = _padded_sizes(g, GEOM, n_levels, pad)
+        radial = _half_spectrum_radial(g, nxp, nyp)
+        weights = _frequency_weights(GEOM.tan_beta * radial, radial, g)
+        n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
+        return 16 * nxp * n_ky * n_levels
 
     @pytest.mark.parametrize("pad", [1, 2, 3])
     @pytest.mark.parametrize("n", [47, 48])
     def test_invert_peak(self, n, pad):
         g = self.volume(n)
-        radial = _half_spectrum_radial(g, pad * n, pad * n)
-        weights = _frequency_weights(GEOM.tan_beta * radial, radial, g)
-        n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
-        spectrum = 16 * pad * n * n_ky * n
+        spectrum = self.invert_spectrum_bytes(g, pad)
         peak = traced_peak(lambda: cone_invert(g, GEOM, pad_factor=pad))
         assert peak <= spectrum + g.values.nbytes + self.INVERT_ALLOWANCE
 
@@ -635,14 +645,87 @@ class TestMemory:
         n, top = 48, 23
         g = self.volume(n)
         g.values[:, :, top + 1 :] = 0.0
-        n_levels = _inversion_levels(g)
-        assert n_levels == top + 1 + _MIN_Z_SAMPLES
-        radial = _half_spectrum_radial(g, pad * n, pad * n)
-        weights = _frequency_weights(GEOM.tan_beta * radial, radial, g)
-        n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
-        spectrum = 16 * pad * n * n_ky * n_levels
+        assert _inversion_levels(g) == top + 1 + _MIN_Z_SAMPLES
+        spectrum = self.invert_spectrum_bytes(g, pad)
         peak = traced_peak(lambda: cone_invert(g, GEOM, pad_factor=pad))
         assert peak <= spectrum + g.values.nbytes + self.INVERT_ALLOWANCE
+
+
+def is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestPaddedSizes:
+    """``_padded_sizes``, the one padded-size rule of both 3D transforms."""
+
+    @staticmethod
+    def grid(nx, ny, nz):
+        # Zero values on axes of unequal spacings.
+        axes = AxisSpec(nx, -1.0, 1.0), AxisSpec(ny, -1.0, 0.5), AxisSpec(nz, -1.0, 0.7)
+        return RealGrid3D(*axes, np.zeros((nx, ny, nz)))
+
+    @pytest.fixture
+    def used_sizes(self, monkeypatch):
+        # The sizes each transform call takes from _padded_sizes, in order.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(_padded_sizes(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(cone3d, "_padded_sizes", spy)
+        return calls
+
+    @pytest.mark.parametrize("beta", [np.pi / 12, np.pi / 4, 3 * np.pi / 8, 1.5])
+    @pytest.mark.parametrize("floor", [1, 2, 3])
+    def test_smallest_smooth_size_holding_floor_and_reach(self, beta, floor):
+        geometry = ConeGeometry(beta)
+        for nx, ny, nz in [(8, 9, 6), (13, 31, 24), (47, 48, 20)]:
+            g = self.grid(nx, ny, nz)
+            for n_levels in (1, nz // 2, nz):
+                reach = geometry.tan_beta * (n_levels - 1) * g.z_axis.spacing
+                sizes = _padded_sizes(g, geometry, n_levels, floor)
+                for size, axis in zip(sizes, (g.x_axis, g.y_axis)):
+                    n = axis.n_samples
+                    bound = max(floor * n, n + 1 + math.ceil(reach / axis.spacing))
+                    assert size >= bound
+                    assert is_5_smooth(size)
+                    assert not any(is_5_smooth(m) for m in range(bound, size))
+
+    @pytest.mark.parametrize("pad", [2, 3])
+    @pytest.mark.parametrize("beta", [np.pi / 8, np.pi / 6, np.pi / 4])
+    def test_pad_times_n_where_it_holds_the_reach(self, beta, pad):
+        # 48^3 data at the angles and pads the benchmark inverts: pad * n is
+        # 5-smooth and holds the reach over every level count, so the
+        # inversion keeps the padded size, and the bits, it had as pad * n.
+        ax = AxisSpec(48, -1.0, 1.0)
+        g = RealGrid3D(ax, ax, ax, np.zeros((48, 48, 48)))
+        for n_levels in range(1, 49):
+            assert _padded_sizes(g, ConeGeometry(beta), n_levels, pad) == (pad * 48, pad * 48)
+
+    @pytest.mark.parametrize("beta", [np.pi / 12, np.pi / 8, np.pi / 4, 3 * np.pi / 8])
+    @pytest.mark.parametrize("shape", [(12, 12, 12), (13, 9, 17)])
+    def test_full_height_inversion_pads_as_the_forward(self, used_sizes, shape, beta):
+        # g nonzero up to its top level: the inversion computes every level,
+        # and at the default pad_factor it pads as the forward does.
+        geometry = ConeGeometry(beta)
+        g = self.grid(*shape)
+        g.values[...] = np.random.default_rng(sum(shape)).normal(size=shape)
+        cone_forward(g, geometry)
+        cone_invert(g, geometry)
+        assert used_sizes[0] == used_sizes[1]
+
+    def test_wide_angle_pads_past_pad_times_n(self, used_sizes):
+        # At 3pi/8 the cone over 48 levels reaches 113.5 cells: pad 2's 96
+        # would wrap it, the rule pads to 180, the smallest 5-smooth size
+        # >= 48 + 1 + 114.
+        ax = AxisSpec(48, -1.0, 1.0)
+        g = RealGrid3D(ax, ax, ax, np.random.default_rng(3).normal(size=(48, 48, 48)))
+        cone_invert(g, ConeGeometry(3 * np.pi / 8), pad_factor=2)
+        assert used_sizes == [(180, 180)]
 
 
 class TestConeInvert:
@@ -736,8 +819,9 @@ class TestConeInvert:
     @pytest.mark.parametrize("pad", [1, 2, 3])
     @pytest.mark.parametrize("n", [12, 13])
     def test_rotation_covariance(self, n, pad):
-        # Odd and even padded sizes, with and without a Nyquist column: the
-        # half spectrum kept along y must reproduce the full one along x.  The
+        # Odd and even padded sizes (15 at n = 12, pad 1 and 27 at n = 13,
+        # pad 2; 16, 24, 36, 40 otherwise), with and without a Nyquist column:
+        # the half spectrum kept along y must reproduce the full one along x.  The
         # fine z axis keeps the Nyquist bin (0, nyp/2) inside the u-taper.
         rng = np.random.default_rng(11)
         ax = AxisSpec(n, -1.0, 1.0)
@@ -755,12 +839,12 @@ class TestConeInvert:
         + [pytest.param(24, 3, 48, id="24-3-nz48"), pytest.param(24, 3, 24, id="24-3-nz24")],
     )
     def test_matches_full_spectrum_reference(self, n, pad, nz):
-        # Pins the half spectrum, odd padded sizes and the independence of the
-        # result from where the zero padding sits; nz = 24 keeps many bins
-        # inside the u-taper.  At n = 24, pad 3 the kept bins fill 7 blocks of
-        # the per-frequency loop (nz = 48) or 2 blocks of a ky band cut to 22
-        # of the 37 columns (nz = 24); the smaller cases fit in one block and
-        # keep every column.
+        # Pins the half spectrum, odd padded sizes (15 at n = 9 and 10, pad 1;
+        # 27 at n = 9, pad 3) and the independence of the result from where
+        # the zero padding sits; nz = 24 keeps many bins inside the u-taper.
+        # At n = 24, pad 3 the kept bins fill 7 blocks of the per-frequency
+        # loop (nz = 48) or 2 blocks of a ky band cut to 22 of the 37 columns
+        # (nz = 24); the smaller cases fit in one block and keep every column.
         rng = np.random.default_rng(12)
         ax = AxisSpec(n, -1.0, 1.0)
         az = AxisSpec(nz, -1.0, 1.0)
