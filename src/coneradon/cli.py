@@ -283,7 +283,7 @@ def _inversion_diagnostics(config: RunConfig, g, metrics: dict) -> None:
     _truncation_alarm(g, metrics)
     metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
     metrics["inversion_level_fraction"] = _inversion_levels(g) / g.z_axis.n_samples
-    metrics["inversion_padded_size"] = _padded_sizes(g, config.geometry(), _inversion_levels(g))
+    metrics["inversion_padded_size"] = _padded_sizes(g, config.geometry())
 
 
 def _support_fraction(f) -> float:

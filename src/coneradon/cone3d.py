@@ -126,13 +126,14 @@ def kernel_eval(params: KernelParams, z, z_v):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _padded_sizes(grid: RealGrid3D, geometry: ConeGeometry, n_levels: int, floor: int = 1):
-    # Padded (x, y) sizes of a 3D transform over grid's lowest n_levels z
-    # levels: per axis the smallest 5-smooth size >= floor times the axis whose
-    # zero gap holds one cell plus the cones' reach tan(beta) (n_levels - 1) dz,
-    # taken as a share of the z extent so the whole axis keeps the extent's bits.
+def _padded_sizes(grid: RealGrid3D, geometry: ConeGeometry, floor: int = 1):
+    # Padded (x, y) sizes of both 3D transforms on grid's axes: per axis the
+    # smallest 5-smooth size >= floor times the axis whose zero gap holds one
+    # cell plus the cones' reach over the whole z axis, tan(beta) (z extent).
+    # It depends on the axes alone, never on the values, so the inversion
+    # stays linear.
     z = grid.z_axis
-    reach = geometry.tan_beta * ((z.max - z.min) * (max(n_levels - 1, 0) / (z.n_samples - 1)))
+    reach = geometry.tan_beta * (z.max - z.min)
     return tuple(
         _smooth_size(max(floor * a.n_samples, a.n_samples + 1 + math.ceil(reach / a.spacing)))
         for a in (grid.x_axis, grid.y_axis)
@@ -195,7 +196,7 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     if levels.size == 0:
         return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, np.zeros((nx, ny, nz)))
     lo, top = int(levels[0]), int(levels[-1]) + 1  # f's nonzero levels: the slab [lo, top)
-    nxp, nyp = _padded_sizes(f, geometry, nz)
+    nxp, nyp = _padded_sizes(f, geometry)
     u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
 
     # Levels 0..top of the padded half spectrum: the slab, the levels below it
@@ -309,8 +310,9 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
     """Theorem-2 inversion: 2D DFT per slice, per-frequency 1D inversion, inverse DFT.
 
     g is zero-padded at the far x and y ends against periodic wrap, by the
-    forward's rule over the L levels computed (``_padded_sizes``), to at least
-    ``pad_factor`` times its size.  A per-frequency filter commutes with
+    forward's rule (``_padded_sizes``), to at least ``pad_factor`` times its
+    size.  The padded size depends on g's axes only, not on which levels hold
+    data, so the inversion is linear.  A per-frequency filter commutes with
     circular shifts, so where the zeros sit does not matter.  Frequency pairs
     beyond the transverse Nyquist circle (aliasing only) are zeroed, those
     whose J0 kernel outruns the z grid tapered out (``_frequency_weights``).
@@ -340,7 +342,7 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
     if n_levels == 0:
         return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, np.zeros((nx, ny, nz)))
     dz = g.z_axis.spacing
-    nxp, nyp = _padded_sizes(g, geometry, n_levels, pad_factor)
+    nxp, nyp = _padded_sizes(g, geometry, pad_factor)
     radial = _half_spectrum_radial(g, nxp, nyp)
     u_map = geometry.tan_beta * radial
     weights = _frequency_weights(u_map, radial, g)

@@ -134,7 +134,7 @@ _TOP_BYTE = np.uint64(56)  # shift to or from a word's last byte
 
 
 class _CsvTables(NamedTuple):
-    pow10: np.ndarray  # row x - _X_MIN: 10**(16 - x) as hi, lo, and hi's Veltkamp halves
+    pow10: np.ndarray  # column x - _X_MIN: 10**(16 - x) as hi, lo, and hi's Veltkamp halves
     chunk: np.ndarray  # k < 10**4 -> its 4 ASCII digits in the low 4 bytes of a word
     trailing: np.ndarray  # k < 10**4 -> trailing zero digits of k written as 4 digits
     exponent: np.ndarray  # row x - _X_MIN: word 3 with x's exponent; last row empty
@@ -172,7 +172,7 @@ def _csv_tables() -> _CsvTables:
     hi, lo = np.array(pairs).T
     c = _SPLIT * hi
     hi_h = c - (c - hi)
-    pow10 = np.stack([hi, lo, hi_h, hi - hi_h], axis=1)
+    pow10 = np.stack([hi, lo, hi_h, hi - hi_h])
     pow10.flags.writeable = False
 
     k = np.arange(10**4)
@@ -210,7 +210,7 @@ def _digit_rows(v: np.ndarray) -> np.ndarray:
     # a * 10**(16 - x) = p + e up to ~1e-14: Dekker's exact product of a with
     # the table's hi, plus a * lo.  p >= 1e16 > 2**53 is integer-valued
     # wherever the digits below are used.
-    hi, lo, hi_h, hi_l = np.take(t.pow10, x - _X_MIN, axis=0).T
+    hi, lo, hi_h, hi_l = np.take(t.pow10, x - _X_MIN, axis=1)
     c = _SPLIT * a
     a_h = c - (c - a)
     a_l = a - a_h
@@ -222,7 +222,7 @@ def _digit_rows(v: np.ndarray) -> np.ndarray:
     # Where 10**(16 - x) is a double (lo == 0) p + e is exact, so a half is a
     # true tie: round it to even, as %.17g does.
     exact_scale = lo == 0
-    d = d_floor + ((frac > 0.5) | (exact_scale & (frac == 0.5) & (d_floor % 2 == 1)))
+    d = d_floor + ((frac > 0.5) | (exact_scale & (frac == 0.5) & ((d_floor & 1) == 1)))
     # The 17 digits d hold only if the rounding is clear and x is the exponent
     # of the rounded value; any other value takes the exact per-value path.
     fallback = ~in_range | (~exact_scale & (np.abs(frac - 0.5) < _TIE_MARGIN))
@@ -236,10 +236,16 @@ def _digit_rows(v: np.ndarray) -> np.ndarray:
     c1 = upper // 10**4
     c3 = lower // 10**4
     chunks = (c1, upper - c1 * 10**4, c3, lower - c3 * 10**4)
-    zeros = 0
-    for chunk in chunks:  # trailing zeros of d1..d16
-        z = t.trailing[chunk]
-        zeros = np.where(z == 4, zeros + 4, z)
+    # Trailing zeros of d1..d16: the last chunk's, or where it is 0000 a scan
+    # of all four chunks.
+    zeros = t.trailing[chunks[3]]
+    empty = np.flatnonzero(chunks[3] == 0)
+    if empty.size:
+        scan = 0
+        for chunk in chunks:
+            z = t.trailing[chunk[empty]]
+            scan = np.where(z == 4, scan + 4, z)
+        zeros[empty] = scan
     last = 16 - zeros  # column of the last nonzero digit, 0 for d0 alone
     word1 = t.chunk[chunks[0]] | (t.chunk[chunks[1]] << np.uint64(32))
     word2 = t.chunk[chunks[2]] | (t.chunk[chunks[3]] << np.uint64(32))
@@ -251,10 +257,9 @@ def _digit_rows(v: np.ndarray) -> np.ndarray:
     # last nonzero digit's, counting the point when it is kept.
     fixed = (x >= -4) & (x < 17)
     below = fixed & (x < 0)
-    point = np.where(fixed, x, 0)
-    point[below] = -1
-    keep = np.where(last > point, last + 1, point)  # a kept point is one more column
-    keep[below] = last[below]
+    point = np.where(below, -1, np.where(fixed, x, 0))
+    # A kept point is one more column.
+    keep = np.where(below, last, np.where(last > point, last + 1, point))
     masks = np.take(t.tail, (point + 1) * _KEEPS + keep, axis=0)
 
     row = np.empty((n, 4), dtype=_WORD)

@@ -5,7 +5,10 @@ x = x_v +/- (y - y_v) tan(beta), y >= y_v, with arclength element dy/cos(beta).
 ``vline_forward`` evaluates this by trapezoidal quadrature in y, sampling the
 zero-extended linear interpolant of f at x_v +/- (y - y_v) tan(beta), the
 operator of the two-point ring of the test suite's ring route (its reference
-in ``tests/oracles.py``); ``vline_invert`` applies the exact reconstruction
+in ``tests/oracles.py``).  It sums the quadrature as one sparse stencil over
+row offsets and column offsets applied to mirror pairs of columns, so its
+values equal the ring route's up to the order of summation, not bit for bit.
+``vline_invert`` applies the exact reconstruction
 
     f(x, y) = -(cos(beta)/2) * (dg/dy + tan^2(beta) * int_y^{y_top} d2g/dx2 dt)
 
@@ -67,14 +70,21 @@ def vline_forward(
     downward by whole rows (as ``coneradon roundtrip2d --vertex-ymin`` builds
     it); any other vertex grid raises ``ValueError``.  Integration is the
     trapezoid rule over quadrature nodes that subdivide the y rows, sampling
-    the zero-extended linear interpolant of f.  The nodes are built one
-    quadrature phase (one offset within a y row) at a time, so memory stays a
-    few grids' worth however many phases a row holds.  Only the vertex rows
-    returned are computed: each lag adds its two rays' linear-interpolation taps
-    straight into the vertex rows whose integral reaches that many nodes up,
-    and of those only into the rows whose node that many nodes up lies
-    between the first and last node row holding data.  The skipped terms are
-    exact zeros, so the result is the same bit for bit, and f = 0 runs no lag.
+    the zero-extended linear interpolant of f.
+
+    Both rays of a lag sample x_v +/- d with the same two interpolation
+    weights, and each node is a fixed blend of two rows, so the whole sum is
+    one sparse stencil K over row offset k and column offset s (``_stencils``)
+    applied to mirror pairs of rows,
+
+        g[j, i] = sum_{k, s >= 0} K[k, s] (L[j + k, i + s] + L[j + k, i - s]),
+
+    with L f's rows, zero-extended in x, over zero rows for the vertex rows
+    below f.  The top row of L, where the nodes above are absent, has its own
+    stencil.  For each s the pair sum is built once over the rows holding
+    data and added, scaled, into the vertex rows that read it; f = 0 builds
+    none.  The result equals the ring route's up to the order of summation,
+    not bit for bit, and its exact zeros are the ring route's.
     """
     vy_axis = f.y_axis
     n_below = 0
@@ -82,78 +92,118 @@ def vline_forward(
         n_below = _rows_below(f, *vertex_axes)
         vy_axis = vertex_axes[1]
 
-    t = geometry.tan_beta
-    dx = f.x_axis.spacing
-    dyv = vy_axis.spacing
-    # Quadrature nodes subdivide the vertex grid's y step so one step never
-    # advances more than half a cell in x; for tan(beta) <= dx/(2 dy) this is
-    # exactly one sample per y level.
-    n_sub = max(1, math.ceil(2.0 * t * dyv / dx))
-    h = dyv / n_sub
-
     nx = f.x_axis.n_samples
     ny = vy_axis.n_samples
-    levels = np.concatenate([np.zeros((n_below, nx)), f.values.T])
-    # Each ray carries half of the two-ray weight 2h/cos(beta).
-    ray_weight = h / geometry.cos_beta
-
     out = np.zeros(ny * nx)  # out[j * nx + i]: vertex row j, column i
-    scratch = np.empty(ny * nx)
-    # One phase's node rows, between a row of zeros at each end so that a read
-    # shifted by less than a row stays in bounds.
+    # L's rows between a zero row at each end, so that a read shifted by less
+    # than a row stays in bounds.
     flat = np.zeros((ny + 2) * nx)
-    nodes = flat[nx:-nx].reshape(ny, nx)
-    top = n_sub * (ny - 1)
-    for phase in range(n_sub):
-        # Node n_sub * r + phase, linear in y between the rows of ``levels``;
-        # the top node is the upper endpoint of every integral (weight 1/2).
-        s = phase / n_sub
-        nodes[:-1] = (1.0 - s) * levels[:-1] + s * levels[1:]
-        nodes[-1] = 0.5 * levels[-1] if phase == 0 else 0.0
-        held = np.flatnonzero(nodes.any(axis=1))
-        if held.size == 0:
-            continue
+    levels = flat[nx:-nx].reshape(ny, nx)
+    levels[n_below:] = f.values.T
+    held = np.flatnonzero(levels.any(axis=1))
+    if held.size and ny > 1:
         first, last = int(held[0]), int(held[-1])
-        for lag in range(phase, top + 1, n_sub):
-            # Vertex row j reads node n_sub * j + lag: the contiguous rows of
-            # this phase from row lag // n_sub on.  At lag 0 the vertex node is
-            # the lower endpoint (weight 1/2), and the top row's integral is
-            # empty.  Only the vertex rows whose node row holds data are read;
-            # the rest would add zeros.
-            offset = lag // n_sub
-            n_rows = (top - lag) // n_sub + 1
-            w = ray_weight
-            if lag == 0:
-                n_rows -= 1
-                w *= 0.5
-            row0 = max(0, first - offset)
-            row1 = min(n_rows, last - offset + 1)
-            if row1 <= row0:
-                continue
-            size = (row1 - row0) * nx
-            start = nx * (1 + offset + row0)
-            acc = out[row0 * nx : row1 * nx]
-            buf = scratch[:size]
-            buf_rows = buf.reshape(row1 - row0, nx)
-            d = t * lag * h / dx
-            for ox in (d, -d):
-                a = math.floor(ox)
-                fx = ox - a
-                for shift, tap in ((a, 1.0 - fx), (a + 1, fx)):
-                    # out[j, i] += w * tap * node[j, i + shift], zero outside f.
-                    if tap == 0.0 or abs(shift) >= nx:
-                        continue
-                    np.multiply(flat[start + shift : start + shift + size], w * tap, out=buf)
-                    # One contiguous read instead of a clipped 2D slice (numpy
-                    # runs those ~4x slower); where i + shift leaves f it
-                    # wrapped into a neighbouring row, and f is 0 there.
-                    if shift > 0:
-                        buf_rows[:, nx - shift :] = 0.0
-                    elif shift < 0:
-                        buf_rows[:, :-shift] = 0.0
-                    acc += buf
+        body, top = _stencils(geometry, f.x_axis.spacing, vy_axis.spacing, nx, ny)
+        if last < ny - 1:
+            top = tuple(a[:0] for a in top)  # L's top row is 0
+        # Distinct shifts by sort, not np.union1d, whose np.unique call
+        # imports numpy.ma (~2 MiB resident) on first use.
+        shifts = np.sort(np.concatenate([body[0], top[0]]))
+        shifts = shifts[np.diff(shifts, prepend=-1) > 0]
+        body_cut = np.searchsorted(body[0], shifts, side="right").tolist()
+        top_cut = np.searchsorted(top[0], shifts, side="right").tolist()
+        body_k, body_w = body[1].tolist(), body[2].tolist()
+        # The body stencil reads rows first..body_end - 1, the top one row ny - 1.
+        body_end = min(last, ny - 2) + 1
+        data = levels[first : last + 1]
+        pair = np.empty(data.size)
+        pair_rows = pair.reshape(data.shape)
+        scratch = np.empty(pair.size)
+        out_rows = out.reshape(ny, nx)
+        start = nx * (1 + first)
+        b0 = t0 = 0
+        for s, b1, t1 in zip(shifts.tolist(), body_cut, top_cut):
+            # pair[r, i] = L[r, i + s] + L[r, i - s], zero outside f: one
+            # contiguous add instead of clipped 2D slices (numpy runs those
+            # ~4x slower), then the reads that left f, which wrapped into a
+            # neighbouring row, are redone.
+            if 2 * s <= nx:
+                np.add(flat[start + s : start + s + pair.size],
+                       flat[start - s : start - s + pair.size], out=pair)
+                if s:
+                    pair_rows[:, :s] = data[:, s : 2 * s]
+                    pair_rows[:, nx - s :] = data[:, nx - 2 * s : nx - s]
+            else:
+                pair_rows[:, : nx - s] = data[:, s:]
+                pair_rows[:, nx - s : s] = 0.0
+                pair_rows[:, s:] = data[:, : nx - s]
+            for k, w in zip(body_k[b0:b1], body_w[b0:b1]):
+                # Vertex rows j read rows j + k; only rows holding data are read.
+                r0 = max(first, k)
+                if r0 >= body_end:
+                    continue
+                size = (body_end - r0) * nx
+                buf = scratch[:size]
+                np.multiply(pair[(r0 - first) * nx : (r0 - first) * nx + size], w, out=buf)
+                out[(r0 - k) * nx : (r0 - k) * nx + size] += buf
+            if t1 > t0:
+                out_rows[ny - 1 - top[1][t0:t1]] += top[2][t0:t1, None] * pair_rows[-1]
+            b0, t0 = b1, t1
     g = np.ascontiguousarray(out.reshape(ny, nx).T)
     return VLineProjection(RealGrid2D(f.x_axis, vy_axis, g), geometry)
+
+
+def _stencils(geometry: ConeGeometry, dx: float, dy: float, nx: int, ny: int):
+    """The forward's weights on mirror pairs of rows, as two tables
+    (shifts, ks, ws) sorted by column offset s, then row offset k: ``body``
+    for the rows below L's top one (vertex row j reads row j + k), ``top`` for
+    L's top row (read by vertex row ny - 1 - k, k >= 1).  Every weight is > 0.
+
+    Quadrature nodes subdivide the y step into n_sub = ceil(2 tan(beta) dy/dx)
+    so one step never advances more than half a cell in x.  The node at lag
+    n_sub q + p above a vertex row is (1 - p/n_sub) L[q] + (p/n_sub) L[q + 1],
+    and its two rays sample it at x -/+ d, d = tan(beta) lag h / dx, with
+    weight 1 - fx at column offset floor(d) and fx at floor(d) + 1.  Each ray
+    carries half of the two-ray weight 2h/cos(beta), the vertex node (lag 0)
+    half of that as the integral's lower endpoint, and the top row's phase-0
+    node half as its upper one; the nodes past it are absent.  Taps of weight
+    0 or at s >= nx (outside f) are dropped.
+    """
+    t = geometry.tan_beta
+    n_sub = max(1, math.ceil(2.0 * t * dy / dx))
+    h = dy / n_sub
+    # Lags past the cap sample at least nx cells out on either side.
+    n_lags = min(n_sub * (ny - 1), int(nx * dx / (t * h)) + 2) + 1
+    lag = np.arange(n_lags)
+    d = t * lag * h / dx
+    a = np.floor(d)
+    fx = d - a
+    q, p = np.divmod(lag, n_sub)
+    blend = p / n_sub
+    w = np.full(n_lags, h / geometry.cos_beta)
+    w[0] *= 0.5
+    # One entry per lag and x tap.
+    shift = np.concatenate([a, a + 1]).astype(np.intp)
+    wx = np.concatenate([w * (1.0 - fx), w * fx])
+    q, p, blend = np.tile(q, 2), np.tile(p, 2), np.tile(blend, 2)
+    tap = (wx > 0.0) & (shift < nx)
+    shift, wx, q, p, blend = shift[tap], wx[tap], q[tap], p[tap], blend[tap]
+    mid = p > 0  # nodes between two rows
+    upper = (q[mid] + 1, shift[mid], wx[mid] * blend[mid])
+    body = _summed((q, shift, wx * (1.0 - blend)), upper)
+    head = ~mid & (q >= 1)
+    top = _summed((q[head], shift[head], 0.5 * wx[head]), upper)
+    return body, top
+
+
+def _summed(*parts):
+    # The parts' (k, shift, w) entries with the weights of equal (shift, k)
+    # summed: (shifts, ks, ws) sorted by shift, then k.
+    k, shift, w = (np.concatenate(c) for c in zip(*parts))
+    n_k = int(k.max()) + 1 if k.size else 1
+    keys, inverse = np.unique(shift * n_k + k, return_inverse=True)
+    shifts, ks = np.divmod(keys, n_k)
+    return shifts, ks, np.bincount(inverse, weights=w, minlength=keys.size)
 
 
 def _rows_below(f: RealGrid2D, vx_axis: AxisSpec, vy_axis: AxisSpec) -> int:

@@ -312,3 +312,77 @@ def cone_forward_rings(f, geometry) -> np.ndarray:
         return const * lag, ox, oy
 
     return ring_quadrature(f.values, circle)
+
+
+def vline_lag_loop(f, geometry, n_below: int = 0) -> np.ndarray:
+    """The V-line forward as a loop over fine lags: g on f's x axis and f's
+    rows extended downward by ``n_below`` zero rows, shape (nx, n_below + ny).
+
+    Trapezoid rule over quadrature nodes that subdivide the y rows into
+    n_sub = ceil(2 tan(beta) dy/dx), one node phase at a time; each lag adds
+    both rays' two linear-interpolation taps of f's zero extension, one
+    scaled contiguous read each, straight into the vertex rows whose integral
+    reaches that many nodes up.  The library sums the same terms per mirror
+    pair of columns instead.
+    """
+    t = geometry.tan_beta
+    dx = f.x_axis.spacing
+    dy = f.y_axis.spacing
+    n_sub = max(1, math.ceil(2.0 * t * dy / dx))
+    h = dy / n_sub
+    nx, ny = f.x_axis.n_samples, f.y_axis.n_samples + n_below
+    levels = np.concatenate([np.zeros((n_below, nx)), f.values.T])
+    ray_weight = h / geometry.cos_beta  # half of the two-ray weight
+
+    out = np.zeros(ny * nx)  # out[j * nx + i]: vertex row j, column i
+    scratch = np.empty(ny * nx)
+    # One phase's node rows, between a row of zeros at each end.
+    flat = np.zeros((ny + 2) * nx)
+    nodes = flat[nx:-nx].reshape(ny, nx)
+    top = n_sub * (ny - 1)
+    for phase in range(n_sub):
+        # Node n_sub * r + phase; the top node is the upper endpoint of every
+        # integral (weight 1/2).
+        s = phase / n_sub
+        nodes[:-1] = (1.0 - s) * levels[:-1] + s * levels[1:]
+        nodes[-1] = 0.5 * levels[-1] if phase == 0 else 0.0
+        held = np.flatnonzero(nodes.any(axis=1))
+        if held.size == 0:
+            continue
+        first, last = int(held[0]), int(held[-1])
+        for lag in range(phase, top + 1, n_sub):
+            # Vertex row j reads node n_sub * j + lag.  At lag 0 the vertex node
+            # is the lower endpoint (weight 1/2), and the top row's integral is
+            # empty.
+            offset = lag // n_sub
+            n_rows = (top - lag) // n_sub + 1
+            w = ray_weight
+            if lag == 0:
+                n_rows -= 1
+                w *= 0.5
+            row0 = max(0, first - offset)
+            row1 = min(n_rows, last - offset + 1)
+            if row1 <= row0:
+                continue
+            size = (row1 - row0) * nx
+            start = nx * (1 + offset + row0)
+            acc = out[row0 * nx : row1 * nx]
+            buf = scratch[:size]
+            buf_rows = buf.reshape(row1 - row0, nx)
+            d = t * lag * h / dx
+            for ox in (d, -d):
+                a = math.floor(ox)
+                fx = ox - a
+                for shift, tap in ((a, 1.0 - fx), (a + 1, fx)):
+                    # out[j, i] += w * tap * node[j, i + shift], zero outside f.
+                    if tap == 0.0 or abs(shift) >= nx:
+                        continue
+                    np.multiply(flat[start + shift : start + shift + size], w * tap, out=buf)
+                    # Where i + shift leaves f it wrapped into a neighbouring
+                    # row, and f is 0 there.
+                    if shift > 0:
+                        buf_rows[:, nx - shift :] = 0.0
+                    elif shift < 0:
+                        buf_rows[:, :-shift] = 0.0
+                    acc += buf
+    return np.ascontiguousarray(out.reshape(ny, nx).T)

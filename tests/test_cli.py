@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coneradon
 from coneradon.cli import main
 from coneradon.gridio import read_grid, write_grid
 from coneradon.grids import AxisSpec, RealGrid2D, RealGrid3D
@@ -285,12 +290,13 @@ class TestReportFractions:
         assert run_cli("roundtrip3d", "--n", "24", "--outdir", str(tmp_path)) == 0
         assert load_report(tmp_path)["metrics"]["inversion_level_fraction"] == 21 / 24
 
-    @pytest.mark.parametrize("beta, size", [("pi/8", 36), ("pi/4", 45)])
+    @pytest.mark.parametrize("beta, size", [("pi/8", 36), ("pi/4", 48)])
     def test_inversion_padded_size(self, tmp_path, beta, size):
-        # The default bump at N = 24: the inversion computes the lowest 21
-        # levels, whose cones reach tan(beta) * 20 dz, 8.3 or 20 cells, so
-        # each axis pads to the 5-smooth size >= 24 + 1 + 9 or 24 + 1 + 20.
-        # invert3d reports the same size for the stored projection.
+        # The default bump at N = 24: over the whole z axis the cones reach
+        # tan(beta) * 23 dz, 9.5 or 23 cells, so each axis pads to the
+        # 5-smooth size >= 24 + 1 + 10 or 24 + 1 + 23, although the inversion
+        # computes only the lowest 21 levels.  invert3d reports the same size
+        # for the stored projection.
         fout, iout = tmp_path / "f", tmp_path / "i"
         assert run_cli("roundtrip3d", "--n", "24", "--beta", beta, "--outdir", str(fout)) == 0
         assert load_report(fout)["metrics"]["inversion_padded_size"] == [size, size]
@@ -461,3 +467,16 @@ class TestAngleParsing:
         out = tmp_path / "run"
         assert run_cli("phantom", "--n", "16", "--beta", text, "--outdir", str(out)) == 0
         assert load_report(out)["parameters"]["beta"] == pytest.approx(value)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_help(self):
+        # ``python -m coneradon`` runs the CLI from a checkout on PYTHONPATH.
+        src = str(Path(coneradon.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coneradon", "--help"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: coneradon")

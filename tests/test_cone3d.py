@@ -55,11 +55,11 @@ def rings_48():
 
 
 def full_spectrum_invert(g, geometry, pad):
-    # Reference for cone_invert: centred zero padding to the padded sizes of
-    # the levels it computes, the full complex DFT stack of dft2_slices and one
-    # invert_frequency_profile call per kept bin.
+    # Reference for cone_invert: centred zero padding to its padded sizes, the
+    # full complex DFT stack of dft2_slices and one invert_frequency_profile
+    # call per kept bin.
     nx, ny, nz = g.values.shape
-    nxp, nyp = _padded_sizes(g, geometry, _inversion_levels(g), pad)
+    nxp, nyp = _padded_sizes(g, geometry, pad)
     left_x, left_y = (nxp - nx) // 2, (nyp - ny) // 2
     padded = np.zeros((nxp, nyp, nz))
     padded[left_x : left_x + nx, left_y : left_y + ny] = g.values
@@ -117,7 +117,7 @@ def full_axis_forward(f, geometry):
     # Reference for cone_forward's slab pruning: the full padded rfft2 over
     # every z level and one dense lag-kernel matrix per frequency bin.
     nx, ny, nz = f.values.shape
-    nxp, nyp = _padded_sizes(f, geometry, nz)
+    nxp, nyp = _padded_sizes(f, geometry)
     u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
     spectrum = np.fft.rfft2(f.values, s=(nxp, nyp), axes=(0, 1))
     profiles = dense_lag_apply(
@@ -613,7 +613,7 @@ class TestMemory:
     @pytest.mark.parametrize("n", [47, 48])
     def test_forward_peak(self, n):
         f = self.volume(n)
-        nxp, nyp = _padded_sizes(f, GEOM, n)
+        nxp, nyp = _padded_sizes(f, GEOM)
         spectrum = 16 * nxp * (nyp // 2 + 1) * n
         peak = traced_peak(lambda: cone_forward(f, GEOM))
         assert peak <= spectrum + f.values.nbytes + self.FORWARD_ALLOWANCE
@@ -622,7 +622,7 @@ class TestMemory:
     def invert_spectrum_bytes(g, pad):
         # The padded half spectrum cone_invert holds: 16 nxp n_ky L bytes.
         n_levels = _inversion_levels(g)
-        nxp, nyp = _padded_sizes(g, GEOM, n_levels, pad)
+        nxp, nyp = _padded_sizes(g, GEOM, pad)
         radial = _half_spectrum_radial(g, nxp, nyp)
         weights = _frequency_weights(GEOM.tan_beta * radial, radial, g)
         n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
@@ -685,26 +685,24 @@ class TestPaddedSizes:
         geometry = ConeGeometry(beta)
         for nx, ny, nz in [(8, 9, 6), (13, 31, 24), (47, 48, 20)]:
             g = self.grid(nx, ny, nz)
-            for n_levels in (1, nz // 2, nz):
-                reach = geometry.tan_beta * (n_levels - 1) * g.z_axis.spacing
-                sizes = _padded_sizes(g, geometry, n_levels, floor)
-                for size, axis in zip(sizes, (g.x_axis, g.y_axis)):
-                    n = axis.n_samples
-                    bound = max(floor * n, n + 1 + math.ceil(reach / axis.spacing))
-                    assert size >= bound
-                    assert is_5_smooth(size)
-                    assert not any(is_5_smooth(m) for m in range(bound, size))
+            reach = geometry.tan_beta * (g.z_axis.max - g.z_axis.min)
+            sizes = _padded_sizes(g, geometry, floor)
+            for size, axis in zip(sizes, (g.x_axis, g.y_axis)):
+                n = axis.n_samples
+                bound = max(floor * n, n + 1 + math.ceil(reach / axis.spacing))
+                assert size >= bound
+                assert is_5_smooth(size)
+                assert not any(is_5_smooth(m) for m in range(bound, size))
 
     @pytest.mark.parametrize("pad", [2, 3])
     @pytest.mark.parametrize("beta", [np.pi / 8, np.pi / 6, np.pi / 4])
     def test_pad_times_n_where_it_holds_the_reach(self, beta, pad):
         # 48^3 data at the angles and pads the benchmark inverts: pad * n is
-        # 5-smooth and holds the reach over every level count, so the
+        # 5-smooth and holds the reach over the whole z axis, so the
         # inversion keeps the padded size, and the bits, it had as pad * n.
         ax = AxisSpec(48, -1.0, 1.0)
         g = RealGrid3D(ax, ax, ax, np.zeros((48, 48, 48)))
-        for n_levels in range(1, 49):
-            assert _padded_sizes(g, ConeGeometry(beta), n_levels, pad) == (pad * 48, pad * 48)
+        assert _padded_sizes(g, ConeGeometry(beta), pad) == (pad * 48, pad * 48)
 
     @pytest.mark.parametrize("beta", [np.pi / 12, np.pi / 8, np.pi / 4, 3 * np.pi / 8])
     @pytest.mark.parametrize("shape", [(12, 12, 12), (13, 9, 17)])
@@ -714,6 +712,21 @@ class TestPaddedSizes:
         geometry = ConeGeometry(beta)
         g = self.grid(*shape)
         g.values[...] = np.random.default_rng(sum(shape)).normal(size=shape)
+        cone_forward(g, geometry)
+        cone_invert(g, geometry)
+        assert used_sizes[0] == used_sizes[1]
+
+    @pytest.mark.parametrize("beta", [np.pi / 12, np.pi / 8, np.pi / 4, 3 * np.pi / 8])
+    @pytest.mark.parametrize("shape", [(12, 12, 12), (13, 9, 17)])
+    def test_low_slab_inversion_pads_as_the_forward(self, used_sizes, shape, beta):
+        # g nonzero only in its lowest quarter: the inversion computes fewer
+        # levels, but its padded size follows the axes alone, as the forward's.
+        geometry = ConeGeometry(beta)
+        g = self.grid(*shape)
+        g.values[:, :, : shape[2] // 4] = np.random.default_rng(sum(shape)).normal(
+            size=(*shape[:2], shape[2] // 4)
+        )
+        assert _inversion_levels(g) < shape[2]
         cone_forward(g, geometry)
         cone_invert(g, geometry)
         assert used_sizes[0] == used_sizes[1]
@@ -751,11 +764,12 @@ class TestConeInvert:
     @pytest.mark.parametrize("pad", [1, 2, 3])
     @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize("top", [*range(SLAB_NZ - 1, SLAB_NZ - 9, -1), SLAB_NZ // 2, 0])
-    def test_slab_rule(self, top, n, pad, beta):
+    def test_slab_rule(self, top, n, pad, beta, monkeypatch):
         # g's top nonzero level at the last 8 levels, mid-axis and 0.  Where
         # the axis holds the _MIN_Z_SAMPLES zero levels the top-end stencils
         # read, the result is exactly 0 above top + 2, and the bits do not
-        # change when 8 more zero levels sit on top.
+        # change when 8 more zero levels sit on top at the same padded size.
+        # (The taller axis's cones reach further, so by itself it pads wider.)
         nz = self.SLAB_NZ
         geometry = ConeGeometry(beta)
         g = self.slab_grid(n, top, nz)
@@ -764,6 +778,8 @@ class TestConeInvert:
         if top + _MIN_Z_SAMPLES < nz:
             assert not rec[:, :, top + 3 :].any()
             tall = self.slab_grid(n, top, nz + 8)
+            sizes = _padded_sizes(g, geometry, pad)
+            monkeypatch.setattr(cone3d, "_padded_sizes", lambda *args: sizes)
             rec_tall = cone_invert(tall, geometry, pad_factor=pad).values
             assert rec_tall[:, :, :nz].tobytes() == rec.tobytes()
             assert not rec_tall[:, :, nz:].any()
@@ -783,6 +799,26 @@ class TestConeInvert:
         expected = full_spectrum_invert(g, geometry, pad)
         rec = cone_invert(g, geometry, pad_factor=pad).values
         assert np.linalg.norm(rec - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("pad", [1, 2])
+    def test_linearity_across_top_levels(self, pad):
+        # g1 and g2 have different top nonzero levels, so the inversion
+        # computes a different number of levels for each and for their sum;
+        # its padded size must not follow them.
+        ax = AxisSpec(32, -1.0, 1.0)
+        geometry = ConeGeometry(np.pi / 6)
+        g1, g2 = (
+            cone_forward(render_bumps_3d([BumpSpec(c, 0.25, 1.0)], ax, ax, ax), geometry)
+            for c in ((0.1, 0.0, -0.6), (-0.1, 0.1, 0.5))
+        )
+        assert _inversion_levels(g1) < _inversion_levels(g2)
+        whole = RealGrid3D(ax, ax, ax, g1.values + g2.values)
+        combined = cone_invert(whole, geometry, pad_factor=pad).values
+        split = (
+            cone_invert(g1, geometry, pad_factor=pad).values
+            + cone_invert(g2, geometry, pad_factor=pad).values
+        )
+        assert np.abs(combined - split).max() <= 1e-10 * np.abs(combined).max()
 
     def test_roundtrip_small(self):
         f = bump_volume(32)

@@ -222,6 +222,64 @@ class TestVlineForward:
         assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
         np.testing.assert_array_equal(g == 0.0, ref == 0.0)
 
+    @pytest.mark.parametrize("top_row", ["zero", "nonzero"])
+    @pytest.mark.parametrize("beta,n_sub", [(0.9, 3), (1.1, 4)])
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_thirds_and_quarters_match_ring_engine(self, top_row, beta, n_sub, extra):
+        # The first node counts whose blends p / n_sub are not halves; f's top
+        # row, whose nodes above are absent, has a stencil of its own.
+        geom = ConeGeometry(beta)
+        n = 25
+        assert math.ceil(2.0 * geom.tan_beta) == n_sub  # nodes per row at dx = dy
+        ax = AxisSpec(n, -1.0, 1.0)
+        values = np.random.default_rng(n_sub + extra).uniform(0.0, 1.0, size=(n, n))
+        values[:, :4] = 0.0
+        if top_row == "zero":
+            values[:, -2:] = 0.0
+        f = RealGrid2D(ax, ax, values)
+        g = vline_forward(f, geom, (ax, extended_below(ax, extra))).grid.values
+        ref = ring_engine_forward(f, geom, extra)
+        assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(g == 0.0, ref == 0.0)
+
+    def test_near_integer_taps_match_ring_engine(self):
+        # tan(pi/4) is 0.9999999999999999, so at dx = 2 dy (one node per row)
+        # an even lag's rays land just short of a whole column: a tap of
+        # weight ~1e-16 falls one column in.  From a single nonzero sample
+        # some vertices see nothing but such a tap; they must not read 0.
+        geom = ConeGeometry(np.pi / 4)
+        assert geom.tan_beta < 1.0
+        x_axis, y_axis = AxisSpec(17, 0.0, 16.0), AxisSpec(24, 0.0, 11.5)
+        values = np.zeros((17, 24))
+        values[8, 20] = 1.0
+        f = RealGrid2D(x_axis, y_axis, values)
+        g = vline_forward(f, geom).grid.values
+        ref = ring_engine_forward(f, geom, 0)
+        assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(g == 0.0, ref == 0.0)
+        assert np.count_nonzero((ref > 0.0) & (ref < 1e-12)) > 0
+
+    # perfbench's vline2d-rt scenes at their anchors: (beta, bumps, rows the
+    # vertex grid adds below f for --vertex-ymin -1.5 at N = 240).
+    BENCH_BUMPS = [
+        BumpSpec((0.2, 0.1), 0.25, 1.0),
+        BumpSpec((-0.45, 0.4), 0.3, 1.0),
+        BumpSpec((0.5, -0.45), 0.22, 1.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "beta,n_bumps,extra", [(np.pi / 8, 1, 0), (np.pi / 4, 2, 0), (np.pi / 8, 3, 60)]
+    )
+    def test_benchmark_scenes_match_lag_loop(self, beta, n_bumps, extra):
+        ax = AxisSpec(240, -1.0, 1.0)
+        f = render_bumps_2d(self.BENCH_BUMPS[:n_bumps], ax, ax)
+        geom = ConeGeometry(beta)
+        g = vline_forward(f, geom, (ax, extended_below(ax, extra))).grid.values
+        ref = oracles.vline_lag_loop(f, geom, extra)
+        assert np.abs(g - ref).max() <= 1e-14 * np.abs(ref).max()
+        np.testing.assert_array_equal(g == 0.0, ref == 0.0)
+        assert g.min() >= 0.0
+
     def test_memory_does_not_grow_with_nodes_per_row(self):
         # 29 quadrature nodes per row; the nodes of one phase are held at a time.
         ax = AxisSpec(48, -1.0, 1.0)
