@@ -5,11 +5,21 @@ Binary layout (all little-endian): magic ``CRTG``, u16 version, u16 rank, then
 rank u32 dimension counts, rank (f64 min, f64 max) axis-bound pairs, and the
 payload as f64 in x-fastest order (then y, then z).  The format round-trips
 bit-exactly for every finite payload.
+
+Every writer rewrites an existing regular file in place and cuts it to the
+new length, instead of truncating it first: the kernel then keeps the file's
+cached pages rather than freeing and allocating them again.  The header goes
+in last, over NULs written first, so a write that stops part-way (an
+exception or a kill) leaves a ``.crtg`` file with no magic, which
+:func:`read_grid` refuses.  A reader that opens the file while it is being
+rewritten may see a mix of the old and the new contents.
 """
 
 import functools
+import itertools
 import math
 import os
+import stat
 import struct
 from typing import NamedTuple
 
@@ -33,6 +43,28 @@ class GridFormatError(ValueError):
     """Raised when a grid file is missing, malformed or truncated."""
 
 
+def _write_file(path, header: bytes, chunks) -> None:
+    """Write ``header`` and then the byte chunks to ``path``.
+
+    A regular file is rewritten in place: NULs over the header's length, the
+    chunks, a cut at the end of the body, then the header at offset 0.  Any
+    other target (``/dev/null``, a FIFO) gets the header and the chunks in
+    order.  A new file gets the mode bits ``open(path, "wb")`` would give it.
+    """
+    # No O_TRUNC; O_BINARY (Windows only) keeps newlines untranslated.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.write(header)
+            fh.writelines(chunks)
+            return
+        fh.write(bytes(len(header)))
+        fh.writelines(chunks)
+        fh.truncate()
+        fh.seek(0)
+        fh.write(header)
+
+
 def write_grid(path, grid) -> None:
     """Serialize a RealGrid2D or RealGrid3D to ``path`` (bit-exact round trip)."""
     axes = grid.axes()
@@ -43,9 +75,7 @@ def write_grid(path, grid) -> None:
     for ax in axes:
         header += struct.pack("<dd", ax.min, ax.max)
     payload = np.ascontiguousarray(grid.values.ravel(order="F"), dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(bytes(header))
-        fh.write(payload)
+    _write_file(path, bytes(header), [payload])
 
 
 def _read_exact(fh, count: int, offset: int, what: str) -> bytes:
@@ -380,10 +410,10 @@ def write_grid_csv(path, grid) -> None:
     ]
     header += [f"# axis{i} {ax.min:.17g} {ax.max:.17g}" for i, ax in enumerate(axes)]
     zero_lines = tuple((",".join([token] * nx) + "\n").encode("ascii") for token in ("0", "-0"))
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        for block in _row_blocks(grid.values):
-            fh.writelines(_format_block(block, nx, zero_lines))
+    body = itertools.chain.from_iterable(
+        _format_block(block, nx, zero_lines) for block in _row_blocks(grid.values)
+    )
+    _write_file(path, ("\n".join(header) + "\n").encode("ascii"), body)
 
 
 def export_heatmap(grid, path) -> tuple[float, float]:
@@ -402,12 +432,16 @@ def export_heatmap(grid, path) -> tuple[float, float]:
     vmin = float(values.min())
     vmax = float(values.max())
     if vmax > vmin:
-        img = np.round(255.0 * (values - vmin) / (vmax - vmin)).astype(np.uint8)
+        lo, span = vmin, vmax - vmin
+        if not math.isfinite(255.0 * span):
+            # 255·(v − vmin) would overflow: scale by 2**-10 first, which
+            # keeps both ends exact.
+            scale = 2.0**-10
+            values, lo, span = values * scale, vmin * scale, vmax * scale - vmin * scale
+        img = np.round(255.0 * (values - lo) / span).astype(np.uint8)
     else:
         img = np.full(values.shape, 128, dtype=np.uint8)
     pixels = np.ascontiguousarray(img.T[::-1])  # row 0 = top of the y axis
     height, width = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    _write_file(path, f"P5\n{width} {height}\n255\n".encode("ascii"), [pixels])
     return vmin, vmax

@@ -184,6 +184,12 @@ def _stencil_at(position: int, n: int, order: int, offsets: tuple[int, ...], n_e
     return {n - n_edge + k: sign * w_lo[n_edge - 1 - k] for k in range(n_edge)}
 
 
+# Elements per block of the stencil sweeps' products and of the lag-kernel
+# FFTs (rows x transform length): 128 KiB per real, 256 KiB per complex
+# temporary.
+_BLOCK_ELEMENTS = 1 << 14
+
+
 def _derivative(values: np.ndarray, spacing: float, stencils, axis=-1) -> np.ndarray:
     """Weighted sum of derivatives along ``axis`` by finite differences.
 
@@ -228,9 +234,18 @@ def _derivative(values: np.ndarray, spacing: float, stencils, axis=-1) -> np.nda
 
     if lo < n - hi:  # inside every term's stencil: one multiply-add per offset
         width = n - hi - lo
+        # Each product is taken in blocks of leading rows of about
+        # _BLOCK_ELEMENTS, so its temporary stays that size whatever the array's.
+        if v.ndim == 1:
+            blocks = [...]
+        else:
+            step = max(1, _BLOCK_ELEMENTS // math.prod(v.shape[1:]))
+            blocks = [slice(r, r + step) for r in range(0, v.shape[0], step)]
         for j, w in combined(lo):
             if np.count_nonzero(w):
-                out[..., lo : n - hi] += w * v[..., j : j + width]
+                per_row = np.ndim(w) == v.ndim and np.shape(w)[0] > 1
+                for b in blocks:
+                    out[b][..., lo : n - hi] += (w[b] if per_row else w) * v[b][..., j : j + width]
     for position in [*range(min(lo, n)), *range(max(n - hi, lo), n)]:
         for j, w in combined(position):
             out[..., position : position + 1] += w * v[..., j : j + 1]
@@ -262,15 +277,14 @@ def cumint_from_top(profile, spacing: float, axis: int = -1):
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
     p = np.moveaxis(p, axis, -1)
-    seg = 0.5 * spacing * (p[..., :-1] + p[..., 1:])
-    out = np.zeros(p.shape, dtype=np.result_type(p.dtype, float))
-    out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
+    # The trapezoid segments, then their sums from the top, in the output.
+    out = np.empty(p.shape, dtype=np.result_type(p.dtype, float))
+    seg = out[..., :-1]
+    np.add(p[..., :-1], p[..., 1:], out=seg)
+    seg *= 0.5 * spacing
+    np.cumsum(seg[..., ::-1], axis=-1, out=seg[..., ::-1])
+    out[..., -1] = 0
     return np.moveaxis(out, -1, axis)
-
-
-# Rows x transform length per block of the lag-kernel FFTs: 256 KiB per
-# complex temporary.
-_BLOCK_ELEMENTS = 1 << 14
 
 
 def _smooth_size(n: int) -> int:

@@ -230,11 +230,15 @@ def vline_invert(projection: VLineProjection) -> RealGrid2D:
     if g.x_axis.n_samples < 3:
         raise ValueError("inversion needs at least 3 samples along x")
     geom = projection.geometry
-    dgdy = _derivative(g.values, g.y_axis.spacing, [(1.0, 1, (0, 1), 2)], axis=1)
+    # f = -(cos β / 2)·(dgdy + tan²β·tail), built in place in the tail, so no
+    # more than three grids are held at once.
     d2gdx2 = _derivative(g.values, g.x_axis.spacing, [(1.0, 2, (-1, 0, 1), 3)], axis=0)
-    tail = cumint_from_top(d2gdx2, g.y_axis.spacing, axis=1)
-    t2 = geom.tan_beta * geom.tan_beta
-    f = -(geom.cos_beta / 2.0) * (dgdy + t2 * tail)
+    f = cumint_from_top(d2gdx2, g.y_axis.spacing, axis=1)
+    del d2gdx2
+    dgdy = _derivative(g.values, g.y_axis.spacing, [(1.0, 1, (0, 1), 2)], axis=1)
+    f *= geom.tan_beta * geom.tan_beta
+    np.add(dgdy, f, out=f)
+    f *= -(geom.cos_beta / 2.0)
     return RealGrid2D(g.x_axis, g.y_axis, f)
 
 

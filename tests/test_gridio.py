@@ -1,5 +1,9 @@
+import os
+import stat
 import struct
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +347,114 @@ class TestCsvExport:
             assert peak <= 4 * 2**20
 
 
+def zero_lines_grid(rng, shape=(6, 40, 3)):
+    # Rows of +0.0 and -0.0 in runs long enough to be written as cached lines.
+    values = rng.normal(size=shape)
+    values[:, :25, 0] = 0.0
+    values[:, 10:30, 1] = -0.0
+    return RealGrid3D(*(AxisSpec(n, -1.0, 1.0) for n in shape), values)
+
+
+def write_heatmap(path, grid):
+    export_heatmap(grid, path)
+
+
+# (writer, grid): every writer, with the .crtg format in 2D and 3D.
+WRITERS = [
+    pytest.param(write_grid, lambda rng: random_grid2d(rng, 9, 7), id="crtg-2d"),
+    pytest.param(write_grid, lambda rng: RealGrid3D(
+        AxisSpec(4, -1, 1), AxisSpec(5, -2, 2), AxisSpec(6, 0, 3), rng.normal(size=(4, 5, 6))),
+        id="crtg-3d"),
+    pytest.param(write_grid_csv, zero_lines_grid, id="csv-zero-lines"),
+    pytest.param(write_heatmap, lambda rng: random_grid2d(rng, 9, 7), id="pgm"),
+]
+
+
+def permuted(grid, rng):
+    # The same values in another order: a file of the same size, other contents.
+    values = rng.permutation(grid.values.ravel()).reshape(grid.values.shape)
+    return type(grid)(*grid.axes(), values)
+
+
+class TestRewriteInPlace:
+    @pytest.mark.parametrize("old", ["longer", "shorter", "same-size"])
+    @pytest.mark.parametrize("write, make", WRITERS)
+    def test_rewrite_matches_a_fresh_write(self, tmp_path, write, make, old):
+        rng = np.random.default_rng(20)
+        grid = make(rng)
+        (tmp_path / "fresh").mkdir()
+        write(tmp_path / "fresh" / "out", grid)
+        expected = (tmp_path / "fresh" / "out").read_bytes()
+        path = tmp_path / "out"
+        if old == "same-size":
+            write(path, permuted(grid, rng))
+            assert path.stat().st_size == len(expected)
+            assert path.read_bytes() != expected
+        else:
+            size = len(expected) * 2 + 4096 if old == "longer" else len(expected) // 3
+            path.write_bytes(rng.bytes(size))
+        write(path, grid)
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_interrupted_write_is_refused(self, tmp_path, existing):
+        # A body chunk fails part-way, over a same-size .crtg or on a new path:
+        # the header is never written, so the file has no magic.
+        rng = np.random.default_rng(21)
+        grid = random_grid2d(rng, 40, 30)
+        (tmp_path / "fresh").mkdir()
+        write_grid(tmp_path / "fresh" / "g.crtg", grid)
+        data = (tmp_path / "fresh" / "g.crtg").read_bytes()
+        header_size = 4 + 4 + 2 * 4 + 2 * 16
+        header, body = data[:header_size], data[header_size:]
+        path = tmp_path / "g.crtg"
+        if existing:
+            write_grid(path, permuted(grid, rng))
+
+        def chunks():
+            yield body[: len(body) // 2]
+            raise OSError("disk gone")
+
+        with pytest.raises(OSError, match="disk gone"):
+            gridio._write_file(path, header, chunks())
+        with pytest.raises(GridFormatError, match="magic"):
+            read_grid(path)
+
+    @pytest.mark.parametrize("write, make", WRITERS)
+    def test_symlink_to_dev_null(self, tmp_path, write, make):
+        path = tmp_path / "null"
+        path.symlink_to(os.devnull)
+        write(path, make(np.random.default_rng(22)))
+        assert path.is_symlink() and path.stat().st_size == 0
+
+    def test_fifo_gets_header_then_body(self, tmp_path):
+        grid = random_grid2d(np.random.default_rng(23), 9, 7)
+        write_grid(tmp_path / "g.crtg", grid)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            write_grid(fifo, grid)
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [(tmp_path / "g.crtg").read_bytes()]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_matches_open_wb(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "wb"):
+                pass
+            write_grid(tmp_path / "g.crtg", random_grid2d(np.random.default_rng(24)))
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE((tmp_path / "g.crtg").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o666 & ~umask
+
+
 class TestHeatmap:
     def test_constant_is_mid_gray(self, tmp_path):
         grid = RealGrid2D(AxisSpec(4, 0, 1), AxisSpec(3, 0, 1), np.full((4, 3), 2.5))
@@ -384,6 +496,32 @@ class TestHeatmap:
 
         assert pixel(-0.2, -0.2) == 255
         assert pixel(0.5, 0.3) < pixel(-0.2, -0.2)
+
+    @pytest.mark.parametrize("extreme", [1e308, np.finfo(float).max])
+    def test_extreme_finite_values(self, tmp_path, extreme):
+        # vmax - vmin overflows; neither a warning nor a NaN cast may follow.
+        values = np.array([[-extreme, 0.0], [extreme, -extreme]])
+        path = tmp_path / "x.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert export_heatmap(values, path) == (-extreme, extreme)
+        img = np.frombuffer(path.read_bytes().split(b"\n", 3)[3], dtype=np.uint8).reshape(2, 2)
+        # Row 0 is the top of the y axis, column 0 the left of the x axis;
+        # 0.0 lies half-way, where a rounding error may tip it either way.
+        assert (img[0, 1], img[1, 0], img[1, 1]) == (0, 0, 255)
+        assert img[0, 0] in (127, 128)
+
+    def test_pixels_follow_the_min_max_formula(self, tmp_path):
+        # Wherever 255·(vmax - vmin) is finite the pixels are
+        # round(255·(v - vmin) / (vmax - vmin)) exactly.
+        rng = np.random.default_rng(25)
+        for scale in (1.0, 1e-300, 1e300):
+            values = rng.normal(size=(17, 11)) * scale
+            path = tmp_path / "x.pgm"
+            export_heatmap(values, path)
+            vmin, vmax = values.min(), values.max()
+            expected = np.round(255.0 * (values - vmin) / (vmax - vmin)).astype(np.uint8)
+            assert path.read_bytes() == b"P5\n17 11\n255\n" + expected.T[::-1].tobytes()
 
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coneradon import grids
 from coneradon.grids import (
     AxisSpec,
     ConeGeometry,
@@ -168,6 +169,22 @@ class TestCumintFromTop:
         rows = np.stack([cumint_from_top(arr[i], 0.1) for i in range(3)])
         np.testing.assert_allclose(cumint_from_top(arr, 0.1, axis=-1), rows, rtol=1e-14)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_the_two_pass_formula_bit_for_bit(self, dtype, axis):
+        # The in-place sums against segments summed from the top by a
+        # separate cumsum, reversed back and copied into a zeroed output.
+        rng = np.random.default_rng(5)
+        arr = rng.normal(size=(13, 17)).astype(dtype)
+        if dtype is complex:
+            arr += 1j * rng.normal(size=(13, 17))
+        p = np.moveaxis(arr, axis, -1)
+        seg = 0.5 * 0.07 * (p[..., :-1] + p[..., 1:])
+        expected = np.zeros(p.shape, dtype=dtype)
+        expected[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
+        out = cumint_from_top(arr, 0.07, axis=axis)
+        assert np.moveaxis(out, axis, -1).tobytes() == expected.tobytes()
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             cumint_from_top(np.ones(1), 0.1)
@@ -213,6 +230,30 @@ class TestSmoothSize:
         # 30**64 overflows int64, so a numpy integer is taken as a Python one.
         size = _smooth_size(np.int64(95))
         assert size == 96 and type(size) is int
+
+
+class TestDerivativeBlocks:
+    @pytest.mark.parametrize("block", [1, 40, 10**9])
+    def test_blocks_of_rows_change_no_bit(self, monkeypatch, block):
+        # Products taken in blocks of leading rows (one row; three rows of
+        # 13; one block) give the bits of one whole-array sweep, with a scalar
+        # and with a per-row coefficient, and on a single profile.
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(7, 13)) + 1j * rng.normal(size=(7, 13))
+        values[2] = -0.0
+        per_row = rng.normal(size=(7, 1))
+        stencils = [(-1.0, 3, (-2, -1, 0, 1, 2), 6), (per_row, 1, (-1, 0, 1), 4)]
+        def sweeps():
+            return [
+                _derivative(values, 0.1, stencils),
+                _derivative(values, 0.1, stencils[:1], axis=0),
+                _derivative(values[3], 0.1, stencils[:1]),
+            ]
+
+        expected = sweeps()
+        monkeypatch.setattr(grids, "_BLOCK_ELEMENTS", block)
+        for got, want in zip(sweeps(), expected):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFdWeights:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coneradon.grids import AxisSpec, ConeGeometry, RealGrid2D
+from coneradon.grids import AxisSpec, ConeGeometry, RealGrid2D, _derivative
 from coneradon.phantoms import BumpSpec, relative_l2, render_bumps_2d
 from coneradon.vline2d import (
     VLineProjection,
@@ -347,6 +347,37 @@ class TestVlineInvert:
         )
         with pytest.raises(ValueError):
             vline_invert(g)
+
+    def test_matches_the_formula_bit_for_bit(self):
+        # -(cos β / 2)·(dgdy + tan²β·tail), each term a whole-grid temporary.
+        rng = np.random.default_rng(11)
+        g = RealGrid2D(AxisSpec(31, -1.0, 1.0), AxisSpec(23, -1.0, 0.5), rng.normal(size=(31, 23)))
+        g.values[:, 5] = 0.0
+        g.values[4] = -0.0
+        dy = g.y_axis.spacing
+        dgdy = _derivative(g.values, dy, [(1.0, 1, (0, 1), 2)], axis=1)
+        d2gdx2 = _derivative(g.values, g.x_axis.spacing, [(1.0, 2, (-1, 0, 1), 3)], axis=0)
+        seg = 0.5 * dy * (d2gdx2[:, :-1] + d2gdx2[:, 1:])
+        tail = np.zeros(g.values.shape)
+        tail[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
+        t2 = GEOM.tan_beta * GEOM.tan_beta
+        expected = -(GEOM.cos_beta / 2.0) * (dgdy + t2 * tail)
+        assert vline_invert(VLineProjection(g, GEOM)).values.tobytes() == expected.tobytes()
+
+    def test_holds_at_most_three_grids(self):
+        # The benchmark's 240^2 size: the traced peak was 5.0 grids before
+        # the inversion was built in place.
+        ax = AxisSpec(240, -1.0, 1.0)
+        values = np.random.default_rng(12).normal(size=(240, 240))
+        g = VLineProjection(RealGrid2D(ax, ax, values), GEOM)
+        vline_invert(g)
+        tracemalloc.start()
+        try:
+            vline_invert(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * g.grid.values.nbytes
 
 
 class TestSpectralOracle:
