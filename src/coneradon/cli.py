@@ -28,13 +28,12 @@ import numpy as np
 from .cone3d import (
     KernelParams,
     _inversion_levels,
-    _padded_sizes,
     _taper_band_fraction,
     cone_forward,
     cone_invert,
     kernel_eval,
 )
-from .grids import AxisSpec, ConeGeometry, NonFiniteGridError, RealGrid2D
+from .grids import AxisSpec, ConeGeometry, NonFiniteGridError, RealGrid2D, _padded_sizes
 from .gridio import GridFormatError, export_heatmap, read_grid, write_grid, write_grid_csv
 from .phantoms import (
     BumpSpec,
@@ -370,12 +369,8 @@ def _cmd_oracle_check(config: RunConfig, stage, outputs: dict, metrics: dict) ->
         f = _render_phantom(config)
     with stage("forward transform"):
         g = vline_forward(f, geom)
-    # The oracle's centred zero margin, half the added columns on each side,
-    # must hold the rays' reach y_extent * tan(beta).
-    reach = math.ceil((f.y_axis.max - f.y_axis.min) * geom.tan_beta / f.x_axis.spacing)
-    pad_factor = 1 + math.ceil(2 * reach / f.x_axis.n_samples)
     with stage("spectral forward route"):
-        g_spec = vline_spectral_oracle(f, geom, pad_factor=pad_factor)
+        g_spec = vline_spectral_oracle(f, geom)
     denom = _l2_norm(g.grid.values)
     diff = _l2_norm(g.grid.values - g_spec.grid.values)
     metrics["forward_vs_spectral_rel_l2"] = diff / denom if denom else diff

@@ -2,9 +2,10 @@
 
 The forward transform and the inversion both work per transverse frequency
 pair (lambda, mu) with u = tan(beta) sqrt(lambda^2 + mu^2), on the ky >= 0
-half of a real 2D DFT of zero-padded data, and apply their z-kernels through
-``grids._lag_kernel_apply`` with the J0 kernel: a z-correlation by FFT, the
-engine the V-line's spectral oracle runs with the cosine kernel.
+half of a real 2D DFT of data zero-padded by ``grids._padded_sizes``, and
+apply their z-kernels through ``grids._lag_kernel_apply`` with the J0 kernel:
+a z-correlation by FFT.  The V-line's spectral oracle pads by the same rule
+and runs the same engine with the cosine kernel.
 
 Each transform allocates one padded half spectrum and works on it in place,
 through one pruned pair: ``_half_spectrum`` writes the y transforms into it
@@ -44,7 +45,6 @@ With G = (cos(beta)/(2 pi tan(beta))) * ghat, the reconstruction is
 where H(F) = F'' + u^2 F.  The zero-frequency bin degenerates to fhat = G''.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +57,10 @@ from .grids import (
     _derivative,
     _lag_kernel_apply,
     _pad_factor,
-    _smooth_size,
+    _padded_sizes,
     cumint_from_top,
 )
-from .specfun import FrequencyAxis, bessel_j0, frequency_axis
+from .specfun import bessel_j0, frequency_axis
 
 __all__ = [
     "KernelParams",
@@ -89,15 +89,15 @@ _Y_BLOCK_ELEMENTS = 1 << 16
 @dataclass
 class SpectralStack:
     """Per-frequency z-profiles: values[kx, ky, :] belongs to the frequency pair
-    (x_freqs.frequencies[kx], y_freqs.frequencies[ky])."""
+    (x_freqs[kx], y_freqs[ky])."""
 
-    x_freqs: FrequencyAxis
-    y_freqs: FrequencyAxis
+    x_freqs: np.ndarray
+    y_freqs: np.ndarray
     z_axis: AxisSpec
     values: np.ndarray
 
     def __post_init__(self):
-        expected = (self.x_freqs.n_samples, self.y_freqs.n_samples, self.z_axis.n_samples)
+        expected = (self.x_freqs.size, self.y_freqs.size, self.z_axis.n_samples)
         if self.values.shape != expected:
             raise ValueError(f"stack shape {self.values.shape} does not match axes {expected}")
 
@@ -124,20 +124,6 @@ def kernel_eval(params: KernelParams, z, z_v):
     h = z - z_v
     out = (2.0 * np.pi * geom.tan_beta / geom.cos_beta) * h * bessel_j0(params.u * h)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _padded_sizes(grid: RealGrid3D, geometry: ConeGeometry, floor: int = 1):
-    # Padded (x, y) sizes of both 3D transforms on grid's axes: per axis the
-    # smallest 5-smooth size >= floor times the axis whose zero gap holds one
-    # cell plus the cones' reach over the whole z axis, tan(beta) (z extent).
-    # It depends on the axes alone, never on the values, so the inversion
-    # stays linear.
-    z = grid.z_axis
-    reach = geometry.tan_beta * (z.max - z.min)
-    return tuple(
-        _smooth_size(max(floor * a.n_samples, a.n_samples + 1 + math.ceil(reach / a.spacing)))
-        for a in (grid.x_axis, grid.y_axis)
-    )
 
 
 def _z_blocks(n_levels: int, level_elements: int) -> list[slice]:
@@ -171,8 +157,8 @@ def _from_half_spectrum(spectrum: np.ndarray, out: np.ndarray, nyp: int):
 
 def _half_spectrum_radial(grid: RealGrid3D, nxp: int, nyp: int) -> np.ndarray:
     # sqrt(lambda^2 + mu^2) on the bins of rfft2(values, s=(nxp, nyp), axes=(0, 1)).
-    lam = frequency_axis(nxp, grid.x_axis.spacing).frequencies
-    mu = frequency_axis(nyp, grid.y_axis.spacing).frequencies[: nyp // 2 + 1]
+    lam = frequency_axis(nxp, grid.x_axis.spacing)
+    mu = frequency_axis(nyp, grid.y_axis.spacing)[: nyp // 2 + 1]
     return np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2)
 
 
@@ -185,8 +171,8 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     over the grid levels above z_v, applied as a z-correlation by FFT
     (``grids._lag_kernel_apply``); the cone opens toward +z only.  f is
     zero-padded at the far x and y ends to fast FFT sizes that hold the widest
-    ring (``_padded_sizes``), and only the ky >= 0 half of its real 2D DFT is
-    transformed, as in ``cone_invert``.  Only f's slab of levels holding a
+    ring (``grids._padded_sizes``), and only the ky >= 0 half of its real 2D
+    DFT is transformed, as in ``cone_invert``.  Only f's slab of levels holding a
     nonzero sample is transformed, and only the levels up to its top are
     synthesized: cones with a vertex above the slab see nothing, so g is
     exactly 0 there.
@@ -310,8 +296,8 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
     """Theorem-2 inversion: 2D DFT per slice, per-frequency 1D inversion, inverse DFT.
 
     g is zero-padded at the far x and y ends against periodic wrap, by the
-    forward's rule (``_padded_sizes``), to at least ``pad_factor`` times its
-    size.  The padded size depends on g's axes only, not on which levels hold
+    forward's rule (``grids._padded_sizes``), to at least ``pad_factor``
+    times its size.  The padded size depends on g's axes only, not on which levels hold
     data, so the inversion is linear.  A per-frequency filter commutes with
     circular shifts, so where the zeros sit does not matter.  Frequency pairs
     beyond the transverse Nyquist circle (aliasing only) are zeroed, those

@@ -17,7 +17,10 @@ spectral route is one trapezoid-weighted lag-kernel integral up the axis per
 frequency, with kernel J0(u h) for the cone's circles and cos(lambda tan(beta) h)
 for the V-line's two rays.  ``_lag_kernel_apply`` is that engine, a
 correlation along the axis by FFT; ``cone3d`` runs its forward and inversion
-through it, ``vline2d`` its spectral oracle.
+through it, ``vline2d`` its spectral oracle.  Each of them zero-pads the
+lateral axes at their far ends to ``_padded_sizes``, the one rule that keeps
+the cones' and rays' reach from wrapping around the period, for a grid of
+any rank.
 
 Differencing convention: both inversions differentiate the data, and
 ``_derivative`` is the one finite-difference stencil helper for it: a stencil
@@ -31,6 +34,7 @@ at the ends, and sums its orders 3 and 1 with one weight per frequency row.
 import functools
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,13 +292,53 @@ def cumint_from_top(profile, spacing: float, axis: int = -1):
 
 
 def _smooth_size(n: int) -> int:
-    # Smallest 5-smooth integer >= n, a fast FFT length: n < 2**64 divides
-    # 30**64 exactly when its only prime factors are 2, 3 and 5.  A numpy
-    # integer is taken as a Python one, since 30**64 overflows its type.
+    # Smallest 5-smooth integer >= n, a fast FFT length: the least, over the
+    # products 5^a 3^b up to the first past n, of that product times the
+    # smallest power of two taking it to n, in O(log^2 n) steps.  A numpy
+    # integer is taken as a Python one, so no product overflows.
     n = operator.index(n)
-    while 30**64 % n:
-        n += 1
-    return n
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < 5 * n:
+        p35 = p5
+        while p35 < 3 * n:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _physical_memory() -> int | None:
+    # Bytes of physical memory, or None where the platform does not tell.
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _padded_sizes(grid, geometry: ConeGeometry, floor: int = 1) -> tuple[int, ...]:
+    """Padded sizes of ``grid``'s lateral axes (every axis but the last), the
+    one rule of every spectral route: per axis, the smallest 5-smooth size >=
+    ``floor`` times the axis whose zero gap at the far end holds one cell plus
+    the reach tan(beta) (extent of the last axis), so no cone's ring or
+    V-line's ray wraps around the period.  It depends on the axes alone, so
+    the routes stay linear.  Raises ``MemoryError``, before anything is
+    allocated, where one complex padded spectrum, 16 prod(sizes) n_height
+    bytes, exceeds the physical memory, as it does for beta near pi/2.
+    """
+    *lateral, height = grid.axes()
+    reach = geometry.tan_beta * (height.max - height.min)
+    sizes = tuple(
+        _smooth_size(max(floor * a.n_samples, a.n_samples + 1 + math.ceil(reach / a.spacing)))
+        for a in lateral
+    )
+    need = 16 * math.prod(sizes) * height.n_samples
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise MemoryError(
+            f"padded sizes {sizes} over {height.n_samples} levels need {need:.3g} bytes, "
+            f"more than the {memory:.3g} bytes of physical memory"
+        )
+    return sizes
 
 
 def _lag_kernel_apply(

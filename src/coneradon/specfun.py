@@ -9,11 +9,9 @@ the integral representation
 J0(a) = (1/2pi) * integral_0^2pi exp(i a cos(theta)) dtheta.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["FrequencyAxis", "bessel_j0", "bessel_j1", "frequency_axis"]
+__all__ = ["bessel_j0", "bessel_j1", "frequency_axis"]
 
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
 _PIO4 = 7.85398163397448309616e-1  # pi/4
@@ -142,29 +140,19 @@ _QQ1 = (  # monic
 )
 
 
-@dataclass(frozen=True)
-class FrequencyAxis:
-    """Angular frequencies of the n-point DFT of samples with the given spacing.
+def frequency_axis(n: int, spacing: float) -> np.ndarray:
+    """Angular frequencies of the n-point DFT of samples ``spacing`` apart.
 
     Bin k carries frequency 2 pi k~ / (n * spacing) with the signed index
     k~ in (-n/2, n/2], so bin 0 is the single zero-frequency (DC) bin.
     """
-
-    n_samples: int
-    spacing: float
-    frequencies: np.ndarray
-
-
-def frequency_axis(n: int, spacing: float) -> FrequencyAxis:
-    """Frequency axis for an n-point transform of samples ``spacing`` apart."""
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
     k = np.arange(n)
     k_signed = np.where(k <= n // 2, k, k - n)
-    freqs = 2.0 * np.pi * k_signed / (n * float(spacing))
-    return FrequencyAxis(int(n), float(spacing), freqs)
+    return 2.0 * np.pi * k_signed / (n * float(spacing))
 
 
 def _polevl(x, coeffs):

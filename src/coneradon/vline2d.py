@@ -18,8 +18,9 @@ neighbours), both from ``grids._derivative``, the cone inversion's stencil
 helper too, and trapezoidal cumulative integration.  ``vline_spectral_oracle``
 is an independent second forward route through the per-frequency relation
 G_lambda(y_v) = int_{y_v}^{y_top} fhat_lambda(y) cos(lambda t (y - y_v)) dy,
-applied by ``grids._lag_kernel_apply`` with the cosine kernel (the engine the
-cone transforms run with J0).
+on f zero-padded in x by ``grids._padded_sizes`` and applied by
+``grids._lag_kernel_apply`` with the cosine kernel: the padding rule and the
+engine the cone transforms run with J0.
 """
 
 import math
@@ -34,6 +35,7 @@ from .grids import (
     _derivative,
     _lag_kernel_apply,
     _pad_factor,
+    _padded_sizes,
     cumint_from_top,
 )
 from .specfun import frequency_axis
@@ -243,45 +245,25 @@ def vline_invert(projection: VLineProjection) -> RealGrid2D:
 
 
 def vline_spectral_oracle(
-    f: RealGrid2D, geometry: ConeGeometry, pad_factor: int = 2
+    f: RealGrid2D, geometry: ConeGeometry, pad_factor: int = 1
 ) -> VLineProjection:
     """Second, independent forward route through the x-frequency domain.
 
-    f is zero-padded in x by ``pad_factor``, transformed per column, pushed
-    through the cosine-kernel relation per frequency (trapezoid rule in y, by
-    ``grids._lag_kernel_apply``) and transformed back.  The added zero margin
-    on each side must be at least y_extent * tan(beta) so the projection data
-    cannot wrap around the periodic boundary.
+    f is zero-padded at the far x end by the 3D transforms' rule
+    (``grids._padded_sizes``: a fast size whose zero gap holds one cell plus
+    the rays' reach y_extent * tan(beta), and at least ``pad_factor`` times
+    nx), so no ray wraps around the period.  Each column is transformed,
+    pushed through the cosine-kernel relation per frequency (trapezoid rule
+    in y, by ``grids._lag_kernel_apply``) and transformed back, and the first
+    nx columns are kept.
     """
-    pad_factor = _pad_factor(pad_factor)
     nx = f.x_axis.n_samples
-    ny = f.y_axis.n_samples
-    dx = f.x_axis.spacing
-    n_pad = pad_factor * nx
-    pad_left = (n_pad - nx) // 2
-
-    support = np.flatnonzero(np.abs(f.values).sum(axis=1))
-    if support.size == 0:
-        zero = RealGrid2D(f.x_axis, f.y_axis, np.zeros((nx, ny)))
-        return VLineProjection(zero, geometry)
-    margin_needed = (f.y_axis.max - f.y_axis.min) * geometry.tan_beta
-    margin_left = (pad_left + support[0]) * dx
-    margin_right = (n_pad - nx - pad_left + nx - 1 - support[-1]) * dx
-    if min(margin_left, margin_right) < margin_needed - 1e-12:
-        raise ValueError(
-            f"insufficient zero padding: margin {min(margin_left, margin_right):.4g} "
-            f"< required {margin_needed:.4g}; increase pad_factor"
-        )
-
-    padded = np.zeros((n_pad, ny))
-    padded[pad_left : pad_left + nx] = f.values
-    spectrum = np.fft.rfft(padded, axis=0)  # fhat, turned into ghat in place
-    lam = frequency_axis(n_pad, dx).frequencies[: spectrum.shape[0]]
+    (n_pad,) = _padded_sizes(f, geometry, _pad_factor(pad_factor))
+    spectrum = np.fft.rfft(f.values, n_pad, axis=0)  # fhat, turned into ghat in place
+    lam = frequency_axis(n_pad, f.x_axis.spacing)[: spectrum.shape[0]]
     _lag_kernel_apply(spectrum, geometry.tan_beta * lam, f.y_axis.spacing, np.cos)
     spectrum *= 2.0 / geometry.cos_beta
-
-    g_pad = np.fft.irfft(spectrum, n=n_pad, axis=0)
-    g = g_pad[pad_left : pad_left + nx]
+    g = np.fft.irfft(spectrum, n_pad, axis=0)[:nx]
     return VLineProjection(RealGrid2D(f.x_axis, f.y_axis, g), geometry)
 
 
@@ -310,7 +292,7 @@ def fourier_relation_check(f: RealGrid2D, projection: VLineProjection) -> float:
     # non-negative frequencies is the maximum over all of them.
     fhat = np.fft.rfft(f.values, axis=0)
     big_g = np.fft.rfft(grid.values, axis=0) * (geom.cos_beta / 2.0)
-    lam = frequency_axis(f.x_axis.n_samples, f.x_axis.spacing).frequencies[: fhat.shape[0]]
+    lam = frequency_axis(f.x_axis.n_samples, f.x_axis.spacing)[: fhat.shape[0]]
 
     dgdz = _derivative(big_g, dy, [(1.0, 1, (-1, 0, 1), 2)], axis=1)
     tail = cumint_from_top(big_g, dy, axis=1)

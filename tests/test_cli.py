@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import coneradon
+from coneradon import grids
 from coneradon.cli import main
 from coneradon.gridio import read_grid, write_grid
 from coneradon.grids import AxisSpec, RealGrid2D, RealGrid3D
@@ -401,6 +402,10 @@ class TestExitCodes:
                      "overflows", id="infinite-extent-domain"),
         pytest.param(non_utf8_scene, 2, "utf-8", id="non-utf8-scene"),
         pytest.param(short_z_grid, 1, "at least 6 samples along z", id="short-z-crtg"),
+        # The padded sizes near a right angle (~1.4e12 per axis) are refused
+        # by arithmetic, before the inversion sees the short z axis.
+        pytest.param(lambda tmp: short_z_grid(tmp) + ["--beta", "1.57079632679"], 1,
+                     "physical memory", id="short-z-crtg-near-right-angle"),
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--beta", "pi/8",
                                   f"--vertex-ymin={deepest_vertex_ymin() - 2.0 / 15!r}"], 1,
                      repr(deepest_vertex_ymin()), id="vertex-ymin-one-row-too-deep"),
@@ -434,6 +439,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["forward3d", "invert3d", "roundtrip3d", "oracle-check"])
+    def test_padded_spectrum_above_physical_memory_exits_1(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # Every spectral route sizes its padding by grids._padded_sizes,
+        # which refuses a spectrum larger than the physical memory.
+        args = [command, "--n", "12", "--outdir", str(tmp_path / "out")]
+        if command == "invert3d":
+            args = short_z_grid(tmp_path) + args[3:]
+        monkeypatch.setattr(grids, "_physical_memory", lambda: 1024)
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert "physical memory" in err and "Traceback" not in err
 
     def test_deepest_vertex_ymin_exits_0(self, tmp_path):
         ymin = deepest_vertex_ymin()

@@ -13,14 +13,19 @@ from coneradon.cone3d import (
     _half_spectrum,
     _half_spectrum_radial,
     _inversion_levels,
-    _padded_sizes,
     cone_forward,
     cone_invert,
     dft2_slices,
     invert_frequency_profile,
     kernel_eval,
 )
-from coneradon.grids import AxisSpec, ConeGeometry, RealGrid3D, _lag_kernel_apply
+from coneradon.grids import (
+    AxisSpec,
+    ConeGeometry,
+    RealGrid3D,
+    _lag_kernel_apply,
+    _padded_sizes,
+)
 from coneradon.phantoms import BumpSpec, relative_l2, render_bumps_3d
 from coneradon.specfun import bessel_j0
 
@@ -67,7 +72,7 @@ def full_spectrum_invert(g, geometry, pad):
     x_axis = AxisSpec(nxp, 0.0, (nxp - 1) * dx)
     y_axis = AxisSpec(nyp, 0.0, (nyp - 1) * dy)
     stack = dft2_slices(RealGrid3D(x_axis, y_axis, g.z_axis, padded))
-    lam, mu = stack.x_freqs.frequencies, stack.y_freqs.frequencies
+    lam, mu = stack.x_freqs, stack.y_freqs
     radial = np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2)
     u_map = geometry.tan_beta * radial
     weights = _frequency_weights(u_map, radial, g)
@@ -659,7 +664,7 @@ def is_5_smooth(m):
 
 
 class TestPaddedSizes:
-    """``_padded_sizes``, the one padded-size rule of both 3D transforms."""
+    """``grids._padded_sizes`` as both 3D transforms use it."""
 
     @staticmethod
     def grid(nx, ny, nz):

@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from coneradon.grids import (
     cumint_from_top,
     _derivative,
     _fd_weights,
+    _padded_sizes,
     _smooth_size,
 )
 
@@ -221,15 +225,85 @@ class TestLinearity:
         np.testing.assert_allclose(combined, split, rtol=1e-12, atol=1e-12)
 
 
+def is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
 class TestSmoothSize:
     @pytest.mark.parametrize("n, expected", [(1, 1), (7, 8), (81, 81), (95, 96), (97, 100)])
     def test_smallest_5_smooth_at_least_n(self, n, expected):
         assert _smooth_size(n) == expected
 
+    def test_matches_a_linear_search(self):
+        expected, m = [], 1
+        for n in range(1, 5001):
+            while not is_5_smooth(m) or m < n:
+                m += 1
+            expected.append(m)
+        assert [_smooth_size(n) for n in range(1, 5001)] == expected
+
+    @pytest.mark.parametrize("n", [10**18, 10**18 + 1, 30**64 + 1])
+    def test_huge_n_returns_at_once(self, n):
+        # Padded sizes reach such n as beta nears pi/2.
+        start = time.perf_counter()
+        size = _smooth_size(n)
+        assert time.perf_counter() - start < 1.0
+        assert size >= n and is_5_smooth(size)
+        assert size <= 1 << (n - 1).bit_length()
+        if is_5_smooth(n):
+            assert size == n
+
     def test_numpy_integer(self):
-        # 30**64 overflows int64, so a numpy integer is taken as a Python one.
+        # A numpy integer is taken as a Python one, so no product overflows.
         size = _smooth_size(np.int64(95))
         assert size == 96 and type(size) is int
+
+
+class TestPaddedSizes:
+    """``_padded_sizes`` on grids of either rank; ``test_cone3d`` holds the
+    3D rule's own tests."""
+
+    @pytest.mark.parametrize("floor", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [np.pi / 12, np.pi / 8, np.pi / 4, 3 * np.pi / 8])
+    def test_2d_pads_its_x_axis_as_3d(self, beta, floor):
+        # A 2D grid's x axis and height pad as a 3D grid's x axis does over
+        # the same height.
+        geometry = ConeGeometry(beta)
+        x, y, height = unit_axis(37), AxisSpec(20, -0.5, 1.5), AxisSpec(29, 0.0, 0.8)
+        flat = RealGrid2D(x, height, np.zeros((37, 29)))
+        solid = RealGrid3D(x, y, height, np.zeros((37, 20, 29)))
+        (size,) = _padded_sizes(flat, geometry, floor)
+        assert (size,) == _padded_sizes(solid, geometry, floor)[:1]
+        reach = geometry.tan_beta * 0.8
+        assert size == _smooth_size(max(floor * 37, 38 + math.ceil(reach / x.spacing)))
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_memory_error_above_physical_memory(self, monkeypatch, rank):
+        # One complex padded spectrum over the whole height: 16 * 36 bytes
+        # per level in 2D, 16 * 36^2 in 3D at N = 24, pi/8.
+        ax = unit_axis(24)
+        grid = (
+            RealGrid2D(ax, ax, np.zeros((24, 24)))
+            if rank == 2
+            else RealGrid3D(ax, ax, ax, np.zeros((24, 24, 24)))
+        )
+        need = 16 * 36 ** (rank - 1) * 24
+        monkeypatch.setattr(grids, "_physical_memory", lambda: need)
+        assert _padded_sizes(grid, ConeGeometry(np.pi / 8)) == (36,) * (rank - 1)
+        monkeypatch.setattr(grids, "_physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryError, match="physical memory"):
+            _padded_sizes(grid, ConeGeometry(np.pi / 8))
+
+    def test_memory_error_near_a_right_angle(self):
+        # At beta = 1.5707963 the reach is ~2.6e8 cells of an 8^3 grid: the
+        # sizes come out by arithmetic alone, ~9e18 bytes, and are refused.
+        ax = unit_axis(8)
+        grid = RealGrid3D(ax, ax, ax, np.zeros((8, 8, 8)))
+        with pytest.raises(MemoryError):
+            _padded_sizes(grid, ConeGeometry(1.5707963))
 
 
 class TestDerivativeBlocks:
