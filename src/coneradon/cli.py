@@ -6,10 +6,17 @@ One command per process; every run writes the requested grids plus a
 to the timing values).  Exit codes: 0 success, 1 bad arguments, 2 I/O or parse
 failure, 3 numerical failure (non-finite values).
 
+Each option is declared once, as a ``RunConfig`` field made by ``_option``:
+flags, argparse type or action, help, the runs that read it and the value a
+reading run gets when it is not given.  A run is a command, or a forward
+command "with --input", which reads its grid instead of rendering a phantom;
+only runs that render one read ``--n``, ``--domain``, ``--scene`` and
+``--radius``.  An option the run does not read exits 1 naming its first flag,
+and ``report.json`` records it as null.
+
 ``--vertex-ymin`` extends the 2D vertex grid down by whole rows, but no deeper
 than y_min - dy - (x_max - x_min + dx) / tan(beta): vertex rows below that see
-no data, and a deeper value exits 1 naming the limit.  An option the command
-does not read (``_OPTION_READERS``, and ``--scene`` next to ``--input``) exits 1.
+no data, and a deeper value exits 1 naming the limit.
 """
 
 import argparse
@@ -54,65 +61,9 @@ from .vline2d import (
 
 __all__ = ["RunConfig", "main", "run"]
 
+
 class InputDataError(Exception):
     """Input file exists but its contents cannot be used (exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    """Everything one CLI invocation needs; validated before any work starts."""
-
-    command: str
-    beta: float = math.pi / 8
-    n: int = 120
-    domain: tuple[float, ...] = (-1.0, 1.0)
-    input_path: str | None = None
-    output_dir: str = "."
-    scene_path: str | None = None
-    seed: int | None = None  # not given: 0 for oracle-check
-    default_radius: float = 0.25
-    vertex_ymin: float | None = None
-    masked_metrics: bool | None = None
-    write_csv: bool | None = None
-    dim: int | None = None  # phantom only; not given: 2
-
-    def validate(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        for name, readers in _OPTION_READERS.items():
-            if getattr(self, name) is not None and self.command not in readers:
-                flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
-                raise ValueError(f"{flag} does not apply to {self.command}")
-        if self.input_path is not None and self.scene_path is not None:
-            raise ValueError(f"--scene does not apply to {self.command} with --input")
-        if not (0.0 < self.beta < math.pi / 2):
-            raise ValueError(f"beta must lie in (0, pi/2), got {self.beta}")
-        if self.n < 8:
-            raise ValueError(f"n must be >= 8, got {self.n}")
-        if len(self.domain) not in (2, 4, 6):
-            raise ValueError("domain needs 2, 4 or 6 comma-separated numbers")
-        bounds = self.domain_bounds(3 if len(self.domain) == 6 else None)
-        for lo, hi in bounds:
-            if not hi > lo:
-                raise ValueError(f"domain bounds must satisfy max > min, got [{lo}, {hi}]")
-        if self.vertex_ymin is not None and not math.isfinite(self.vertex_ymin):
-            raise ValueError(f"vertex_ymin must be finite, got {self.vertex_ymin}")
-
-    def domain_bounds(self, dim: int | None = None) -> list[tuple[float, float]]:
-        pairs = [tuple(self.domain[i : i + 2]) for i in range(0, len(self.domain), 2)]
-        if dim is None:
-            return pairs
-        if len(pairs) == 1:
-            return pairs * dim
-        if len(pairs) != dim:
-            raise ValueError(f"domain specifies {len(pairs)} axes but command needs {dim}")
-        return pairs
-
-    def axes(self, dim: int) -> list[AxisSpec]:
-        return [AxisSpec(self.n, lo, hi) for lo, hi in self.domain_bounds(dim)]
-
-    def geometry(self) -> ConeGeometry:
-        return ConeGeometry(self.beta)
 
 
 def _parse_angle(text: str) -> float:
@@ -133,12 +84,110 @@ def _parse_angle(text: str) -> float:
 
 def _parse_domain(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(tok) for tok in text.split(","))
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse domain {text!r}") from exc
-    if len(values) not in (2, 4, 6):
-        raise argparse.ArgumentTypeError("domain needs 2, 4 or 6 comma-separated numbers")
-    return values
+
+
+_COMMANDS = ("phantom", "forward2d", "invert2d", "roundtrip2d",
+             "forward3d", "invert3d", "roundtrip3d", "oracle-check")
+# A forward command given --input reads its grid from the file instead of
+# rendering a phantom, so it reads options as a run of its own.
+_FROM_INPUT = ("forward2d with --input", "forward3d with --input")
+_RUNS = _COMMANDS + _FROM_INPUT
+_RENDERS = ("phantom", "forward2d", "roundtrip2d", "forward3d", "roundtrip3d", "oracle-check")
+
+
+def _option(*flags, readers=_RUNS, default=None, **argparse_kwargs):
+    """One CLI option as a ``RunConfig`` field, None when not given: its flags
+    and argparse keywords, the runs that read it (every other run refuses it),
+    and the ``default`` a reading run gets when it is not given."""
+    meta = {"flags": flags, "readers": readers, "default": default, "argparse": argparse_kwargs}
+    return dataclasses.field(default=None, metadata=meta)
+
+
+@dataclass
+class RunConfig:
+    """Everything one CLI invocation needs; validated before any work starts.
+    ``run`` fills in the default of every option the run reads."""
+
+    command: str
+    beta: float | None = _option("--beta", type=_parse_angle, default=math.pi / 8,
+                                 help="half-opening angle in radians, or pi/<k> (default pi/8)")
+    n: int | None = _option("--n", type=int, readers=_RENDERS, default=120,
+                            help="samples per axis (default 120)")
+    domain: tuple[float, ...] | None = _option(
+        "--domain", type=_parse_domain, readers=_RENDERS, default=(-1.0, 1.0),
+        help="axis bounds: 'lo,hi' for all axes or per-axis pairs (default -1,1)")
+    input_path: str | None = _option("--input", readers=_FROM_INPUT + ("invert2d", "invert3d"),
+                                     help="input grid file (.crtg)")
+    output_dir: str | None = _option("--outdir", default=".", help="directory for output files")
+    scene_path: str | None = _option("--scene", "--phantom", readers=_RENDERS,
+                                     help="phantom scene description file")
+    seed: int | None = _option("--seed", type=int, readers=("oracle-check",), default=0,
+                               help="seed for oracle-check's randomized checks (default 0)")
+    default_radius: float | None = _option(
+        "--radius", type=float, readers=_RENDERS, default=0.25,
+        help="radius for scene lines that omit it (default 0.25)")
+    vertex_ymin: float | None = _option(
+        "--vertex-ymin", type=float, readers=("forward2d", "forward2d with --input", "roundtrip2d"),
+        help="extend the vertex grid of forward2d/roundtrip2d down to this y")
+    masked_metrics: bool | None = _option(
+        "--masked-metrics", action="store_true", readers=("roundtrip2d", "roundtrip3d"),
+        default=False, help="round trips: also report errors restricted to the phantom support")
+    write_csv: bool | None = _option(  # every run that saves a grid
+        "--csv", action="store_true", readers=tuple(r for r in _RUNS if r != "oracle-check"),
+        default=False, help="additionally export every saved grid as CSV")
+    dim: int | None = _option(  # run() sets the other commands' grid rank
+        "--dim", type=int, choices=(2, 3), readers=("phantom",), default=2,
+        help="dimension for the phantom command (default 2)")
+
+    def reader(self) -> str:
+        """The run that reads this configuration's options."""
+        from_input = self.input_path is not None and self.command.startswith("forward")
+        return f"{self.command} with --input" if from_input else self.command
+
+    def validate(self) -> None:
+        if self.command not in _COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
+        reader = self.reader()
+        for field in _OPTIONS:
+            if getattr(self, field.name) is not None and reader not in field.metadata["readers"]:
+                raise ValueError(f"{field.metadata['flags'][0]} does not apply to {reader}")
+        # An option not given is None here, and its default is valid.
+        if self.beta is not None and not (0.0 < self.beta < math.pi / 2):
+            raise ValueError(f"beta must lie in (0, pi/2), got {self.beta}")
+        if self.n is not None and self.n < 8:
+            raise ValueError(f"n must be >= 8, got {self.n}")
+        if self.domain is not None:
+            if len(self.domain) not in (2, 4, 6):
+                raise ValueError("domain needs 2, 4 or 6 comma-separated numbers")
+            for lo, hi in self.domain_bounds():
+                if not hi > lo:
+                    raise ValueError(f"domain bounds must satisfy max > min, got [{lo}, {hi}]")
+        if self.default_radius is not None and not 0.0 < self.default_radius < math.inf:
+            raise ValueError(f"radius must be finite and > 0, got {self.default_radius}")
+        if self.vertex_ymin is not None and not math.isfinite(self.vertex_ymin):
+            raise ValueError(f"vertex_ymin must be finite, got {self.vertex_ymin}")
+
+    def domain_bounds(self, dim: int | None = None) -> list[tuple[float, float]]:
+        pairs = [tuple(self.domain[i : i + 2]) for i in range(0, len(self.domain), 2)]
+        if dim is None:
+            return pairs
+        if len(pairs) == 1:
+            return pairs * dim
+        if len(pairs) != dim:
+            raise ValueError(f"domain specifies {len(pairs)} axes but command needs {dim}")
+        return pairs
+
+    def axes(self, dim: int) -> list[AxisSpec]:
+        return [AxisSpec(self.n, lo, hi) for lo, hi in self.domain_bounds(dim)]
+
+    def geometry(self) -> ConeGeometry:
+        return ConeGeometry(self.beta)
+
+
+_OPTIONS = tuple(field for field in dataclasses.fields(RunConfig) if field.metadata)
 
 
 def _load_scene(config: RunConfig) -> list[BumpSpec]:
@@ -407,25 +456,6 @@ _DISPATCH = {
     "roundtrip3d": (_cmd_roundtrip, 3),
     "oracle-check": (_cmd_oracle_check, 2),
 }
-_COMMANDS = tuple(_DISPATCH)
-
-# Options only some commands read; any other command refuses them.
-_OPTION_READERS = {
-    "vertex_ymin": ("forward2d", "roundtrip2d"),
-    "dim": ("phantom",),
-    "input_path": ("forward2d", "invert2d", "forward3d", "invert3d"),
-    "scene_path": (
-        "phantom", "forward2d", "roundtrip2d", "forward3d", "roundtrip3d", "oracle-check",
-    ),
-    "seed": ("oracle-check",),
-    "masked_metrics": ("roundtrip2d", "roundtrip3d"),
-    "write_csv": tuple(c for c in _COMMANDS if c != "oracle-check"),  # every grid writer
-}
-# What a reading command uses when the option is not given.
-_OPTION_DEFAULTS = {"seed": 0, "masked_metrics": False}
-# Flags whose name is not the field's with dashes.
-_FLAGS = {"input_path": "--input", "scene_path": "--scene", "write_csv": "--csv"}
-
 
 def _config_dict(config: RunConfig) -> dict:
     params = dataclasses.asdict(config)
@@ -444,12 +474,14 @@ def run(config: RunConfig) -> int:
         return 1
 
     # The report records the grid rank that ran, and an option's value only
-    # where the command reads it.
+    # where the run reads it: the declared default where it was not given.
     handler, rank = _DISPATCH[config.command]
-    config = dataclasses.replace(config, dim=rank or config.dim or 2)
-    for name, default in _OPTION_DEFAULTS.items():
-        if getattr(config, name) is None and config.command in _OPTION_READERS[name]:
-            setattr(config, name, default)
+    reader = config.reader()
+    config = dataclasses.replace(config, **{
+        field.name: field.metadata["default"] for field in _OPTIONS
+        if getattr(config, field.name) is None and reader in field.metadata["readers"]
+    })
+    config = dataclasses.replace(config, dim=rank or config.dim)
 
     timings: dict[str, float] = {}
     outputs: dict[str, str] = {}
@@ -509,42 +541,9 @@ def _build_parser() -> _Parser:
         ),
     )
     parser.add_argument("command", choices=_COMMANDS, help="what to run")
-    parser.add_argument(
-        "--beta", type=_parse_angle, default=math.pi / 8,
-        help="half-opening angle in radians, or pi/<k> (default pi/8)",
-    )
-    parser.add_argument("--n", type=int, default=120, help="samples per axis (default 120)")
-    parser.add_argument(
-        "--domain", type=_parse_domain, default=(-1.0, 1.0),
-        help="axis bounds: 'lo,hi' for all axes or per-axis pairs (default -1,1)",
-    )
-    parser.add_argument("--input", dest="input_path", help="input grid file (.crtg)")
-    parser.add_argument(
-        "--outdir", dest="output_dir", default=".", help="directory for output files"
-    )
-    parser.add_argument(
-        "--scene", "--phantom", dest="scene_path", help="phantom scene description file"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for oracle-check's randomized checks (default 0)",
-    )
-    parser.add_argument(
-        "--radius", type=float, default=0.25, dest="default_radius",
-        help="radius for scene lines that omit it (default 0.25)",
-    )
-    parser.add_argument(
-        "--vertex-ymin", type=float, default=None, dest="vertex_ymin",
-        help="extend the vertex grid of forward2d/roundtrip2d down to this y",
-    )
-    parser.add_argument(
-        "--masked-metrics", action="store_true", default=None,
-        help="round trips: also report errors restricted to the phantom support",
-    )
-    parser.add_argument("--csv", action="store_true", default=None, dest="write_csv",
-                        help="additionally export every saved grid as CSV")
-    parser.add_argument("--dim", type=int, choices=(2, 3), default=None,
-                        help="dimension for the phantom command (default 2)")
+    for field in _OPTIONS:
+        meta = field.metadata
+        parser.add_argument(*meta["flags"], dest=field.name, default=None, **meta["argparse"])
     return parser
 
 

@@ -255,7 +255,7 @@ def vline_spectral_oracle(
     nx), so no ray wraps around the period.  Each column is transformed,
     pushed through the cosine-kernel relation per frequency (trapezoid rule
     in y, by ``grids._lag_kernel_apply``) and transformed back, and the first
-    nx columns are kept.
+    nx columns are copied out.
     """
     nx = f.x_axis.n_samples
     (n_pad,) = _padded_sizes(f, geometry, _pad_factor(pad_factor))
@@ -263,7 +263,7 @@ def vline_spectral_oracle(
     lam = frequency_axis(n_pad, f.x_axis.spacing)[: spectrum.shape[0]]
     _lag_kernel_apply(spectrum, geometry.tan_beta * lam, f.y_axis.spacing, np.cos)
     spectrum *= 2.0 / geometry.cos_beta
-    g = np.fft.irfft(spectrum, n_pad, axis=0)[:nx]
+    g = np.fft.irfft(spectrum, n_pad, axis=0)[:nx].copy()  # not a view of the padded period
     return VLineProjection(RealGrid2D(f.x_axis, f.y_axis, g), geometry)
 
 

@@ -54,6 +54,16 @@ def short_z_grid(tmp_path):
     return ["invert3d", "--input", str(path)]
 
 
+def radius_from_option(radius, tmp_path=None):
+    # With tmp_path, the radius reaches the phantom through a scene line that omits it.
+    args = ["phantom", "--n", "16", f"--radius={radius}"]
+    if tmp_path is not None:
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0.2 0.1 1\n")
+        args += ["--scene", str(scene)]
+    return args
+
+
 def non_utf8_scene(tmp_path):
     path = tmp_path / "scene.txt"
     path.write_bytes("0.2 0.1 0.25 1  # caf\xe9\n".encode("latin-1"))
@@ -140,7 +150,7 @@ class TestFileChain:
         pout = tmp_path / "p"
         assert run_cli("phantom", "--n", "40", "--outdir", str(pout)) == 0
         fout = tmp_path / "f"
-        assert run_cli("forward2d", "--n", "40", "--input", str(pout / "phantom.crtg"),
+        assert run_cli("forward2d", "--input", str(pout / "phantom.crtg"),
                        "--outdir", str(fout)) == 0
         iout = tmp_path / "i"
         assert run_cli("invert2d", "--input", str(fout / "projection.crtg"),
@@ -432,6 +442,17 @@ class TestExitCodes:
         pytest.param(lambda tmp: ["forward2d", "--input", str(tmp / "f.crtg"),
                                   "--scene", str(tmp / "scene.txt")], 1,
                      "--scene does not apply to forward2d with --input", id="scene-with-input"),
+        # A bad --radius exits 1 whether or not a scene line reads it.
+        pytest.param(lambda tmp: radius_from_option(-1), 1, "radius must be finite and > 0",
+                     id="negative-radius"),
+        pytest.param(lambda tmp: radius_from_option(-1, tmp), 1, "radius must be finite and > 0",
+                     id="negative-radius-in-scene"),
+        pytest.param(lambda tmp: radius_from_option(0), 1, "radius must be finite and > 0",
+                     id="zero-radius"),
+        pytest.param(lambda tmp: radius_from_option("inf"), 1, "radius must be finite and > 0",
+                     id="infinite-radius"),
+        pytest.param(lambda tmp: radius_from_option("nan"), 1, "radius must be finite and > 0",
+                     id="nan-radius"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, make_args, code, message):
         args = make_args(tmp_path) + ["--outdir", str(tmp_path / "out")]
@@ -476,6 +497,99 @@ class TestExitCodes:
             code = run_cli("invert2d", "--input", str(tmp_path / "huge.crtg"),
                            "--outdir", str(tmp_path))
         assert code == 3
+
+
+# Which options each run reads, written out by hand: "+" accepts the option,
+# "-" refuses it (exit 1, naming the flag) and report.json records it as null.
+# A forward command given --input is the run "<command> with --input"; "/"
+# marks --input in the row without it.
+MATRIX_FLAGS = ("--beta", "--n", "--domain", "--input", "--outdir", "--scene", "--seed",
+                "--radius", "--vertex-ymin", "--masked-metrics", "--csv", "--dim")
+OPTION_MATRIX = {
+    #                        beta n domain input outdir scene seed radius vymin masked csv dim
+    "phantom":                "+  +  +      -     +      +     -    +      -     -      +   +",
+    "forward2d":              "+  +  +      /     +      +     -    +      +     -      +   -",
+    "forward2d with --input": "+  -  -      +     +      -     -    -      +     -      +   -",
+    "invert2d":               "+  -  -      +     +      -     -    -      -     -      +   -",
+    "roundtrip2d":            "+  +  +      -     +      +     -    +      +     +      +   -",
+    "forward3d":              "+  +  +      /     +      +     -    +      -     -      +   -",
+    "forward3d with --input": "+  -  -      +     +      -     -    -      -     -      +   -",
+    "invert3d":               "+  -  -      +     +      -     -    -      -     -      +   -",
+    "roundtrip3d":            "+  +  +      -     +      +     -    +      -     +      +   -",
+    "oracle-check":           "+  +  +      -     +      +     +    +      -     -      -   -",
+}
+# report.json's parameter key for each flag; --outdir and --csv are not recorded.
+REPORT_KEYS = {"--beta": "beta", "--n": "n", "--domain": "domain", "--input": "input",
+               "--scene": "scene", "--seed": "seed", "--radius": "default_radius",
+               "--vertex-ymin": "vertex_ymin", "--masked-metrics": "masked_metrics", "--dim": "dim"}
+MATRIX_CELLS = [(row, flag, mark) for row, marks in OPTION_MATRIX.items()
+                for flag, mark in zip(MATRIX_FLAGS, marks.split()) if mark != "/"]
+
+
+def matrix_rank(row):
+    return 3 if "3d" in row else 2
+
+
+def matrix_base_args(row, tmp_path):
+    """The row's run with nothing optional given; 8 samples where it renders."""
+    command = row.split()[0]
+    args = [command, "--outdir", str(tmp_path / "out")]
+    if "with --input" in row or command.startswith("invert"):
+        args += ["--input", str(matrix_input_grid(tmp_path, matrix_rank(row)))]
+    if OPTION_MATRIX[row].split()[MATRIX_FLAGS.index("--n")] == "+":
+        args += ["--n", "8"]
+    return args
+
+
+def matrix_input_grid(tmp_path, rank):
+    path = tmp_path / f"grid{rank}d.crtg"
+    ax = AxisSpec(8, -1.0, 1.0)
+    grid_type = RealGrid2D if rank == 2 else RealGrid3D
+    write_grid(path, grid_type(*[ax] * rank, np.zeros((8,) * rank)))
+    return path
+
+
+def matrix_option_args(flag, row, tmp_path):
+    if flag in ("--masked-metrics", "--csv"):
+        return [flag]
+    if flag == "--input":
+        return [flag, str(matrix_input_grid(tmp_path, matrix_rank(row)))]
+    if flag == "--scene":
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0.2 0.1 0.25 1\n" if matrix_rank(row) == 2 else "0.2 0.1 0 0.25 1\n")
+        return [flag, str(scene)]
+    values = {"--beta": "pi/6", "--n": "9", "--domain": "-2,2", "--outdir": str(tmp_path / "out"),
+              "--seed": "3", "--radius": "0.3", "--vertex-ymin": "-1.2", "--dim": "2"}
+    return [f"{flag}={values[flag]}"]
+
+
+class TestOptionMatrix:
+    """Every option x run: accepted where the run reads it, refused elsewhere,
+    and recorded as null in report.json where the run does not read it."""
+
+    @pytest.mark.parametrize("row", list(OPTION_MATRIX))
+    def test_report_records_null_for_unread_options(self, tmp_path, row):
+        assert run_cli(*matrix_base_args(row, tmp_path)) == 0
+        params = load_report(tmp_path / "out")["parameters"]
+        for flag, mark in zip(MATRIX_FLAGS, OPTION_MATRIX[row].split()):
+            if mark == "-" and flag in REPORT_KEYS and flag != "--dim":
+                assert params[REPORT_KEYS[flag]] is None, flag
+        assert params["dim"] == matrix_rank(row)  # the grid rank that ran
+
+    @pytest.mark.parametrize("row, flag, mark", MATRIX_CELLS,
+                             ids=[f"{row.replace(' with --input', '+input')}:{flag[2:]}"
+                                  for row, flag, _ in MATRIX_CELLS])
+    def test_accepted_or_refused(self, tmp_path, capsys, row, flag, mark):
+        args = matrix_base_args(row, tmp_path) + matrix_option_args(flag, row, tmp_path)
+        code = run_cli(*args)
+        err = capsys.readouterr().err
+        if mark == "+":
+            assert code == 0, err
+            if flag in REPORT_KEYS:
+                assert load_report(tmp_path / "out")["parameters"][REPORT_KEYS[flag]] is not None
+        else:
+            assert code == 1
+            assert f"error: {flag} does not apply to {row}\n" in err
 
 
 class TestAngleParsing:

@@ -395,6 +395,10 @@ class TestSpectralOracle:
         f = RealGrid2D(ax, ax, np.zeros((16, 16)))
         np.testing.assert_array_equal(vline_spectral_oracle(f, GEOM).grid.values, 0.0)
 
+    def test_returns_owned_array(self):
+        # A view of the padded period would keep the whole P x ny transform alive.
+        assert vline_spectral_oracle(bump_grid(60), GEOM, pad_factor=3).grid.values.base is None
+
     def test_agrees_with_direct_forward(self):
         f = bump_grid(120)
         g_direct = vline_forward(f, GEOM).grid.values
