@@ -112,8 +112,9 @@ class RunConfig:
     ``run`` fills in the default of every option the run reads."""
 
     command: str
-    beta: float | None = _option("--beta", type=_parse_angle, default=math.pi / 8,
-                                 help="half-opening angle in radians, or pi/<k> (default pi/8)")
+    beta: float | None = _option(  # every run that projects or inverts
+        "--beta", type=_parse_angle, readers=tuple(r for r in _RUNS if r != "phantom"),
+        default=math.pi / 8, help="half-opening angle in radians, or pi/<k> (default pi/8)")
     n: int | None = _option("--n", type=int, readers=_RENDERS, default=120,
                             help="samples per axis (default 120)")
     domain: tuple[float, ...] | None = _option(

@@ -3,9 +3,10 @@
 The forward transform and the inversion both work per transverse frequency
 pair (lambda, mu) with u = tan(beta) sqrt(lambda^2 + mu^2), on the ky >= 0
 half of a real 2D DFT of data zero-padded by ``grids._padded_sizes``, and
-apply their z-kernels through ``grids._lag_kernel_apply`` with the J0 kernel:
-a z-correlation by FFT.  The V-line's spectral oracle pads by the same rule
-and runs the same engine with the cosine kernel.
+apply their z-kernels, each with its constant, through
+``grids._lag_kernel_apply``: a z-correlation by FFT, with ``_cone_kernel`` for
+the forward and J0(u h) for the inversion.  The V-line's spectral oracle pads
+by the same rule and runs the same engine with its cosine kernel.
 
 Each transform allocates one padded half spectrum and works on it in place,
 through one pruned pair: ``_half_spectrum`` writes the y transforms into it
@@ -114,15 +115,19 @@ class KernelParams:
             raise ValueError(f"u must be nonnegative, got {self.u}")
 
 
+def _cone_kernel(geometry: ConeGeometry):
+    # The cone kernel (2 pi tan(beta)/cos(beta)) h J0(u h) as a function of (u, h).
+    scale = 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta
+    return lambda u, h: scale * h * bessel_j0(u * h)
+
+
 def kernel_eval(params: KernelParams, z, z_v):
     """Closed-form cone kernel (2 pi tan(beta)/cos(beta)) (z - z_v) J0(u (z - z_v))."""
     z = np.asarray(z, dtype=float)
     z_v = np.asarray(z_v, dtype=float)
     if np.any(z < z_v):
         raise ValueError("kernel is defined for z >= z_v only")
-    geom = params.geometry
-    h = z - z_v
-    out = (2.0 * np.pi * geom.tan_beta / geom.cos_beta) * h * bessel_j0(params.u * h)
+    out = _cone_kernel(params.geometry)(params.u, z - z_v)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -169,13 +174,13 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     ghat(z_v) = int (2 pi tan(beta)/cos(beta)) (z - z_v) J0(u (z - z_v))
     fhat(z) dz with u = tan(beta) sqrt(lambda^2 + mu^2), by the trapezoid rule
     over the grid levels above z_v, applied as a z-correlation by FFT
-    (``grids._lag_kernel_apply``); the cone opens toward +z only.  f is
-    zero-padded at the far x and y ends to fast FFT sizes that hold the widest
-    ring (``grids._padded_sizes``), and only the ky >= 0 half of its real 2D
-    DFT is transformed, as in ``cone_invert``.  Only f's slab of levels holding a
-    nonzero sample is transformed, and only the levels up to its top are
-    synthesized: cones with a vertex above the slab see nothing, so g is
-    exactly 0 there.
+    (``grids._lag_kernel_apply`` with ``_cone_kernel``, constant included);
+    the cone opens toward +z only.  f is zero-padded at the far x and y ends
+    to fast FFT sizes that hold the widest ring (``grids._padded_sizes``), and
+    only the ky >= 0 half of its real 2D DFT is transformed, as in
+    ``cone_invert``.  Only f's slab of levels holding a nonzero sample is
+    transformed, and only the levels up to its top are synthesized: cones
+    with a vertex above the slab see nothing, so g is exactly 0 there.
     """
     nx, ny, nz = f.values.shape
     levels = np.flatnonzero(np.any(f.values, axis=(0, 1)))
@@ -191,11 +196,9 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     # as it would on the whole axis.
     n_levels = min(top + 1, nz)
     spectrum = np.zeros((nxp, nyp // 2 + 1, n_levels), dtype=complex)
-    slab = spectrum[:, :, lo:top]
-    _half_spectrum(f.values[:, :, lo:top], slab, nyp)
-    slab *= 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta
+    _half_spectrum(f.values[:, :, lo:top], spectrum[:, :, lo:top], nyp)
     _lag_kernel_apply(
-        spectrum.reshape(-1, n_levels), u_map.ravel(), f.z_axis.spacing, bessel_j0, lag_factor=True
+        spectrum.reshape(-1, n_levels), u_map.ravel(), f.z_axis.spacing, _cone_kernel(geometry)
     )
     values = np.zeros((nx, ny, nz))
     _from_half_spectrum(spectrum[:, :, :top], values[:, :, :top], nyp)
@@ -226,7 +229,7 @@ def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, dz: float) -> n
     u2 = (us * us)[:, None]
     q = _derivative(profiles, dz, [(-1.0, 3, (-2, -1, 0, 1, 2), 6), (-2.0 * u2, 1, (-1, 0, 1), 4)])
     q += u2 * u2 * cumint_from_top(profiles, dz)
-    _lag_kernel_apply(q, us, dz, bessel_j0)
+    _lag_kernel_apply(q, us, dz, lambda u, h: bessel_j0(u * h))
     return q
 
 
@@ -338,22 +341,23 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
     radial, u_map, weights = radial[:, :n_ky], u_map[:, :n_ky], weights[:, :n_ky]
 
     # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat,
-    # and writes each bin's result back into the spectrum it read.
+    # and writes each bin's result back into the spectrum it read.  It is
+    # linear, so G's constant and each bin's taper weight scale its input, in
+    # one pass that also zeroes the bins of weight 0.
     spectrum = np.zeros((nxp, n_ky, n_levels), dtype=complex)
     _half_spectrum(g.values[:, :, :n_levels], spectrum, nyp)
-    spectrum *= geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)
     profiles, w, us = spectrum.reshape(-1, n_levels), weights.ravel(), u_map.ravel()
+    profiles *= (w * (geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)))[:, None]
 
     # The zero-frequency bin inverts as fhat = G'' (``invert_frequency_profile``).
-    profiles[0] = w[0] * _derivative(profiles[0], dz, [(1.0, 2, (-1, 0, 1), 5)])
-    profiles[w == 0.0] = 0.0
+    profiles[0] = _derivative(profiles[0], dz, [(1.0, 2, (-1, 0, 1), 5)])
     kept = np.flatnonzero((w > 0.0) & (radial.ravel() > 0.0))
     # In order of u, so each block evaluates the J0 taps of its own u's only.
     kept = kept[np.argsort(us[kept], kind="stable")]
     rows = max(1, _BLOCK_ELEMENTS // n_levels)
     for start in range(0, kept.size, rows):
         idx = kept[start : start + rows]
-        profiles[idx] = w[idx, None] * _invert_profiles_batch(profiles[idx], us[idx], dz)
+        profiles[idx] = _invert_profiles_batch(profiles[idx], us[idx], dz)
 
     values = np.zeros((nx, ny, nz))
     _from_half_spectrum(spectrum, values[:, :, :n_levels], nyp)

@@ -314,11 +314,6 @@ def _digit_rows(v: np.ndarray) -> np.ndarray:
 # words are NUL.
 _ZERO_WORDS = np.frombuffer(b"0".ljust(8, b"\0") + b"-0".ljust(8, b"\0"), dtype=_WORD)
 _NEGATIVE_ZERO = np.uint64(1 << 63)
-# Zero lines are written from cache in runs of at least this many values; a
-# shorter run costs more as a segment of its own than as rows of "0"/"-0"
-# (measured once on grids of alternating zero lines: a cached run of one line
-# costs 3x at n_x = 4, 1.6x at 32, about the same at 64, 10% less at 240).
-_CSV_CACHED_RUN = 128
 
 
 def _text(row: np.ndarray, nx: int) -> bytes:
@@ -328,19 +323,12 @@ def _text(row: np.ndarray, nx: int) -> bytes:
     return row.tobytes().translate(None, b"\0")
 
 
-def _runs(kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # First index and length of each run of equal entries.
-    starts = np.flatnonzero(np.diff(kind, prepend=-1))
-    return starts, np.diff(starts, append=kind.size)
-
-
 def _format_block(v: np.ndarray, nx: int, zero_lines: tuple[bytes, bytes]) -> list[bytes]:
     """Lines of n_x values as CSV text, every token exactly ``format(x, ".17g")``.
 
     Zeros, found on their bit pattern, never reach ``_digit_rows``: +0.0 and
     -0.0 take the fixed rows of "0" and "-0", and a line of n_x zeros of one
-    sign is ``zero_lines[0]`` (+0.0) or ``zero_lines[1]`` (-0.0) as it is,
-    where such lines run for at least _CSV_CACHED_RUN values.
+    sign is ``zero_lines[0]`` (+0.0) or ``zero_lines[1]`` (-0.0) as it is.
     """
     bits = v.view(_WORD)
     zero = (bits << np.uint64(1)) == 0
@@ -349,11 +337,9 @@ def _format_block(v: np.ndarray, nx: int, zero_lines: tuple[bytes, bytes]) -> li
     lines = bits.reshape(-1, nx)
     # Per line: 0 to format, 1 for zero_lines[0], 2 for zero_lines[1].
     kind = (lines == 0).all(axis=1) + 2 * (lines == _NEGATIVE_ZERO).all(axis=1)
-    starts, lengths = _runs(kind)
-    short = (kind[starts] != 0) & (lengths * nx < _CSV_CACHED_RUN)
-    if short.any():
-        kind = np.repeat(np.where(short, 0, kind[starts]), lengths)
-        starts, lengths = _runs(kind)
+    # First line and length of each run of lines of one kind.
+    starts = np.flatnonzero(np.diff(kind, prepend=-1))
+    lengths = np.diff(starts, append=kind.size)
     formatted = np.repeat(kind == 0, nx)
     v, zero = v[formatted], zero[formatted]
     # Every row as a zero of its value's sign, then the nonzero values' rows.

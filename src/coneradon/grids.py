@@ -14,13 +14,14 @@ way and is the reference for both forwards; the 3D forward itself is spectral
 
 Spectral convention: after a Fourier transform across the axis, every
 spectral route is one trapezoid-weighted lag-kernel integral up the axis per
-frequency, with kernel J0(u h) for the cone's circles and cos(lambda tan(beta) h)
-for the V-line's two rays.  ``_lag_kernel_apply`` is that engine, a
-correlation along the axis by FFT; ``cone3d`` runs its forward and inversion
-through it, ``vline2d`` its spectral oracle.  Each of them zero-pads the
-lateral axes at their far ends to ``_padded_sizes``, the one rule that keeps
-the cones' and rays' reach from wrapping around the period, for a grid of
-any rank.
+frequency u, whose kernel k(u, h) of the lag h carries the route's constant:
+(2 pi tan(beta)/cos(beta)) h J0(u h) for the cone forward's circles, J0(u h)
+for the cone inversion, (2/cos(beta)) cos(u h) for the V-line's two rays.
+``_lag_kernel_apply`` is that engine, a correlation along the axis by FFT;
+``cone3d`` runs its forward and inversion through it, ``vline2d`` its
+spectral oracle.  Each of them zero-pads the lateral axes at their far ends
+to ``_padded_sizes``, the one rule that keeps the cones' and rays' reach from
+wrapping around the period, for a grid of any rank.
 
 Differencing convention: both inversions differentiate the data, and
 ``_derivative`` is the one finite-difference stencil helper for it: a stencil
@@ -341,18 +342,18 @@ def _padded_sizes(grid, geometry: ConeGeometry, floor: int = 1) -> tuple[int, ..
     return sizes
 
 
-def _lag_kernel_apply(
-    profiles: np.ndarray, us: np.ndarray, spacing: float, kernel, lag_factor: bool = False
-):
-    """In place, profiles[b, i] <- sum_{j >= i} w_ij kernel(us[b] h_ij) profiles[b, j]
+def _lag_kernel_apply(profiles: np.ndarray, us: np.ndarray, spacing: float, kernel):
+    """In place, profiles[b, i] <- sum_{j >= i} w_ij kernel(us[b], h_ij) profiles[b, j]
     for every row b, with h_ij = x_j - t_i and w the trapezoid weights of the
-    integral from t_i to the top; ``lag_factor`` multiplies each term by h_ij.
+    integral from t_i to the top.
 
-    ``cone_forward`` and ``cone_invert`` pass ``bessel_j0``,
-    ``vline_spectral_oracle`` passes ``np.cos``.  The sum is a correlation
-    along the last axis, applied by FFT with one kernel spectrum per distinct
-    u.  Only the band of levels [lo, top] holding a nonzero input is
-    transformed: the lags run 0..top, and an FFT of length >= 2 top - lo + 1
+    ``kernel(u, h)`` returns the kernel values, the route's constant
+    included, for a column of distinct u and a row of lags h: ``cone3d``'s
+    cone kernel for ``cone_forward``, J0(u h) for ``cone_invert``, and
+    (2/cos(beta)) cos(u h) for ``vline_spectral_oracle``.  The sum is a
+    correlation along the last axis, applied by FFT with one kernel spectrum
+    per distinct u.  Only the band of levels [lo, top] holding a nonzero input
+    is transformed: the lags run 0..top, and an FFT of length >= 2 top - lo + 1
     holds the band's correlation with them without wrap.  Levels above top
     are empty sums and are zeroed exactly, and so is the axis's last level;
     the trapezoid's top end stays that last level, wherever the band ends.
@@ -367,7 +368,7 @@ def _lag_kernel_apply(
     fft, ifft = (np.fft.rfft, np.fft.irfft) if np.isrealobj(profiles) else (np.fft.fft, np.fft.ifft)
     distinct, inverse = np.unique(us, return_inverse=True)
     h = spacing * np.arange(top + 1)
-    taps = spacing * kernel(distinct[:, None] * h) * (h if lag_factor else 1.0)
+    taps = spacing * kernel(distinct[:, None], h)
     taps[:, 0] *= 0.5  # trapezoid half weight at the vertex end
     spectra = fft(taps, m)
     np.conjugate(spectra, out=spectra)

@@ -18,9 +18,9 @@ neighbours), both from ``grids._derivative``, the cone inversion's stencil
 helper too, and trapezoidal cumulative integration.  ``vline_spectral_oracle``
 is an independent second forward route through the per-frequency relation
 G_lambda(y_v) = int_{y_v}^{y_top} fhat_lambda(y) cos(lambda t (y - y_v)) dy,
-on f zero-padded in x by ``grids._padded_sizes`` and applied by
-``grids._lag_kernel_apply`` with the cosine kernel: the padding rule and the
-engine the cone transforms run with J0.
+on f zero-padded in x by ``grids._padded_sizes``, giving ghat = (2/cos(beta)) G
+through ``grids._lag_kernel_apply`` with the kernel (2/cos(beta)) cos(lambda t h):
+the padding rule and the engine the cone transforms run with their J0 kernels.
 """
 
 import math
@@ -255,14 +255,17 @@ def vline_spectral_oracle(
     nx), so no ray wraps around the period.  Each column is transformed,
     pushed through the cosine-kernel relation per frequency (trapezoid rule
     in y, by ``grids._lag_kernel_apply``) and transformed back, and the first
-    nx columns are copied out.
+    nx columns are copied out.  The kernel is (2/cos(beta)) cos(u h), with
+    u = lambda tan(beta) and the relation's constant included.
     """
     nx = f.x_axis.n_samples
     (n_pad,) = _padded_sizes(f, geometry, _pad_factor(pad_factor))
     spectrum = np.fft.rfft(f.values, n_pad, axis=0)  # fhat, turned into ghat in place
     lam = frequency_axis(n_pad, f.x_axis.spacing)[: spectrum.shape[0]]
-    _lag_kernel_apply(spectrum, geometry.tan_beta * lam, f.y_axis.spacing, np.cos)
-    spectrum *= 2.0 / geometry.cos_beta
+    scale = 2.0 / geometry.cos_beta
+    _lag_kernel_apply(
+        spectrum, geometry.tan_beta * lam, f.y_axis.spacing, lambda u, h: scale * np.cos(u * h)
+    )
     g = np.fft.irfft(spectrum, n_pad, axis=0)[:nx].copy()  # not a view of the padded period
     return VLineProjection(RealGrid2D(f.x_axis, f.y_axis, g), geometry)
 

@@ -507,7 +507,7 @@ MATRIX_FLAGS = ("--beta", "--n", "--domain", "--input", "--outdir", "--scene", "
                 "--radius", "--vertex-ymin", "--masked-metrics", "--csv", "--dim")
 OPTION_MATRIX = {
     #                        beta n domain input outdir scene seed radius vymin masked csv dim
-    "phantom":                "+  +  +      -     +      +     -    +      -     -      +   +",
+    "phantom":                "-  +  +      -     +      +     -    +      -     -      +   +",
     "forward2d":              "+  +  +      /     +      +     -    +      +     -      +   -",
     "forward2d with --input": "+  -  -      +     +      -     -    -      +     -      +   -",
     "invert2d":               "+  -  -      +     +      -     -    -      -     -      +   -",
@@ -598,7 +598,7 @@ class TestAngleParsing:
     ])
     def test_accepted(self, tmp_path, text, value):
         out = tmp_path / "run"
-        assert run_cli("phantom", "--n", "16", "--beta", text, "--outdir", str(out)) == 0
+        assert run_cli("forward2d", "--n", "8", "--beta", text, "--outdir", str(out)) == 0
         assert load_report(out)["parameters"]["beta"] == pytest.approx(value)
 
 

@@ -105,15 +105,15 @@ def _upper_trapezoid_weights(n, spacing):
     return w * spacing
 
 
-def dense_lag_apply(profiles, us, spacing, kernel, lag_factor):
+def dense_lag_apply(profiles, us, spacing, kernel):
     # Reference for _lag_kernel_apply: one dense trapezoid-weighted lag-kernel
-    # matrix per row, applied row by row.
+    # matrix per row, kernel(u, h) on the matrix of lags h, applied row by row.
     n = profiles.shape[-1]
     h = spacing * (np.arange(n)[None, :] - np.arange(n)[:, None])
     weights = _upper_trapezoid_weights(n, spacing)
     out = np.empty_like(profiles)
     for b, u in enumerate(us):
-        mat = weights * kernel(u * h) * (h if lag_factor else 1.0)
+        mat = weights * kernel(u, h)
         out[b] = mat @ profiles[b]
     return out
 
@@ -125,20 +125,34 @@ def full_axis_forward(f, geometry):
     nxp, nyp = _padded_sizes(f, geometry)
     u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
     spectrum = np.fft.rfft2(f.values, s=(nxp, nyp), axes=(0, 1))
-    profiles = dense_lag_apply(
-        spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, bessel_j0, True
-    )
+    profiles = dense_lag_apply(spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, h_j0)
     values = np.fft.irfft2(profiles.reshape(spectrum.shape), s=(nxp, nyp), axes=(0, 1))
     return 2.0 * np.pi * geometry.tan_beta / geometry.cos_beta * values[:nx, :ny]
 
 
-# (kernel, lag_factor): the cone's J0 kernel keeps the bare lag_factor ids,
-# the V-line's cosine kernel is marked "cos".
+def j0(u, h):
+    return bessel_j0(u * h)
+
+
+def h_j0(u, h):
+    return h * bessel_j0(u * h)
+
+
+def cos(u, h):
+    return np.cos(u * h)
+
+
+def h_cos(u, h):
+    return h * np.cos(u * h)
+
+
+# Kernels of (u, h): the cone inversion's J0(u h), the cone forward's lag
+# times it (its constant left out), the V-line's cos(u h) and the lag times it.
 KERNEL_CASES = [
-    pytest.param(bessel_j0, False, id="False"),
-    pytest.param(bessel_j0, True, id="True"),
-    pytest.param(np.cos, False, id="cos-False"),
-    pytest.param(np.cos, True, id="cos-True"),
+    pytest.param(j0, id="j0"),
+    pytest.param(h_j0, id="h-j0"),
+    pytest.param(cos, id="cos"),
+    pytest.param(h_cos, id="h-cos"),
 ]
 
 
@@ -155,22 +169,22 @@ def lag_apply_case(rng, nz, dtype, rows=24):
 
 class TestJ0LagApply:
     # _lag_kernel_apply with the cone's J0 kernel and the V-line's cosine kernel.
-    @pytest.mark.parametrize("kernel,lag_factor", KERNEL_CASES)
+    @pytest.mark.parametrize("kernel", KERNEL_CASES)
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("nz", [5, 12, 13, 48])
-    def test_matches_dense_matrices(self, nz, dtype, kernel, lag_factor):
+    def test_matches_dense_matrices(self, nz, dtype, kernel):
         rng = np.random.default_rng(nz)
         profiles, us = lag_apply_case(rng, nz, dtype)
         spacing = 2.0 / (nz - 1)
-        expected = dense_lag_apply(profiles, us, spacing, kernel, lag_factor)
+        expected = dense_lag_apply(profiles, us, spacing, kernel)
         out = profiles.copy()
-        _lag_kernel_apply(out, us, spacing, kernel, lag_factor)
+        _lag_kernel_apply(out, us, spacing, kernel)
         assert out.dtype == np.dtype(dtype)
         assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("kernel,lag_factor", KERNEL_CASES)
+    @pytest.mark.parametrize("kernel", KERNEL_CASES)
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_exact_zeros_above_support(self, dtype, kernel, lag_factor):
+    def test_exact_zeros_above_support(self, dtype, kernel):
         # Rows end at different levels; every level above the highest nonzero
         # one is an empty sum, and so is the top level.
         rng = np.random.default_rng(14)
@@ -178,24 +192,24 @@ class TestJ0LagApply:
         for b, top in enumerate(rng.integers(0, 30, size=len(profiles))):
             profiles[b, top + 1 :] = 0.0
         highest = np.flatnonzero(np.any(profiles != 0.0, axis=0))[-1]
-        expected = dense_lag_apply(profiles, us, 0.05, kernel, lag_factor)
-        _lag_kernel_apply(profiles, us, 0.05, kernel, lag_factor)
+        expected = dense_lag_apply(profiles, us, 0.05, kernel)
+        _lag_kernel_apply(profiles, us, 0.05, kernel)
         assert np.all(profiles[:, highest + 1 :] == 0.0)
         assert np.linalg.norm(profiles - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("kernel,lag_factor", KERNEL_CASES)
+    @pytest.mark.parametrize("kernel", KERNEL_CASES)
     @pytest.mark.parametrize("dtype", [float, complex])
     # Bands [lo, top] of nonzero levels on a 48-level axis.  2 top - lo + 1 is
     # 81 for (8, 44) and (14, 47), and 80 is 5-smooth too, so an FFT one
     # level short would wrap; top = 47 is the axis's last level.
     @pytest.mark.parametrize("lo, top", [(8, 44), (1, 10), (20, 20), (0, 0), (14, 47), (47, 47)])
-    def test_nonzero_band_matches_dense_matrices(self, dtype, kernel, lag_factor, lo, top):
+    def test_nonzero_band_matches_dense_matrices(self, dtype, kernel, lo, top):
         rng = np.random.default_rng(lo + 100 * top)
         profiles, us = lag_apply_case(rng, 48, dtype)
         profiles[:, :lo] = 0.0
         profiles[:, top + 1 :] = 0.0
-        expected = dense_lag_apply(profiles, us, 0.05, kernel, lag_factor)
-        _lag_kernel_apply(profiles, us, 0.05, kernel, lag_factor)
+        expected = dense_lag_apply(profiles, us, 0.05, kernel)
+        _lag_kernel_apply(profiles, us, 0.05, kernel)
         assert np.all(profiles[:, top + 1 :] == 0.0)
         assert np.all(profiles[:, -1] == 0.0)  # the empty integral at the top
         assert np.linalg.norm(profiles - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -203,7 +217,7 @@ class TestJ0LagApply:
     def test_zero_profiles_stay_zero(self):
         profiles = np.zeros((4, 12), dtype=complex)
         profiles[1, 3] = -0.0
-        _lag_kernel_apply(profiles, np.arange(4.0), 0.1, bessel_j0, True)
+        _lag_kernel_apply(profiles, np.arange(4.0), 0.1, h_j0)
         np.testing.assert_array_equal(profiles, 0.0)
 
 

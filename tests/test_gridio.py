@@ -246,13 +246,15 @@ class TestCsvExport:
         for nx in (3, 4):
             assert csv_tokens(values, tmp_path, nx) == [format(v, ".17g") for v in values.tolist()]
 
-    @pytest.mark.parametrize("cached_run", [1, gridio._CSV_CACHED_RUN])
-    @pytest.mark.parametrize("shape", [(7, 9), (6, 5, 4), (gridio._CSV_BLOCK + 5, 4)])
-    def test_zero_rows(self, tmp_path, monkeypatch, shape, cached_run):
+    # Wide rows, and rows of 2 to 16 values, whose runs of zero rows hold few
+    # values (fewer than 128 in every run of (2, 11) and (16, 6)).
+    @pytest.mark.parametrize("shape", [
+        (7, 9), (6, 5, 4), (gridio._CSV_BLOCK + 5, 4), (2, 11), (16, 6), (2, 3, 7),
+    ])
+    def test_zero_rows(self, tmp_path, shape):
         # Rows of +0.0, rows of -0.0, rows of both zeros, rows of zeros and
         # values, and neighbouring rows of one kind, against the %-loop writer;
-        # with cached_run 1 every row of zeros of one sign is a cached line.
-        monkeypatch.setattr(gridio, "_CSV_CACHED_RUN", cached_run)
+        # every row of zeros of one sign is a cached line, however short its run.
         rng = np.random.default_rng(9)
         rows = rng.normal(size=shape).reshape(shape[0], -1, order="F")
         rows[rng.random(rows.shape) < 0.3] = 0.0
@@ -271,7 +273,7 @@ class TestCsvExport:
         assert path.read_bytes() == reference_csv(grid)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
-    @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 5), (gridio._CSV_CACHED_RUN + 3, 2)])
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 5), (131, 2)])
     def test_all_zero_grid(self, tmp_path, shape, zero):
         axes = [AxisSpec(n, -1.0, 1.0) for n in shape]
         grid = (RealGrid2D if len(shape) == 2 else RealGrid3D)(*axes, np.full(shape, zero))
@@ -303,22 +305,22 @@ class TestCsvExport:
         write_grid_csv(path, grid)
         assert path.read_bytes() == reference_csv(grid)
 
-    @pytest.mark.parametrize("cached_run", [1, 8, gridio._CSV_CACHED_RUN])
+    @pytest.mark.parametrize("nx", [4, 2, 17])
     @pytest.mark.parametrize("budget", [1, 4, 12, 20, 40])
-    def test_zero_rows_at_block_edges(self, tmp_path, monkeypatch, budget, cached_run):
-        # The grid of test_every_block_split with rows of +0.0 and -0.0 that
-        # open, close and fill blocks, and its last z slice all +0.0; zero
-        # rows are cached in runs of at least cached_run values.
+    def test_zero_rows_at_block_edges(self, tmp_path, monkeypatch, budget, nx):
+        # The grid of test_every_block_split, with rows of nx values, with rows
+        # of +0.0 and -0.0 that open, close and fill blocks, and its last z
+        # slice all +0.0; every zero row is a cached line.  Rows of 2 put 1 to
+        # 20 rows in a block, rows of 17 one or two.
         monkeypatch.setattr(gridio, "_CSV_BLOCK", budget)
-        monkeypatch.setattr(gridio, "_CSV_CACHED_RUN", cached_run)
-        values = np.random.default_rng(7).normal(size=(4, 5, 3))
+        values = np.random.default_rng(7).normal(size=(nx, 5, 3))
         values[:, [0, 1], 0] = 0.0
         values[:, 4, 0] = -0.0
         values[:, 0, 1] = -0.0
         values[:, 2, 1] = 0.0
         values[1, 3, 1] = -0.0
         values[:, :, 2] = 0.0
-        ax = AxisSpec(4, 0.0, 1.0)
+        ax = AxisSpec(nx, 0.0, 1.0)
         grid = RealGrid3D(ax, AxisSpec(5, 0.0, 1.0), AxisSpec(3, 0.0, 1.0), values)
         path = tmp_path / "g.csv"
         write_grid_csv(path, grid)
@@ -348,7 +350,7 @@ class TestCsvExport:
 
 
 def zero_lines_grid(rng, shape=(6, 40, 3)):
-    # Rows of +0.0 and -0.0 in runs long enough to be written as cached lines.
+    # Runs of rows of +0.0 and of -0.0, written as cached lines.
     values = rng.normal(size=shape)
     values[:, :25, 0] = 0.0
     values[:, 10:30, 1] = -0.0

@@ -432,7 +432,9 @@ class TestSpectralOracle:
         left = (n_pad - 60) // 2
         spectrum = np.fft.rfft(np.pad(f.values, ((left, n_pad - 60 - left), (0, 0))), axis=0)
         lam = frequency_axis(n_pad, f.x_axis.spacing)[: spectrum.shape[0]]
-        _lag_kernel_apply(spectrum, geometry.tan_beta * lam, f.y_axis.spacing, np.cos)
+        _lag_kernel_apply(
+            spectrum, geometry.tan_beta * lam, f.y_axis.spacing, lambda u, h: np.cos(u * h)
+        )
         centred = np.fft.irfft(spectrum, n_pad, axis=0) * (2.0 / geometry.cos_beta)
         expected = centred[left : left + 60]
         g = vline_spectral_oracle(f, geometry, pad).grid.values
