@@ -16,7 +16,8 @@ and ``report.json`` records it as null.
 
 ``--vertex-ymin`` extends the 2D vertex grid down by whole rows, but no deeper
 than y_min - dy - (x_max - x_min + dx) / tan(beta): vertex rows below that see
-no data, and a deeper value exits 1 naming the limit.
+no data, and a deeper value exits 1 naming the limit; a value above y_min
+exits 1 naming y_min.
 """
 
 import argparse
@@ -26,6 +27,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -170,6 +172,8 @@ class RunConfig:
             raise ValueError(f"radius must be finite and > 0, got {self.default_radius}")
         if self.vertex_ymin is not None and not math.isfinite(self.vertex_ymin):
             raise ValueError(f"vertex_ymin must be finite, got {self.vertex_ymin}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
 
     def domain_bounds(self, dim: int | None = None) -> list[tuple[float, float]]:
         pairs = [tuple(self.domain[i : i + 2]) for i in range(0, len(self.domain), 2)]
@@ -227,8 +231,11 @@ def _vertex_axes(config: RunConfig, f: RealGrid2D):
     if config.vertex_ymin is None:
         return None
     x, y = f.x_axis, f.y_axis
-    if config.vertex_ymin >= y.min:
-        return None
+    if config.vertex_ymin > y.min:
+        raise ValueError(
+            f"--vertex-ymin {config.vertex_ymin} lies above y_min {y.min}: "
+            "it can only extend the vertex grid down"
+        )
     # Below this depth both rays leave the zero-extended f sideways before they
     # reach its lowest nonzero row, so a vertex row there sees no data at all.
     deepest = y.min - y.spacing - (x.max - x.min + x.spacing) / config.geometry().tan_beta
@@ -526,6 +533,12 @@ def run(config: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # No flag looks like a number, so a token that starts like a negative
+        # number is a value, as in "--domain -1,1" or "--vertex-ymin -2e0".
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with status 2 on bad flags by default; the CLI contract
     # reserves 2 for I/O failures and uses 1 for argument errors.
     def error(self, message):

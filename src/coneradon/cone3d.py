@@ -51,17 +51,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
-    _BLOCK_ELEMENTS,
     AxisSpec,
     ConeGeometry,
     RealGrid3D,
+    _blocks,
     _derivative,
     _lag_kernel_apply,
     _pad_factor,
     _padded_sizes,
     cumint_from_top,
 )
-from .specfun import bessel_j0, frequency_axis
+from .specfun import bessel_j0
 
 __all__ = [
     "KernelParams",
@@ -131,20 +131,13 @@ def kernel_eval(params: KernelParams, z, z_v):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _z_blocks(n_levels: int, level_elements: int) -> list[slice]:
-    # Runs of z levels whose y-transform temporaries hold about
-    # _Y_BLOCK_ELEMENTS elements, at least one level each.
-    step = max(1, _Y_BLOCK_ELEMENTS // level_elements)
-    return [slice(z, min(z + step, n_levels)) for z in range(0, n_levels, step)]
-
-
 def _half_spectrum(values: np.ndarray, spectrum: np.ndarray, nyp: int):
     # In place, spectrum[...] = rfft2(values, s=(nxp, nyp), axes=(0, 1))[:, :n_ky]
     # for spectrum of shape (nxp, n_ky, nz), whose rows past values' must be
     # zero: the y transform per block of z levels into the leading rows, then
     # the x transform on the kept ky columns only.
     nx, n_ky = values.shape[0], spectrum.shape[1]
-    for block in _z_blocks(values.shape[2], nx * nyp):
+    for block in _blocks(values.shape[2], nx * nyp, _Y_BLOCK_ELEMENTS):
         spectrum[:nx, :, block] = np.fft.rfft(values[:, :, block], nyp, axis=1)[:, :n_ky]
     np.fft.fft(spectrum, axis=0, out=spectrum)
 
@@ -156,14 +149,14 @@ def _from_half_spectrum(spectrum: np.ndarray, out: np.ndarray, nyp: int):
     # levels on the nx kept rows only (irfft zero-fills the missing columns).
     nx, ny = out.shape[:2]
     np.fft.ifft(spectrum, axis=0, out=spectrum)
-    for block in _z_blocks(out.shape[2], nx * nyp):
+    for block in _blocks(out.shape[2], nx * nyp, _Y_BLOCK_ELEMENTS):
         out[:, :, block] = np.fft.irfft(spectrum[:nx, :, block], nyp, axis=1)[:, :ny]
 
 
 def _half_spectrum_radial(grid: RealGrid3D, nxp: int, nyp: int) -> np.ndarray:
     # sqrt(lambda^2 + mu^2) on the bins of rfft2(values, s=(nxp, nyp), axes=(0, 1)).
-    lam = frequency_axis(nxp, grid.x_axis.spacing)
-    mu = frequency_axis(nyp, grid.y_axis.spacing)[: nyp // 2 + 1]
+    lam = 2.0 * np.pi * np.fft.fftfreq(nxp, grid.x_axis.spacing)
+    mu = 2.0 * np.pi * np.fft.rfftfreq(nyp, grid.y_axis.spacing)
     return np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2)
 
 
@@ -210,12 +203,13 @@ def dft2_slices(g: RealGrid3D) -> SpectralStack:
 
     Bins are scaled by dx*dy so they approximate the continuous transform (of
     the function shifted to the grid origin); real input gives an exactly
-    conjugate-symmetric stack.
+    conjugate-symmetric stack.  The frequencies are 2 pi ``np.fft.fftfreq``,
+    so at an even size the Nyquist bin holds -pi/spacing.
     """
     dx = g.x_axis.spacing
     dy = g.y_axis.spacing
-    fx = frequency_axis(g.x_axis.n_samples, dx)
-    fy = frequency_axis(g.y_axis.n_samples, dy)
+    fx = 2.0 * np.pi * np.fft.fftfreq(g.x_axis.n_samples, dx)
+    fy = 2.0 * np.pi * np.fft.fftfreq(g.y_axis.n_samples, dy)
     spectra = np.fft.fft2(g.values, axes=(0, 1))
     return SpectralStack(fx, fy, g.z_axis, (dx * dy) * spectra)
 
@@ -354,9 +348,8 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
     kept = np.flatnonzero((w > 0.0) & (radial.ravel() > 0.0))
     # In order of u, so each block evaluates the J0 taps of its own u's only.
     kept = kept[np.argsort(us[kept], kind="stable")]
-    rows = max(1, _BLOCK_ELEMENTS // n_levels)
-    for start in range(0, kept.size, rows):
-        idx = kept[start : start + rows]
+    for block in _blocks(kept.size, n_levels):
+        idx = kept[block]
         profiles[idx] = _invert_profiles_batch(profiles[idx], us[idx], dz)
 
     values = np.zeros((nx, ny, nz))

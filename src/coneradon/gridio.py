@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import AxisSpec, NonFiniteGridError, RealGrid2D, RealGrid3D
+from .grids import AxisSpec, NonFiniteGridError, RealGrid2D, RealGrid3D, _blocks
 
 __all__ = [
     "GridFormatError",
@@ -78,9 +78,10 @@ def write_grid(path, grid) -> None:
     _write_file(path, bytes(header), [payload])
 
 
-def _read_exact(fh, count: int, offset: int, what: str) -> bytes:
-    # Read no more than the file holds, so a header that declares a huge
-    # payload is refused here instead of allocating it.
+def _read_exact(fh, count: int, what: str) -> bytes:
+    # Read no more than the file holds past the current position, so a header
+    # that declares a huge payload is refused here instead of allocating it.
+    offset = fh.tell()
     available = os.fstat(fh.fileno()).st_size - offset
     data = fh.read(min(count, available))
     if len(data) != count:
@@ -94,34 +95,28 @@ def _read_exact(fh, count: int, offset: int, what: str) -> bytes:
 def read_grid(path):
     """Read a grid written by :func:`write_grid`; returns RealGrid2D or RealGrid3D."""
     with open(path, "rb") as fh:
-        offset = 0
-        magic = _read_exact(fh, 4, offset, "magic")
+        magic = _read_exact(fh, 4, "magic")
         if magic != _MAGIC:
             raise GridFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        offset += 4
-        version, rank = struct.unpack("<HH", _read_exact(fh, 4, offset, "version/rank"))
-        offset += 4
+        version, rank = struct.unpack("<HH", _read_exact(fh, 4, "version/rank"))
         if version != _VERSION:
             raise GridFormatError(f"unsupported format version {version}")
         if rank not in (2, 3):
             raise GridFormatError(f"unsupported rank {rank}")
-        dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, offset, "dimensions"))
-        offset += 4 * rank
+        dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dimensions"))
         if any(d < 2 for d in dims):
             raise GridFormatError(f"dimension counts must be >= 2, got {dims}")
         axes = []
         for i in range(rank):
-            lo, hi = struct.unpack("<dd", _read_exact(fh, 16, offset, f"axis {i} bounds"))
-            offset += 16
+            lo, hi = struct.unpack("<dd", _read_exact(fh, 16, f"axis {i} bounds"))
             try:
                 axes.append(AxisSpec(dims[i], lo, hi))
             except ValueError as exc:
                 raise GridFormatError(f"invalid axis {i}: {exc}") from exc
         count = math.prod(dims)
-        raw = _read_exact(fh, 8 * count, offset, "payload")
-        offset += 8 * count
+        raw = _read_exact(fh, 8 * count, "payload")
         if fh.read(1):
-            raise GridFormatError(f"trailing data after payload at byte offset {offset}")
+            raise GridFormatError(f"trailing data after payload at byte offset {fh.tell() - 1}")
     values = np.frombuffer(raw, dtype="<f8").reshape(dims, order="F").copy()
     try:
         if rank == 2:
@@ -364,12 +359,9 @@ def _row_blocks(values: np.ndarray):
     # whole z slices when a slice fits, else runs of rows within one slice.
     nx, ny = values.shape[:2]
     v = values.reshape(nx, ny, -1)
-    rows = max(1, _CSV_BLOCK // nx)
-    dy = min(ny, rows)
-    dz = max(1, rows // ny)
-    for z0 in range(0, v.shape[2], dz):
-        for y0 in range(0, ny, dy):
-            yield v[:, y0 : y0 + dy, z0 : z0 + dz].T.reshape(-1)
+    for z_run in _blocks(v.shape[2], nx * ny, _CSV_BLOCK):
+        for y_run in _blocks(ny, nx, _CSV_BLOCK):
+            yield v[:, y_run, z_run].T.reshape(-1)
 
 
 def write_grid_csv(path, grid) -> None:

@@ -100,9 +100,15 @@ class ConeGeometry:
         object.__setattr__(self, "cos_beta", math.cos(self.beta))
 
 
-def _check_finite(values: np.ndarray):
-    if not np.all(np.isfinite(values)):
+def _grid_values(values, axes) -> np.ndarray:
+    # The values of a grid on ``axes`` as floats: one per grid point, all finite.
+    v = np.asarray(values, dtype=float)
+    expected = tuple(a.n_samples for a in axes)
+    if v.shape != expected:
+        raise ValueError(f"values shape {v.shape} does not match axes {expected}")
+    if not np.all(np.isfinite(v)):
         raise NonFiniteGridError("grid values must all be finite")
+    return v
 
 
 @dataclass
@@ -118,12 +124,7 @@ class RealGrid2D:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        expected = (self.x_axis.n_samples, self.y_axis.n_samples)
-        if v.shape != expected:
-            raise ValueError(f"values shape {v.shape} does not match axes {expected}")
-        _check_finite(v)
-        self.values = v
+        self.values = _grid_values(self.values, self.axes())
 
     @property
     def x_coords(self) -> np.ndarray:
@@ -147,12 +148,7 @@ class RealGrid3D:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        expected = (self.x_axis.n_samples, self.y_axis.n_samples, self.z_axis.n_samples)
-        if v.shape != expected:
-            raise ValueError(f"values shape {v.shape} does not match axes {expected}")
-        _check_finite(v)
-        self.values = v
+        self.values = _grid_values(self.values, self.axes())
 
     def axes(self) -> tuple[AxisSpec, AxisSpec, AxisSpec]:
         return (self.x_axis, self.y_axis, self.z_axis)
@@ -189,10 +185,18 @@ def _stencil_at(position: int, n: int, order: int, offsets: tuple[int, ...], n_e
     return {n - n_edge + k: sign * w_lo[n_edge - 1 - k] for k in range(n_edge)}
 
 
-# Elements per block of the stencil sweeps' products and of the lag-kernel
-# FFTs (rows x transform length): 128 KiB per real, 256 KiB per complex
-# temporary.
+# Elements per block of the stencil sweeps' products, of the lag-kernel FFTs
+# (rows x transform length) and of cone_invert's per-frequency batches (rows
+# x levels): 128 KiB per real, 256 KiB per complex temporary.
 _BLOCK_ELEMENTS = 1 << 14
+
+
+def _blocks(n: int, item_elements: int, budget: int | None = None) -> list[slice]:
+    # Runs of range(n), in order, of about ``budget`` elements at
+    # ``item_elements`` per item and at least one item each; the budget is
+    # _BLOCK_ELEMENTS, read at call time, unless given.
+    step = max(1, (_BLOCK_ELEMENTS if budget is None else budget) // item_elements)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _derivative(values: np.ndarray, spacing: float, stencils, axis=-1) -> np.ndarray:
@@ -241,11 +245,7 @@ def _derivative(values: np.ndarray, spacing: float, stencils, axis=-1) -> np.nda
         width = n - hi - lo
         # Each product is taken in blocks of leading rows of about
         # _BLOCK_ELEMENTS, so its temporary stays that size whatever the array's.
-        if v.ndim == 1:
-            blocks = [...]
-        else:
-            step = max(1, _BLOCK_ELEMENTS // math.prod(v.shape[1:]))
-            blocks = [slice(r, r + step) for r in range(0, v.shape[0], step)]
+        blocks = _blocks(v.shape[0], math.prod(v.shape[1:])) if v.ndim > 1 else [...]
         for j, w in combined(lo):
             if np.count_nonzero(w):
                 per_row = np.ndim(w) == v.ndim and np.shape(w)[0] > 1
@@ -373,9 +373,7 @@ def _lag_kernel_apply(profiles: np.ndarray, us: np.ndarray, spacing: float, kern
     spectra = fft(taps, m)
     np.conjugate(spectra, out=spectra)
     profiles[:, -1] *= 0.5  # and at the top end
-    rows = max(1, _BLOCK_ELEMENTS // m)
-    for start in range(0, profiles.shape[0], rows):
-        block = slice(start, start + rows)
+    for block in _blocks(profiles.shape[0], m):
         product = fft(profiles[block, lo : top + 1], m)
         product *= spectra[inverse[block]]
         # Output level i sits at lag i - lo of the band: levels below lo

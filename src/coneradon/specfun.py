@@ -1,4 +1,4 @@
-"""Bessel functions J0 and J1 plus DFT frequency-axis helpers.
+"""Bessel functions J0 and J1.
 
 The Bessel functions use the classic Cephes rational approximations (Stephen
 Moshier's public-domain coefficient tables): a rational fit with the leading
@@ -11,7 +11,7 @@ J0(a) = (1/2pi) * integral_0^2pi exp(i a cos(theta)) dtheta.
 
 import numpy as np
 
-__all__ = ["bessel_j0", "bessel_j1", "frequency_axis"]
+__all__ = ["bessel_j0", "bessel_j1"]
 
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
 _PIO4 = 7.85398163397448309616e-1  # pi/4
@@ -138,21 +138,6 @@ _QQ1 = (  # monic
     2.82619278517639096600e3,
     3.36093607810698293419e2,
 )
-
-
-def frequency_axis(n: int, spacing: float) -> np.ndarray:
-    """Angular frequencies of the n-point DFT of samples ``spacing`` apart.
-
-    Bin k carries frequency 2 pi k~ / (n * spacing) with the signed index
-    k~ in (-n/2, n/2], so bin 0 is the single zero-frequency (DC) bin.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    k = np.arange(n)
-    k_signed = np.where(k <= n // 2, k, k - n)
-    return 2.0 * np.pi * k_signed / (n * float(spacing))
 
 
 def _polevl(x, coeffs):

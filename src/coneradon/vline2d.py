@@ -38,7 +38,6 @@ from .grids import (
     _padded_sizes,
     cumint_from_top,
 )
-from .specfun import frequency_axis
 
 __all__ = [
     "VLineProjection",
@@ -261,7 +260,7 @@ def vline_spectral_oracle(
     nx = f.x_axis.n_samples
     (n_pad,) = _padded_sizes(f, geometry, _pad_factor(pad_factor))
     spectrum = np.fft.rfft(f.values, n_pad, axis=0)  # fhat, turned into ghat in place
-    lam = frequency_axis(n_pad, f.x_axis.spacing)[: spectrum.shape[0]]
+    lam = 2.0 * np.pi * np.fft.rfftfreq(n_pad, f.x_axis.spacing)
     scale = 2.0 / geometry.cos_beta
     _lag_kernel_apply(
         spectrum, geometry.tan_beta * lam, f.y_axis.spacing, lambda u, h: scale * np.cos(u * h)
@@ -295,7 +294,7 @@ def fourier_relation_check(f: RealGrid2D, projection: VLineProjection) -> float:
     # non-negative frequencies is the maximum over all of them.
     fhat = np.fft.rfft(f.values, axis=0)
     big_g = np.fft.rfft(grid.values, axis=0) * (geom.cos_beta / 2.0)
-    lam = frequency_axis(f.x_axis.n_samples, f.x_axis.spacing)[: fhat.shape[0]]
+    lam = 2.0 * np.pi * np.fft.rfftfreq(f.x_axis.n_samples, f.x_axis.spacing)
 
     dgdz = _derivative(big_g, dy, [(1.0, 1, (-1, 0, 1), 2)], axis=1)
     tail = cumint_from_top(big_g, dy, axis=1)

@@ -144,6 +144,43 @@ class TestRoundtrip2D:
         assert projection.y_axis.min == pytest.approx(-1.0 - extra * 2.0 / 39, abs=1e-12)
         assert projection.y_axis.min <= -1.37
 
+    @pytest.mark.parametrize("with_input", [False, True], ids=["roundtrip2d", "forward2d+input"])
+    def test_vertex_ymin_at_y_min_is_the_default_grid(self, tmp_path, with_input):
+        args = ["roundtrip2d", "--n", "16"]
+        if with_input:
+            assert run_cli("phantom", "--n", "16", "--outdir", str(tmp_path)) == 0
+            args = ["forward2d", "--input", str(tmp_path / "phantom.crtg")]
+        projections = []
+        for name, extra in (("default", []), ("at-y-min", ["--vertex-ymin=-1.0"])):
+            assert run_cli(*args, *extra, "--outdir", str(tmp_path / name)) == 0
+            projections.append((tmp_path / name / "projection.crtg").read_bytes())
+        assert projections[0] == projections[1]
+
+
+class TestNegativeValueAfterASpace:
+    """A value that starts like a negative number may follow its flag after a
+    space, as after "=", on the running interpreter's argparse."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--domain", "-1,1"), ("--domain", "-2,2,-1,1"), ("--vertex-ymin", "-2e0"),
+    ])
+    def test_same_report_as_the_equals_form(self, tmp_path, flag, value):
+        reports = []
+        for name, spelling in (("space", [flag, value]), ("equals", [f"{flag}={value}"])):
+            out = tmp_path / name
+            assert run_cli("roundtrip2d", "--n", "16", *spelling, "--outdir", str(out)) == 0
+            report = load_report(out)
+            report.pop("timings")
+            report["outputs"] = {k: Path(v).name for k, v in report["outputs"].items()}
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_a_flag_is_still_not_a_value(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["roundtrip2d", "--domain", "--n", "8"])
+        assert info.value.code == 1
+        assert "expected one argument" in capsys.readouterr().err
+
 
 class TestFileChain:
     def test_phantom_forward_invert(self, tmp_path):
@@ -336,6 +373,12 @@ class TestOracleCheck:
         assert metrics["fourier_relation_residual"] < 0.2
         assert metrics["projection_edge_fraction"] < 0.01
 
+    def test_negative_seed_refused_before_any_work(self, tmp_path, capsys):
+        assert run_cli("oracle-check", "--n", "16", "--seed", "-1",
+                       "--outdir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "render phantom" not in err
+
     def test_seed_defaults_to_0(self, tmp_path):
         assert run_cli("oracle-check", "--n", "16", "--outdir", str(tmp_path / "a")) == 0
         assert run_cli("oracle-check", "--n", "16", "--seed", "0",
@@ -419,6 +462,14 @@ class TestExitCodes:
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--beta", "pi/8",
                                   f"--vertex-ymin={deepest_vertex_ymin() - 2.0 / 15!r}"], 1,
                      repr(deepest_vertex_ymin()), id="vertex-ymin-one-row-too-deep"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--vertex-ymin", "0.5"], 1,
+                     "--vertex-ymin 0.5 lies above y_min -1.0", id="vertex-ymin-above-y-min"),
+        pytest.param(lambda tmp: ["forward2d", "--input", str(matrix_input_grid(tmp, 2)),
+                                  "--vertex-ymin", "-0.5"], 1,
+                     "--vertex-ymin -0.5 lies above y_min -1.0",
+                     id="vertex-ymin-above-y-min-with-input"),
+        pytest.param(lambda tmp: ["oracle-check", "--n", "16", "--seed", "-1"], 1,
+                     "--seed must be >= 0, got -1", id="negative-seed"),
         pytest.param(lambda tmp: ["forward3d", "--n", "12", "--vertex-ymin", "-1.5"], 1,
                      "--vertex-ymin does not apply", id="vertex-ymin-on-3d"),
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--dim", "3"], 1,

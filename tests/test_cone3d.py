@@ -556,7 +556,31 @@ class TestHalfSpectrum:
         _from_half_spectrum(spectrum, values, nyp)
         np.testing.assert_array_equal(values, expected)
 
-    def test_z_blocks_give_the_same_bits(self, monkeypatch):
+    @pytest.mark.parametrize("nxp, nyp", [(8, 10), (9, 11), (8, 9), (15, 12)])
+    def test_radial_frequencies(self, nxp, nyp):
+        # sqrt(lambda^2 + mu^2) on numpy's DFT frequencies: x over the full
+        # transform, y over the ky >= 0 half, with one DC bin and the
+        # Nyquist bin at pi / spacing where the padded size is even.
+        dx, dy = 0.25, 0.1
+        axes = AxisSpec(5, 0.0, 4 * dx), AxisSpec(6, 0.0, 5 * dy), AxisSpec(3, 0.0, 1.0)
+        grid = RealGrid3D(*axes, np.zeros((5, 6, 3)))
+        radial = _half_spectrum_radial(grid, nxp, nyp)
+        lam = 2.0 * np.pi * np.fft.fftfreq(nxp, dx)
+        mu = 2.0 * np.pi * np.fft.rfftfreq(nyp, dy)
+        assert radial.shape == (nxp, nyp // 2 + 1)
+        np.testing.assert_array_equal(radial, np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2))
+        assert radial[0, 0] == 0.0 and np.count_nonzero(radial == 0.0) == 1
+        assert radial[1, 0] == pytest.approx(2.0 * np.pi / (nxp * dx), rel=1e-15)
+        np.testing.assert_array_equal(radial[1:, 0], radial[:0:-1, 0])
+        top_x, top_y = 2.0 * np.pi * (nxp // 2) / (nxp * dx), 2.0 * np.pi * (nyp // 2) / (nyp * dy)
+        assert radial[:, 0].max() == pytest.approx(top_x, rel=1e-15)
+        assert radial[0, -1] == pytest.approx(top_y, rel=1e-15)
+        if nxp % 2 == 0:
+            assert radial[nxp // 2, 0] == pytest.approx(np.pi / dx, rel=1e-15)
+        if nyp % 2 == 0:
+            assert radial[0, -1] == pytest.approx(np.pi / dy, rel=1e-15)
+
+    def test_blocks_of_z_levels_give_the_same_bits(self, monkeypatch):
         # One z level per block of the y transforms, against one block for all.
         rng = np.random.default_rng(3)
         values = rng.normal(size=(9, 8, 5))

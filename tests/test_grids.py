@@ -12,6 +12,7 @@ from coneradon.grids import (
     RealGrid2D,
     RealGrid3D,
     cumint_from_top,
+    _blocks,
     _derivative,
     _fd_weights,
     _padded_sizes,
@@ -65,9 +66,11 @@ class TestConeGeometry:
 
 
 class TestGridContainers:
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            RealGrid2D(unit_axis(4), unit_axis(5), np.zeros((5, 4)))
+    @pytest.mark.parametrize("grid_type, sizes", [(RealGrid2D, (4, 5)), (RealGrid3D, (4, 5, 6))])
+    def test_shape_mismatch(self, grid_type, sizes):
+        axes = [unit_axis(n) for n in sizes]
+        with pytest.raises(ValueError, match="does not match axes"):
+            grid_type(*axes, np.zeros(sizes[::-1]))
 
     def test_non_finite_rejected(self):
         values = np.zeros((4, 4))
@@ -328,6 +331,23 @@ class TestDerivativeBlocks:
         monkeypatch.setattr(grids, "_BLOCK_ELEMENTS", block)
         for got, want in zip(sweeps(), expected):
             assert got.tobytes() == want.tobytes()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n, item_elements, budget", [
+        (10, 3, 7), (10, 3, 2), (9, 1, 9), (1, 5, 100), (17, 4, 16), (0, 3, 7),
+    ])
+    def test_runs_cover_the_range_in_order(self, n, item_elements, budget):
+        runs = _blocks(n, item_elements, budget)
+        assert [i for run in runs for i in range(n)[run]] == list(range(n))
+        step = max(1, budget // item_elements)
+        assert all(run.stop - run.start == step for run in runs[:-1])
+        assert all(0 < run.stop - run.start <= step for run in runs)
+
+    def test_budget_defaults_to_block_elements_at_call_time(self, monkeypatch):
+        assert _blocks(10, 4) == [slice(0, 10)]
+        monkeypatch.setattr(grids, "_BLOCK_ELEMENTS", 8)
+        assert _blocks(10, 4) == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8), slice(8, 10)]
 
 
 class TestFdWeights:

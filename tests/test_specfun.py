@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coneradon import specfun
-from coneradon.specfun import bessel_j0, bessel_j1, frequency_axis
+from coneradon.specfun import bessel_j0, bessel_j1
 
 from oracles import j0_first_zero, j0_quadrature
 
@@ -90,30 +90,6 @@ class TestBesselIdentities:
         v = np.linspace(0.0, upper, 100_001)
         integral = np.trapezoid(v * bessel_j0(v), v)
         assert abs(integral - upper * bessel_j1(upper)) <= 1e-7
-
-
-class TestFrequencyAxis:
-    def test_n4_unit_spacing(self):
-        np.testing.assert_allclose(
-            frequency_axis(4, 1.0), [0.0, np.pi / 2, np.pi, -np.pi / 2], rtol=1e-15
-        )
-
-    def test_n2_half_spacing(self):
-        np.testing.assert_allclose(frequency_axis(2, 0.5), [0.0, 2 * np.pi])
-
-    def test_bin_one(self):
-        assert frequency_axis(8, 0.25)[1] == pytest.approx(np.pi, rel=1e-15)
-
-    def test_dc_is_single_zero_bin(self):
-        freqs = frequency_axis(9, 0.1)
-        assert freqs[0] == 0.0
-        assert np.count_nonzero(freqs == 0.0) == 1
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            frequency_axis(1, 1.0)
-        with pytest.raises(ValueError):
-            frequency_axis(8, 0.0)
 
 
 class TestHornerInPlace:

@@ -13,7 +13,6 @@ from coneradon.grids import (
     _padded_sizes,
 )
 from coneradon.phantoms import BumpSpec, relative_l2, render_bumps_2d
-from coneradon.specfun import frequency_axis
 from coneradon.vline2d import (
     VLineProjection,
     fourier_relation_check,
@@ -431,7 +430,7 @@ class TestSpectralOracle:
         (n_pad,) = _padded_sizes(f, geometry, pad)
         left = (n_pad - 60) // 2
         spectrum = np.fft.rfft(np.pad(f.values, ((left, n_pad - 60 - left), (0, 0))), axis=0)
-        lam = frequency_axis(n_pad, f.x_axis.spacing)[: spectrum.shape[0]]
+        lam = 2.0 * np.pi * np.fft.rfftfreq(n_pad, f.x_axis.spacing)
         _lag_kernel_apply(
             spectrum, geometry.tan_beta * lam, f.y_axis.spacing, lambda u, h: np.cos(u * h)
         )
