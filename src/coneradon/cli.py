@@ -157,23 +157,26 @@ class RunConfig:
         for field in _OPTIONS:
             if getattr(self, field.name) is not None and reader not in field.metadata["readers"]:
                 raise ValueError(f"{field.metadata['flags'][0]} does not apply to {reader}")
-        # An option not given is None here, and its default is valid.
+        # An option not given is None here, and its default is valid.  Each
+        # message starts with the option's flag.
         if self.beta is not None and not (0.0 < self.beta < math.pi / 2):
-            raise ValueError(f"beta must lie in (0, pi/2), got {self.beta}")
+            raise ValueError(f"{_FLAG['beta']} must lie in (0, pi/2), got {self.beta}")
         if self.n is not None and self.n < 8:
-            raise ValueError(f"n must be >= 8, got {self.n}")
+            raise ValueError(f"{_FLAG['n']} must be >= 8, got {self.n}")
         if self.domain is not None:
             if len(self.domain) not in (2, 4, 6):
-                raise ValueError("domain needs 2, 4 or 6 comma-separated numbers")
+                raise ValueError(f"{_FLAG['domain']} needs 2, 4 or 6 comma-separated numbers")
             for lo, hi in self.domain_bounds():
                 if not hi > lo:
-                    raise ValueError(f"domain bounds must satisfy max > min, got [{lo}, {hi}]")
+                    raise ValueError(
+                        f"{_FLAG['domain']} bounds must satisfy max > min, got [{lo}, {hi}]")
         if self.default_radius is not None and not 0.0 < self.default_radius < math.inf:
-            raise ValueError(f"radius must be finite and > 0, got {self.default_radius}")
+            raise ValueError(
+                f"{_FLAG['default_radius']} must be finite and > 0, got {self.default_radius}")
         if self.vertex_ymin is not None and not math.isfinite(self.vertex_ymin):
-            raise ValueError(f"vertex_ymin must be finite, got {self.vertex_ymin}")
+            raise ValueError(f"{_FLAG['vertex_ymin']} must be finite, got {self.vertex_ymin}")
         if self.seed is not None and self.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {self.seed}")
+            raise ValueError(f"{_FLAG['seed']} must be >= 0, got {self.seed}")
 
     def domain_bounds(self, dim: int | None = None) -> list[tuple[float, float]]:
         pairs = [tuple(self.domain[i : i + 2]) for i in range(0, len(self.domain), 2)]
@@ -182,7 +185,8 @@ class RunConfig:
         if len(pairs) == 1:
             return pairs * dim
         if len(pairs) != dim:
-            raise ValueError(f"domain specifies {len(pairs)} axes but command needs {dim}")
+            raise ValueError(
+                f"{_FLAG['domain']} specifies {len(pairs)} axes but command needs {dim}")
         return pairs
 
     def axes(self, dim: int) -> list[AxisSpec]:
@@ -193,6 +197,8 @@ class RunConfig:
 
 
 _OPTIONS = tuple(field for field in dataclasses.fields(RunConfig) if field.metadata)
+# Each option's first flag, which its error messages start with.
+_FLAG = {field.name: field.metadata["flags"][0] for field in _OPTIONS}
 
 
 def _load_scene(config: RunConfig) -> list[BumpSpec]:
@@ -233,7 +239,7 @@ def _vertex_axes(config: RunConfig, f: RealGrid2D):
     x, y = f.x_axis, f.y_axis
     if config.vertex_ymin > y.min:
         raise ValueError(
-            f"--vertex-ymin {config.vertex_ymin} lies above y_min {y.min}: "
+            f"{_FLAG['vertex_ymin']} {config.vertex_ymin} lies above y_min {y.min}: "
             "it can only extend the vertex grid down"
         )
     # Below this depth both rays leave the zero-extended f sideways before they
@@ -241,7 +247,7 @@ def _vertex_axes(config: RunConfig, f: RealGrid2D):
     deepest = y.min - y.spacing - (x.max - x.min + x.spacing) / config.geometry().tan_beta
     if config.vertex_ymin < deepest:
         raise ValueError(
-            f"vertex_ymin {config.vertex_ymin} is below {deepest!r}, the deepest value "
+            f"{_FLAG['vertex_ymin']} {config.vertex_ymin} is below {deepest!r}, the deepest value "
             f"whose vertex rows can see this grid at beta {config.beta}"
         )
     extra = math.ceil((y.min - config.vertex_ymin) / y.spacing - 1e-9)

@@ -215,15 +215,18 @@ def dft2_slices(g: RealGrid3D) -> SpectralStack:
 
 
 def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, dz: float) -> np.ndarray:
-    # Batched inversion for strictly positive u, one profile G per row, on z
-    # spacing dz.  H^2 of the tail integral P(x) = int_x^top G is evaluated
-    # through the exact relation P' = -G, i.e. H^2(P) = -G''' - 2 u^2 G' + u^4 P:
-    # differencing the data G directly keeps the one-sided boundary errors from
-    # being amplified by repeated division by dz^2.
+    # Batched inversion, one profile G per row, on z spacing dz.  H^2 of the
+    # tail integral P(x) = int_x^top G is evaluated through the exact relation
+    # P' = -G, i.e. H^2(P) = -G''' - 2 u^2 G' + u^4 P: differencing the data G
+    # directly keeps the one-sided boundary errors from being amplified by
+    # repeated division by dz^2.  At u = 0 the kernel degenerates:
+    # G(z_v) = int (z - z_v) fhat dz, so those rows are overwritten with fhat = G''.
     u2 = (us * us)[:, None]
     q = _derivative(profiles, dz, [(-1.0, 3, (-2, -1, 0, 1, 2), 6), (-2.0 * u2, 1, (-1, 0, 1), 4)])
     q += u2 * u2 * cumint_from_top(profiles, dz)
     _lag_kernel_apply(q, us, dz, lambda u, h: bessel_j0(u * h))
+    for row in np.flatnonzero(us == 0.0):
+        q[row] = _derivative(profiles[row], dz, [(1.0, 2, (-1, 0, 1), 5)])
     return q
 
 
@@ -234,8 +237,9 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
     with trapezoidal integrals; H^2 of the tail integral is discretized through
     the exact relation (d/dx) int_x^{z_top} G = -G, so every finite difference
     acts on the data itself.  For u = 0 the kernel degenerates and fhat is the
-    second derivative of G directly.  The z axis needs at least 6 samples, as
-    the order-3 stencil does.
+    second derivative of G directly.  This is the stage ``cone_invert`` runs
+    on each kept bin.  The z axis needs at least 6 samples, as the order-3
+    stencil does.
     """
     p = np.asarray(profile)
     if p.ndim != 1 or p.shape[0] != z_axis.n_samples:
@@ -246,9 +250,6 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
         raise ValueError("profile must be finite")
     if not u >= 0:
         raise ValueError(f"u must be nonnegative, got {u}")
-    if u == 0.0:
-        # Degenerate kernel: G(z_v) = int (z - z_v) fhat dz, so fhat = G''.
-        return _derivative(p, z_axis.spacing, [(1.0, 2, (-1, 0, 1), 5)])
     return _invert_profiles_batch(p[None, :], np.array([u]), z_axis.spacing)[0]
 
 
@@ -332,7 +333,7 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
     # ky columns past the last one with a nonzero weight invert to zero, so
     # they are neither transformed nor synthesized.
     n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
-    radial, u_map, weights = radial[:, :n_ky], u_map[:, :n_ky], weights[:, :n_ky]
+    u_map, weights = u_map[:, :n_ky], weights[:, :n_ky]
 
     # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat,
     # and writes each bin's result back into the spectrum it read.  It is
@@ -343,9 +344,7 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
     profiles, w, us = spectrum.reshape(-1, n_levels), weights.ravel(), u_map.ravel()
     profiles *= (w * (geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)))[:, None]
 
-    # The zero-frequency bin inverts as fhat = G'' (``invert_frequency_profile``).
-    profiles[0] = _derivative(profiles[0], dz, [(1.0, 2, (-1, 0, 1), 5)])
-    kept = np.flatnonzero((w > 0.0) & (radial.ravel() > 0.0))
+    kept = np.flatnonzero(w > 0.0)
     # In order of u, so each block evaluates the J0 taps of its own u's only.
     kept = kept[np.argsort(us[kept], kind="stable")]
     for block in _blocks(kept.size, n_levels):

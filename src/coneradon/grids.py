@@ -126,14 +126,6 @@ class RealGrid2D:
     def __post_init__(self):
         self.values = _grid_values(self.values, self.axes())
 
-    @property
-    def x_coords(self) -> np.ndarray:
-        return self.x_axis.coordinates()
-
-    @property
-    def y_coords(self) -> np.ndarray:
-        return self.y_axis.coordinates()
-
     def axes(self) -> tuple[AxisSpec, AxisSpec]:
         return (self.x_axis, self.y_axis)
 
@@ -365,12 +357,17 @@ def _lag_kernel_apply(profiles: np.ndarray, us: np.ndarray, spacing: float, kern
         return
     lo, top = int(levels[0]), int(levels[-1])
     m = _smooth_size(2 * top - lo + 1)
-    fft, ifft = (np.fft.rfft, np.fft.irfft) if np.isrealobj(profiles) else (np.fft.fft, np.fft.ifft)
+    real = np.isrealobj(profiles)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     distinct, inverse = np.unique(us, return_inverse=True)
     h = spacing * np.arange(top + 1)
-    taps = spacing * kernel(distinct[:, None], h)
-    taps[:, 0] *= 0.5  # trapezoid half weight at the vertex end
-    spectra = fft(taps, m)
+    # The taps of a block of distinct u's at a time, so their temporaries
+    # stay block-sized; only the spectra are held for every u.
+    spectra = np.empty((distinct.size, m // 2 + 1 if real else m), dtype=complex)
+    for block in _blocks(distinct.size, m):
+        taps = spacing * kernel(distinct[block, None], h)
+        taps[:, 0] *= 0.5  # trapezoid half weight at the vertex end
+        fft(taps, m, out=spectra[block])
     np.conjugate(spectra, out=spectra)
     profiles[:, -1] *= 0.5  # and at the top end
     for block in _blocks(profiles.shape[0], m):

@@ -25,7 +25,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """One smooth bump: center (2 or 3 coordinates), radius > 0 and intensity."""
+    """One smooth bump: center (2 or 3 coordinates), radius > 0 and intensity,
+    all finite."""
 
     center: tuple[float, ...]
     radius: float
@@ -34,6 +35,8 @@ class BumpSpec:
     def __post_init__(self):
         if len(self.center) not in (2, 3):
             raise ValueError("bump center must have 2 or 3 coordinates")
+        if not all(map(math.isfinite, (*self.center, self.radius, self.intensity))):
+            raise ValueError(f"bump values must be finite, got {self}")
         if not self.radius > 0:
             raise ValueError(f"bump radius must be positive, got {self.radius}")
 
@@ -117,7 +120,7 @@ def parse_scene(text: str, dim: int, default_radius: float = 0.25) -> list[BumpS
     One bump per line: ``cx cy [cz] r intensity``; ``#`` starts a comment.
     Lines that omit the radius (``cx cy [cz] intensity``) fall back to
     ``default_radius``.  ``dim`` (2 or 3) fixes how many center coordinates a
-    line carries.
+    line carries.  Every error, ``BumpSpec``'s included, names its line.
     """
     if dim not in (2, 3):
         raise ValueError("scene dimension must be 2 or 3")
@@ -128,18 +131,10 @@ def parse_scene(text: str, dim: int, default_radius: float = 0.25) -> list[BumpS
             continue
         try:
             tokens = [float(tok) for tok in line.split()]
+            if len(tokens) not in (dim + 1, dim + 2):
+                raise ValueError(f"expected {dim + 2} (or {dim + 1}) numbers, got {len(tokens)}")
+            radius = tokens[dim] if len(tokens) == dim + 2 else default_radius
+            specs.append(BumpSpec(tuple(tokens[:dim]), radius, tokens[-1]))
         except ValueError as exc:
-            raise ValueError(f"scene line {lineno}: non-numeric token ({raw!r})") from exc
-        if len(tokens) == dim + 2:
-            center = tuple(tokens[:dim])
-            radius, intensity = tokens[dim], tokens[dim + 1]
-        elif len(tokens) == dim + 1:
-            center = tuple(tokens[:dim])
-            radius, intensity = default_radius, tokens[dim]
-        else:
-            raise ValueError(
-                f"scene line {lineno}: expected {dim + 2} (or {dim + 1}) numbers, "
-                f"got {len(tokens)}"
-            )
-        specs.append(BumpSpec(center=center, radius=radius, intensity=intensity))
+            raise ValueError(f"scene line {lineno}: {exc}") from exc
     return specs

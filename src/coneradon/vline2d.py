@@ -102,7 +102,7 @@ def vline_forward(
     levels = flat[nx:-nx].reshape(ny, nx)
     levels[n_below:] = f.values.T
     held = np.flatnonzero(levels.any(axis=1))
-    if held.size and ny > 1:
+    if held.size:
         first, last = int(held[0]), int(held[-1])
         body, top = _stencils(geometry, f.x_axis.spacing, vy_axis.spacing, nx, ny)
         if last < ny - 1:
@@ -131,9 +131,8 @@ def vline_forward(
             if 2 * s <= nx:
                 np.add(flat[start + s : start + s + pair.size],
                        flat[start - s : start - s + pair.size], out=pair)
-                if s:
-                    pair_rows[:, :s] = data[:, s : 2 * s]
-                    pair_rows[:, nx - s :] = data[:, nx - 2 * s : nx - s]
+                pair_rows[:, :s] = data[:, s : 2 * s]
+                pair_rows[:, nx - s :] = data[:, nx - 2 * s : nx - s]
             else:
                 pair_rows[:, : nx - s] = data[:, s:]
                 pair_rows[:, nx - s : s] = 0.0

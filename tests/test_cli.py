@@ -231,6 +231,28 @@ class TestFileChain:
         assert math.isfinite(report["metrics"]["relative_l2"])
 
 
+def readme_block(heading):
+    # The body of the README's first fenced block after the line ``heading``.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = text.index("```\n", text.index(heading)) + len("```\n")
+    return text[start : text.index("```", start)]
+
+
+class TestReadmeCommands:
+    def test_command_block_runs_as_written(self, tmp_path, monkeypatch):
+        # Each line of the "Command line" block, run in a directory holding
+        # the README's scene example under the name the block uses.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table_two_circles.txt").write_text(readme_block("Scene files describe"))
+        lines = readme_block("## Command line").splitlines()
+        assert lines
+        for line in lines:
+            program, *args = line.split()
+            assert program == "coneradon"
+            assert main(args) == 0, line
+            assert (tmp_path / args[args.index("--outdir") + 1] / "report.json").is_file()
+
+
 class TestTruncationAlarm3D:
     """``projection_edge_fraction``: max |g| on the four lateral faces over max |g|."""
 
@@ -461,7 +483,21 @@ class TestExitCodes:
                      "physical memory", id="short-z-crtg-near-right-angle"),
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--beta", "pi/8",
                                   f"--vertex-ymin={deepest_vertex_ymin() - 2.0 / 15!r}"], 1,
-                     repr(deepest_vertex_ymin()), id="vertex-ymin-one-row-too-deep"),
+                     f"--vertex-ymin {deepest_vertex_ymin() - 2.0 / 15!r} is below "
+                     f"{deepest_vertex_ymin()!r}", id="vertex-ymin-one-row-too-deep"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--vertex-ymin", "nan"], 1,
+                     "--vertex-ymin must be finite, got nan", id="nan-vertex-ymin"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--beta", "2.0"], 1,
+                     "--beta must lie in (0, pi/2), got 2.0", id="beta-above-right-angle"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "4"], 1, "--n must be >= 8, got 4",
+                     id="n-below-8"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--domain", "-1,0,1"], 1,
+                     "--domain needs 2, 4 or 6 comma-separated numbers", id="domain-odd-count"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--domain", "1,-1"], 1,
+                     "--domain bounds must satisfy max > min, got [1.0, -1.0]",
+                     id="domain-reversed"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--domain", "-1,1,-1,1,-1,1"], 1,
+                     "--domain specifies 3 axes but command needs 2", id="domain-3d-for-2d"),
         pytest.param(lambda tmp: ["roundtrip2d", "--n", "16", "--vertex-ymin", "0.5"], 1,
                      "--vertex-ymin 0.5 lies above y_min -1.0", id="vertex-ymin-above-y-min"),
         pytest.param(lambda tmp: ["forward2d", "--input", str(matrix_input_grid(tmp, 2)),
@@ -494,15 +530,15 @@ class TestExitCodes:
                                   "--scene", str(tmp / "scene.txt")], 1,
                      "--scene does not apply to forward2d with --input", id="scene-with-input"),
         # A bad --radius exits 1 whether or not a scene line reads it.
-        pytest.param(lambda tmp: radius_from_option(-1), 1, "radius must be finite and > 0",
+        pytest.param(lambda tmp: radius_from_option(-1), 1, "--radius must be finite and > 0",
                      id="negative-radius"),
-        pytest.param(lambda tmp: radius_from_option(-1, tmp), 1, "radius must be finite and > 0",
+        pytest.param(lambda tmp: radius_from_option(-1, tmp), 1, "--radius must be finite and > 0",
                      id="negative-radius-in-scene"),
-        pytest.param(lambda tmp: radius_from_option(0), 1, "radius must be finite and > 0",
+        pytest.param(lambda tmp: radius_from_option(0), 1, "--radius must be finite and > 0",
                      id="zero-radius"),
-        pytest.param(lambda tmp: radius_from_option("inf"), 1, "radius must be finite and > 0",
+        pytest.param(lambda tmp: radius_from_option("inf"), 1, "--radius must be finite and > 0",
                      id="infinite-radius"),
-        pytest.param(lambda tmp: radius_from_option("nan"), 1, "radius must be finite and > 0",
+        pytest.param(lambda tmp: radius_from_option("nan"), 1, "--radius must be finite and > 0",
                      id="nan-radius"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, make_args, code, message):
@@ -537,6 +573,24 @@ class TestExitCodes:
         scene = tmp_path / "scene.txt"
         scene.write_text("not a number line\n")
         assert run_cli("phantom", "--scene", str(scene), "--outdir", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["center", "radius", "intensity"])
+    def test_non_finite_scene_value_exits_2_naming_its_line(
+        self, tmp_path, capsys, field, value, n
+    ):
+        # At n = 8 the default bump covers no sample, so only the scene's own
+        # check can catch the value.
+        line = {"center": f"{value} 0 0.2 1", "radius": f"0 0 {value} 1",
+                "intensity": f"0 0 0.2 {value}"}[field]
+        scene = tmp_path / "scene.txt"
+        scene.write_text(line + "\n")
+        assert run_cli("roundtrip2d", "--n", str(n), "--scene", str(scene),
+                       "--outdir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "scene line 1: bump values must be finite" in err
+        assert "Traceback" not in err
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # A projection of huge magnitude overflows the difference quotients.

@@ -25,6 +25,7 @@ from coneradon.grids import (
     RealGrid3D,
     _lag_kernel_apply,
     _padded_sizes,
+    _smooth_size,
 )
 from coneradon.phantoms import BumpSpec, relative_l2, render_bumps_3d
 from coneradon.specfun import bessel_j0
@@ -642,11 +643,14 @@ class TestMemory:
     padded size 144; 0.67-0.72 MiB at the default 72), the forward's 2.03
     MiB, mostly the lag-kernel engine's kernel spectra (one per distinct u).
     Holding a separate spectrum per step (transform, per-bin results, inverse)
-    put them 1.8-12 MiB and 3.2 MiB above.
+    put them 1.8-12 MiB and 3.2 MiB above.  Above spectrum + output + kernel
+    spectra, the forward's peak sits 0.05-0.11 MiB at N = 48 and beta pi/8
+    to pi/4; evaluating every u's taps at once put it 1.06-2.26 MiB above.
     """
 
     INVERT_ALLOWANCE = 1.25 * 2**20
     FORWARD_ALLOWANCE = 2.5 * 2**20
+    KERNEL_TABLE_ALLOWANCE = 0.5 * 2**20
 
     @staticmethod
     def volume(n):
@@ -660,6 +664,21 @@ class TestMemory:
         spectrum = 16 * nxp * (nyp // 2 + 1) * n
         peak = traced_peak(lambda: cone_forward(f, GEOM))
         assert peak <= spectrum + f.values.nbytes + self.FORWARD_ALLOWANCE
+
+    @pytest.mark.parametrize("k", [8, 6, 4])
+    def test_forward_peak_over_kernel_spectra(self, k):
+        # The engine holds one kernel spectrum per distinct u, of the FFT
+        # length 2 (n - 1) + 1 rounded up to a fast size for data on every
+        # level, and evaluates the taps a block of u's at a time.
+        n, geom = 48, ConeGeometry(np.pi / k)
+        f = self.volume(n)
+        nxp, nyp = _padded_sizes(f, geom)
+        spectrum = 16 * nxp * (nyp // 2 + 1) * n
+        n_u = np.unique(geom.tan_beta * _half_spectrum_radial(f, nxp, nyp)).size
+        kernel_spectra = 16 * n_u * _smooth_size(2 * (n - 1) + 1)
+        peak = traced_peak(lambda: cone_forward(f, geom))
+        bound = spectrum + f.values.nbytes + kernel_spectra + self.KERNEL_TABLE_ALLOWANCE
+        assert peak <= bound
 
     @staticmethod
     def invert_spectrum_bytes(g, pad):

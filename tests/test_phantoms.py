@@ -188,3 +188,23 @@ class TestParseScene:
             parse_scene("a b c d\n", dim=2)
         with pytest.raises(ValueError):
             parse_scene("0 0 0.2 1", dim=4)
+
+    @pytest.mark.parametrize("line", ["0 0 -0.2 1", "0 nan 0.2 1", "0 0 inf 1", "0 0 0.2 -inf"])
+    def test_invalid_bump_names_its_line(self, line):
+        with pytest.raises(ValueError, match="^scene line 2: bump"):
+            parse_scene(f"# header\n{line}\n", dim=2)
+
+
+class TestBumpSpec:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["center", "radius", "intensity"])
+    def test_non_finite_values_are_rejected(self, field, value):
+        kwargs = {"center": (0.1, 0.2), "radius": 0.25, "intensity": 1.0}
+        kwargs[field] = (0.1, value) if field == "center" else value
+        with pytest.raises(ValueError, match="bump values must be finite"):
+            BumpSpec(**kwargs)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.2])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="bump radius must be positive"):
+            BumpSpec((0.1, 0.2), radius)

@@ -84,13 +84,13 @@ class TestVlineForward:
         g = vline_forward(f, GEOM).grid
         # The paper-geometry vertex (0.2, -0.8) sits too low for its rays to
         # cross the bump, so both routes give zero there.
+        xs, ys = f.x_axis.coordinates(), f.y_axis.coordinates()
         ix, jy = nearest_node(f.x_axis, 0.2), nearest_node(f.y_axis, -0.8)
-        xv, yv = f.x_coords[ix], f.y_coords[jy]
-        assert abs(oracles.vline_ray_march(f, GEOM, xv, yv)) < 1e-15
+        assert abs(oracles.vline_ray_march(f, GEOM, xs[ix], ys[jy])) < 1e-15
         assert g.values[ix, jy] == 0.0
         for (x0, y0) in [(0.2, 0.0), (-0.1, -0.3), (0.35, -0.1)]:
             ix, jy = nearest_node(f.x_axis, x0), nearest_node(f.y_axis, y0)
-            ref = oracles.vline_ray_march(f, GEOM, f.x_coords[ix], f.y_coords[jy])
+            ref = oracles.vline_ray_march(f, GEOM, xs[ix], ys[jy])
             assert g.values[ix, jy] == pytest.approx(ref, rel=5e-3)
 
     def test_linearity(self):
@@ -318,7 +318,7 @@ class TestVlineForward:
         for x0, y0 in [(-0.6, -1.2), (0.45, -1.3), (0.8, -1.1)]:
             ix, jy = nearest_node(f.x_axis, x0), nearest_node(vy, y0)
             assert vy.coordinates()[jy] < f.y_axis.min
-            ref = oracles.vline_ray_march(f, geom, f.x_coords[ix], vy.coordinates()[jy])
+            ref = oracles.vline_ray_march(f, geom, f.x_axis.coordinates()[ix], vy.coordinates()[jy])
             assert ref > 0.1 * g.max()
             assert g[ix, jy] == pytest.approx(ref, rel=5e-3)
 
