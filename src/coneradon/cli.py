@@ -4,7 +4,12 @@ One command per process; every run writes the requested grids plus a
 ``report.json`` with parameters, metrics, output paths and per-stage timings
 (keys sorted, so identical configurations reproduce byte-identical reports up
 to the timing values).  Exit codes: 0 success, 1 bad arguments, 2 I/O or parse
-failure, 3 numerical failure (non-finite values).
+failure, 3 numerical failure (non-finite values, or a float overflow).
+
+One handler serves the six transform commands: a forward run projects f (read
+from ``--input`` or rendered), an invert run inverts g (read from ``--input``),
+and a round trip runs the forward steps and then the invert steps on the
+projection in memory, then scores the reconstruction against f.
 
 Each option is declared once, as a ``RunConfig`` field made by ``_option``:
 flags, argparse type or action, help, the runs that read it and the value a
@@ -46,6 +51,7 @@ from .grids import AxisSpec, ConeGeometry, NonFiniteGridError, RealGrid2D, _padd
 from .gridio import GridFormatError, export_heatmap, read_grid, write_grid, write_grid_csv
 from .phantoms import (
     BumpSpec,
+    _check_support,
     _l2_norm,
     max_abs_error,
     parse_scene,
@@ -177,6 +183,8 @@ class RunConfig:
             raise ValueError(f"{_FLAG['vertex_ymin']} must be finite, got {self.vertex_ymin}")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"{_FLAG['seed']} must be >= 0, got {self.seed}")
+        if self.dim is not None and self.dim not in (2, 3):
+            raise ValueError(f"{_FLAG['dim']} must be 2 or 3, got {self.dim}")
 
     def domain_bounds(self, dim: int | None = None) -> list[tuple[float, float]]:
         pairs = [tuple(self.domain[i : i + 2]) for i in range(0, len(self.domain), 2)]
@@ -201,36 +209,37 @@ _OPTIONS = tuple(field for field in dataclasses.fields(RunConfig) if field.metad
 _FLAG = {field.name: field.metadata["flags"][0] for field in _OPTIONS}
 
 
-def _load_scene(config: RunConfig) -> list[BumpSpec]:
+def _load_scene(config: RunConfig) -> list[tuple[str, BumpSpec]]:
+    """The phantom's bumps, each after the prefix its errors start with."""
     if config.scene_path is None:
         center = (0.2, 0.1, 0.0)[: config.dim]
-        return [BumpSpec(center=center, radius=config.default_radius, intensity=1.0)]
+        return [("", BumpSpec(center=center, radius=config.default_radius, intensity=1.0))]
     try:
         with open(config.scene_path, "r", encoding="utf-8") as fh:
-            specs = parse_scene(fh.read(), config.dim, default_radius=config.default_radius)
+            text = fh.read()
+        specs = parse_scene(text, config.dim, default_radius=config.default_radius)
     except ValueError as exc:  # includes UnicodeDecodeError from a non-UTF-8 file
         raise InputDataError(f"{config.scene_path}: {exc}") from exc
     if not specs:
         raise InputDataError(f"{config.scene_path}: scene file defines no bumps")
-    return specs
+    # parse_scene makes one bump of each line holding more than a comment.
+    lines = [n for n, raw in enumerate(text.splitlines(), 1) if raw.split("#", 1)[0].strip()]
+    return [(f"{config.scene_path}: scene line {n}: ", spec) for n, spec in zip(lines, specs)]
 
 
 def _render_phantom(config: RunConfig):
-    specs = _load_scene(config)
+    scene = _load_scene(config)
     axes = config.axes(config.dim)
+    for where, spec in scene:
+        try:
+            _check_support(spec, axes)
+        except ValueError as exc:
+            raise InputDataError(f"{where}{exc}") from exc
     render = render_bumps_2d if config.dim == 2 else render_bumps_3d
     try:
-        return render(specs, *axes)
+        return render([spec for _, spec in scene], *axes)
     except ValueError as exc:
         raise InputDataError(str(exc)) from exc
-
-
-def _read_grid_checked(path: str, rank: int):
-    grid = read_grid(path)
-    got = len(grid.axes())
-    if got != rank:
-        raise InputDataError(f"{path}: expected a {rank}D grid, found {got}D")
-    return grid
 
 
 def _vertex_axes(config: RunConfig, f: RealGrid2D):
@@ -253,20 +262,6 @@ def _vertex_axes(config: RunConfig, f: RealGrid2D):
     extra = math.ceil((y.min - config.vertex_ymin) / y.spacing - 1e-9)
     extended = AxisSpec(y.n_samples + extra, y.min - extra * y.spacing, y.max)
     return (x, extended)
-
-
-def _forward(config: RunConfig, f):
-    """V-line transform of a 2D grid, cone transform of a 3D one."""
-    if len(f.axes()) == 2:
-        return vline_forward(f, config.geometry(), _vertex_axes(config, f)).grid
-    return cone_forward(f, config.geometry())
-
-
-def _invert(config: RunConfig, g):
-    """Exact inversion of a 2D V-line or 3D cone projection grid."""
-    if len(g.axes()) == 2:
-        return vline_invert(VLineProjection(g, config.geometry()))
-    return cone_invert(g, config.geometry())
 
 
 def _log(stage: str) -> None:
@@ -340,14 +335,6 @@ def _truncation_alarm(g, metrics: dict) -> None:
         )
 
 
-def _inversion_diagnostics(config: RunConfig, g, metrics: dict) -> None:
-    """Record the truncation alarm and what the 3D inversion of g will compute."""
-    _truncation_alarm(g, metrics)
-    metrics["taper_band_fraction"] = _taper_band_fraction(g, config.geometry())
-    metrics["inversion_level_fraction"] = _inversion_levels(g) / g.z_axis.n_samples
-    metrics["inversion_padded_size"] = _padded_sizes(g, config.geometry())
-
-
 def _support_fraction(f) -> float:
     """Share of f's levels along the last axis (y rows in 2D, z levels in 3D)
     holding a nonzero sample: the part of the grid the forward sweeps."""
@@ -374,53 +361,50 @@ def _cmd_phantom(config: RunConfig, stage, outputs: dict, metrics: dict) -> None
     metrics["phantom_l2"] = _l2_norm(f.values)
 
 
-def _cmd_forward(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
+def _cmd_transform(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
+    """forward2d/3d, invert2d/3d and roundtrip2d/3d: a round trip runs the
+    forward steps and then the invert steps on the projection in memory."""
+    projects = not config.command.startswith("invert")
+    inverts = not config.command.startswith("forward")
+    geom = config.geometry()
+    # The input grid: f for a forward run or a round trip, g for an invert run.
+    if not projects and not config.input_path:
+        raise ValueError(f"{config.command} needs --input with projection data")
     if config.input_path is not None:
-        f = _read_grid_checked(config.input_path, config.dim)
+        f = g = read_grid(config.input_path)
+        if len(f.axes()) != config.dim:
+            raise InputDataError(
+                f"{config.input_path}: expected a {config.dim}D grid, found {len(f.axes())}D")
     else:
         with stage("render phantom"):
             f = _render_phantom(config)
         _save_grid(config, "phantom", f, outputs)
-    metrics["support_fraction"] = _support_fraction(f)
-    with stage("forward transform"):
-        g = _forward(config, f)
-    _save_grid(config, "projection", g, outputs)
-    metrics["projection_max"] = float(g.values.max())
+    if projects:
+        metrics["support_fraction"] = _support_fraction(f)
+        with stage("forward transform"):
+            g = (vline_forward(f, geom, _vertex_axes(config, f)).grid if config.dim == 2
+                 else cone_forward(f, geom))
+        _save_grid(config, "projection", g, outputs)
+        if not inverts:
+            metrics["projection_max"] = float(g.values.max())
     if config.dim == 3:
         _truncation_alarm(g, metrics)
-
-
-def _cmd_invert(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
-    if not config.input_path:
-        raise ValueError(f"{config.command} needs --input with projection data")
-    g = _read_grid_checked(config.input_path, config.dim)
-    if config.dim == 3:
-        _inversion_diagnostics(config, g, metrics)
+    if not inverts:
+        return
+    if config.dim == 3:  # what the inversion of g will compute
+        metrics["taper_band_fraction"] = _taper_band_fraction(g, geom)
+        metrics["inversion_level_fraction"] = _inversion_levels(g) / g.z_axis.n_samples
+        metrics["inversion_padded_size"] = _padded_sizes(g, geom)
     with stage("inversion"):
-        recon = _invert(config, g)
+        recon = vline_invert(VLineProjection(g, geom)) if config.dim == 2 else cone_invert(g, geom)
+    if projects:  # a round trip scores recon against f, on f's rows
+        if recon.axes() != f.axes():  # extended vertex grid
+            n_extra = recon.y_axis.n_samples - f.y_axis.n_samples
+            recon = RealGrid2D(f.x_axis, f.y_axis, recon.values[:, n_extra:])
+        _save_heatmap(config, "phantom", f, outputs, metrics)
+        _metrics_against(config, recon, f, metrics)
     _save_grid(config, "reconstruction", recon, outputs)
     _save_heatmap(config, "reconstruction", recon, outputs, metrics)
-
-
-def _cmd_roundtrip(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
-    with stage("render phantom"):
-        f = _render_phantom(config)
-    metrics["support_fraction"] = _support_fraction(f)
-    with stage("forward transform"):
-        g = _forward(config, f)
-    if config.dim == 3:
-        _inversion_diagnostics(config, g, metrics)
-    with stage("inversion"):
-        recon = _invert(config, g)
-    if recon.axes() != f.axes():  # extended vertex grid: compare on f's rows
-        n_extra = recon.y_axis.n_samples - f.y_axis.n_samples
-        recon = RealGrid2D(f.x_axis, f.y_axis, recon.values[:, n_extra:])
-    _save_grid(config, "phantom", f, outputs)
-    _save_grid(config, "projection", g, outputs)
-    _save_grid(config, "reconstruction", recon, outputs)
-    _save_heatmap(config, "phantom", f, outputs, metrics)
-    _save_heatmap(config, "reconstruction", recon, outputs, metrics)
-    _metrics_against(config, recon, f, metrics)
 
 
 def _cmd_oracle_check(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
@@ -462,13 +446,9 @@ def _cmd_oracle_check(config: RunConfig, stage, outputs: dict, metrics: dict) ->
 # command -> (handler, grid rank); phantom takes its rank from --dim.
 _DISPATCH = {
     "phantom": (_cmd_phantom, None),
-    "forward2d": (_cmd_forward, 2),
-    "invert2d": (_cmd_invert, 2),
-    "roundtrip2d": (_cmd_roundtrip, 2),
-    "forward3d": (_cmd_forward, 3),
-    "invert3d": (_cmd_invert, 3),
-    "roundtrip3d": (_cmd_roundtrip, 3),
     "oracle-check": (_cmd_oracle_check, 2),
+    **{f"{verb}{rank}d": (_cmd_transform, rank)
+       for verb in ("forward", "invert", "roundtrip") for rank in (2, 3)},
 }
 
 def _config_dict(config: RunConfig) -> dict:
@@ -506,7 +486,7 @@ def run(config: RunConfig) -> int:
         bad = [k for k, v in metrics.items() if isinstance(v, float) and not math.isfinite(v)]
         if bad:
             raise NonFiniteGridError(f"non-finite metrics: {', '.join(sorted(bad))}")
-    except NonFiniteGridError as exc:
+    except (NonFiniteGridError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (GridFormatError, InputDataError, OSError) as exc:

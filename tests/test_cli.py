@@ -11,7 +11,7 @@ import pytest
 
 import coneradon
 from coneradon import grids
-from coneradon.cli import main
+from coneradon.cli import RunConfig, main, run
 from coneradon.gridio import read_grid, write_grid
 from coneradon.grids import AxisSpec, RealGrid2D, RealGrid3D
 
@@ -52,6 +52,15 @@ def short_z_grid(tmp_path):
     ax = AxisSpec(8, -1.0, 1.0)
     write_grid(path, RealGrid3D(ax, ax, AxisSpec(5, -1.0, 1.0), np.zeros((8, 8, 5))))
     return ["invert3d", "--input", str(path)]
+
+
+def wide_axes_grid(tmp_path, rank, bound):
+    # Valid axes whose spacing overflows a power in the inversion's stencils.
+    path = tmp_path / f"wide{rank}d.crtg"
+    ax = AxisSpec(8, -bound, bound)
+    values = np.random.default_rng(0).standard_normal((8,) * rank)
+    write_grid(path, (RealGrid2D if rank == 2 else RealGrid3D)(*[ax] * rank, values))
+    return [f"invert{rank}d", "--input", str(path)]
 
 
 def radius_from_option(radius, tmp_path=None):
@@ -592,6 +601,51 @@ class TestExitCodes:
         assert "scene line 1: bump values must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, inside, outside", [
+        ("phantom", "0 0 0.2 1", "0.9 0 0.2 1"),
+        ("roundtrip2d", "0 0 0.2 1", "0.9 0 0.2 1"),
+        ("roundtrip3d", "0 0 0 0.2 1", "0.9 0 0 0.2 1"),
+    ])
+    def test_bump_outside_the_grid_names_its_line(
+        self, tmp_path, capsys, command, inside, outside
+    ):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"# two bumps\n{inside}\n{outside}\n")
+        assert run_cli(command, "--n", "16", "--scene", str(scene),
+                       "--outdir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"{scene}: scene line 3: bump at (0.9, 0.0" in err
+        assert "Traceback" not in err
+
+    def test_default_bump_outside_the_grid(self, tmp_path, capsys):
+        assert run_cli("phantom", "--n", "16", "--domain", "0.5,1",
+                       "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err.endswith(
+            "input/output failure: bump at (0.2, 0.1) with radius 0.25 is not strictly "
+            "inside the grid domain\n")
+
+    @pytest.mark.parametrize("make_args", [
+        pytest.param(lambda tmp: wide_axes_grid(tmp, 3, 1e150), id="invert3d"),
+        pytest.param(lambda tmp: wide_axes_grid(tmp, 2, 1e160), id="invert2d"),
+        pytest.param(lambda tmp: ["roundtrip2d", "--n", "8", "--domain=-1e160,1e160"],
+                     id="roundtrip2d"),
+    ])
+    def test_overflow_exits_3(self, tmp_path, capsys, make_args):
+        # The bump's squared distances overflow harmlessly first on the wide domain.
+        with np.errstate(over="ignore"):
+            code = main(make_args(tmp_path) + ["--outdir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("numerical failure: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dim", [0, 1, 4])
+    def test_run_refuses_dim_other_than_2_or_3(self, tmp_path, capsys, dim):
+        # argparse's choices never reach run(), which checks the value itself.
+        assert run(RunConfig(command="phantom", dim=dim, output_dir=str(tmp_path))) == 1
+        assert capsys.readouterr().err == f"error: --dim must be 2 or 3, got {dim}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_numerical_failure_exits_3(self, tmp_path):
         # A projection of huge magnitude overflows the difference quotients.
         ax = AxisSpec(16, -1.0, 1.0)
@@ -695,6 +749,91 @@ class TestOptionMatrix:
         else:
             assert code == 1
             assert f"error: {flag} does not apply to {row}\n" in err
+
+
+# The exact metrics and outputs keys of each transform run, written out by
+# hand: run arguments ("input2d"/"input3d" stand for a zero grid of that
+# rank), then its metrics keys and its outputs keys.
+REPORT_SCHEMA = {
+    "forward2d": (
+        "forward2d --n 16",
+        "projection_max support_fraction",
+        "phantom projection"),
+    "forward2d-input": (
+        "forward2d --input input2d",
+        "projection_max support_fraction",
+        "projection"),
+    "forward2d-vertex-ymin": (
+        "forward2d --n 16 --vertex-ymin -1.5",
+        "projection_max support_fraction",
+        "phantom projection"),
+    "invert2d": (
+        "invert2d --input input2d",
+        "reconstruction_heatmap_max reconstruction_heatmap_min",
+        "reconstruction reconstruction_heatmap"),
+    "roundtrip2d": (
+        "roundtrip2d --n 16",
+        "max_abs_error phantom_heatmap_max phantom_heatmap_min reconstruction_heatmap_max "
+        "reconstruction_heatmap_min relative_l2 support_fraction",
+        "phantom phantom_heatmap projection reconstruction reconstruction_heatmap"),
+    "roundtrip2d-masked": (
+        "roundtrip2d --n 16 --masked-metrics",
+        "max_abs_error phantom_heatmap_max phantom_heatmap_min reconstruction_heatmap_max "
+        "reconstruction_heatmap_min relative_l2 relative_l2_masked support_fraction",
+        "phantom phantom_heatmap projection reconstruction reconstruction_heatmap"),
+    "roundtrip2d-vertex-ymin": (
+        "roundtrip2d --n 16 --vertex-ymin -1.5",
+        "max_abs_error phantom_heatmap_max phantom_heatmap_min reconstruction_heatmap_max "
+        "reconstruction_heatmap_min relative_l2 support_fraction",
+        "phantom phantom_heatmap projection reconstruction reconstruction_heatmap"),
+    "roundtrip2d-csv": (
+        "roundtrip2d --n 16 --csv",
+        "max_abs_error phantom_heatmap_max phantom_heatmap_min reconstruction_heatmap_max "
+        "reconstruction_heatmap_min relative_l2 support_fraction",
+        "phantom phantom_csv phantom_heatmap projection projection_csv reconstruction "
+        "reconstruction_csv reconstruction_heatmap"),
+    "forward3d": (
+        "forward3d --n 12",
+        "projection_edge_fraction projection_max support_fraction truncation_warning",
+        "phantom projection"),
+    "forward3d-input": (
+        "forward3d --input input3d",
+        "projection_edge_fraction projection_max support_fraction truncation_warning",
+        "projection"),
+    "invert3d": (
+        "invert3d --input input3d",
+        "inversion_level_fraction inversion_padded_size projection_edge_fraction "
+        "reconstruction_heatmap_max reconstruction_heatmap_min taper_band_fraction "
+        "truncation_warning",
+        "reconstruction reconstruction_heatmap"),
+    "roundtrip3d": (
+        "roundtrip3d --n 12",
+        "inversion_level_fraction inversion_padded_size max_abs_error phantom_heatmap_max "
+        "phantom_heatmap_min projection_edge_fraction reconstruction_heatmap_max "
+        "reconstruction_heatmap_min relative_l2 support_fraction taper_band_fraction "
+        "truncation_warning",
+        "phantom phantom_heatmap projection reconstruction reconstruction_heatmap"),
+    "roundtrip3d-csv": (
+        "roundtrip3d --n 12 --csv",
+        "inversion_level_fraction inversion_padded_size max_abs_error phantom_heatmap_max "
+        "phantom_heatmap_min projection_edge_fraction reconstruction_heatmap_max "
+        "reconstruction_heatmap_min relative_l2 support_fraction taper_band_fraction "
+        "truncation_warning",
+        "phantom phantom_csv phantom_heatmap projection projection_csv reconstruction "
+        "reconstruction_csv reconstruction_heatmap"),
+}
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("name", list(REPORT_SCHEMA))
+    def test_metrics_and_outputs_keys(self, tmp_path, name):
+        args, metrics, outputs = REPORT_SCHEMA[name]
+        inputs = {f"input{rank}d": str(matrix_input_grid(tmp_path, rank)) for rank in (2, 3)}
+        args = [inputs.get(arg, arg) for arg in args.split()]
+        assert run_cli(*args, "--outdir", str(tmp_path / "out")) == 0
+        report = load_report(tmp_path / "out")
+        assert sorted(report["metrics"]) == metrics.split()
+        assert sorted(report["outputs"]) == outputs.split()
 
 
 class TestAngleParsing:
