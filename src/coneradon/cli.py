@@ -6,10 +6,18 @@ One command per process; every run writes the requested grids plus a
 to the timing values).  Exit codes: 0 success, 1 bad arguments, 2 I/O or parse
 failure, 3 numerical failure (non-finite values, or a float overflow).
 
-One handler serves the six transform commands: a forward run projects f (read
-from ``--input`` or rendered), an invert run inverts g (read from ``--input``),
-and a round trip runs the forward steps and then the invert steps on the
-projection in memory, then scores the reconstruction against f.
+One handler serves the seven grid commands as a run of steps, and a step
+saves and reports the same things in every command that runs it.  Every saved
+grid is written as ``<name>.crtg``, ``<name>.csv`` with ``--csv``, and the
+``<name>.pgm`` heatmap (a volume's central z slice), whose bounds the report
+holds as ``<name>_heatmap_min`` and ``<name>_heatmap_max``.
+- render (every run without ``--input``): saves ``phantom`` and reports
+  ``phantom_max`` and ``phantom_l2``; the ``phantom`` command is this step alone;
+- forward (forward runs and round trips): reports ``support_fraction``, saves
+  ``projection`` and reports ``projection_max``; a 3D projection, read or
+  made, also gets the truncation alarm;
+- invert (invert runs and round trips): the 3D inversion diagnostics, then
+  saves ``reconstruction``; a round trip scores it against the phantom.
 
 Each option is declared once, as a ``RunConfig`` field made by ``_option``:
 flags, argparse type or action, help, the runs that read it and the value a
@@ -51,7 +59,6 @@ from .grids import AxisSpec, ConeGeometry, NonFiniteGridError, RealGrid2D, _padd
 from .gridio import GridFormatError, export_heatmap, read_grid, write_grid, write_grid_csv
 from .phantoms import (
     BumpSpec,
-    _check_support,
     _l2_norm,
     max_abs_error,
     parse_scene,
@@ -128,11 +135,11 @@ class RunConfig:
     domain: tuple[float, ...] | None = _option(
         "--domain", type=_parse_domain, readers=_RENDERS, default=(-1.0, 1.0),
         help="axis bounds: 'lo,hi' for all axes or per-axis pairs (default -1,1)")
-    input_path: str | None = _option("--input", readers=_FROM_INPUT + ("invert2d", "invert3d"),
-                                     help="input grid file (.crtg)")
+    input: str | None = _option("--input", readers=_FROM_INPUT + ("invert2d", "invert3d"),
+                                help="input grid file (.crtg)")
     output_dir: str | None = _option("--outdir", default=".", help="directory for output files")
-    scene_path: str | None = _option("--scene", "--phantom", readers=_RENDERS,
-                                     help="phantom scene description file")
+    scene: str | None = _option("--scene", "--phantom", readers=_RENDERS,
+                                help="phantom scene description file")
     seed: int | None = _option("--seed", type=int, readers=("oracle-check",), default=0,
                                help="seed for oracle-check's randomized checks (default 0)")
     default_radius: float | None = _option(
@@ -153,7 +160,7 @@ class RunConfig:
 
     def reader(self) -> str:
         """The run that reads this configuration's options."""
-        from_input = self.input_path is not None and self.command.startswith("forward")
+        from_input = self.input is not None and self.command.startswith("forward")
         return f"{self.command} with --input" if from_input else self.command
 
     def validate(self) -> None:
@@ -209,37 +216,22 @@ _OPTIONS = tuple(field for field in dataclasses.fields(RunConfig) if field.metad
 _FLAG = {field.name: field.metadata["flags"][0] for field in _OPTIONS}
 
 
-def _load_scene(config: RunConfig) -> list[tuple[str, BumpSpec]]:
-    """The phantom's bumps, each after the prefix its errors start with."""
-    if config.scene_path is None:
-        center = (0.2, 0.1, 0.0)[: config.dim]
-        return [("", BumpSpec(center=center, radius=config.default_radius, intensity=1.0))]
-    try:
-        with open(config.scene_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        specs = parse_scene(text, config.dim, default_radius=config.default_radius)
-    except ValueError as exc:  # includes UnicodeDecodeError from a non-UTF-8 file
-        raise InputDataError(f"{config.scene_path}: {exc}") from exc
-    if not specs:
-        raise InputDataError(f"{config.scene_path}: scene file defines no bumps")
-    # parse_scene makes one bump of each line holding more than a comment.
-    lines = [n for n, raw in enumerate(text.splitlines(), 1) if raw.split("#", 1)[0].strip()]
-    return [(f"{config.scene_path}: scene line {n}: ", spec) for n, spec in zip(lines, specs)]
-
-
 def _render_phantom(config: RunConfig):
-    scene = _load_scene(config)
+    """The phantom: the --scene file's bumps, or the default bump.  Any error
+    in them is an InputDataError (exit 2) led by the scene file's name."""
     axes = config.axes(config.dim)
-    for where, spec in scene:
-        try:
-            _check_support(spec, axes)
-        except ValueError as exc:
-            raise InputDataError(f"{where}{exc}") from exc
-    render = render_bumps_2d if config.dim == 2 else render_bumps_3d
     try:
-        return render([spec for _, spec in scene], *axes)
-    except ValueError as exc:
-        raise InputDataError(str(exc)) from exc
+        if config.scene is None:
+            specs = [BumpSpec((0.2, 0.1, 0.0)[: config.dim], config.default_radius)]
+        else:
+            with open(config.scene, "r", encoding="utf-8") as fh:
+                specs = parse_scene(fh.read(), axes, config.default_radius)
+            if not specs:
+                raise ValueError("scene file defines no bumps")
+        return (render_bumps_2d if config.dim == 2 else render_bumps_3d)(specs, *axes)
+    except ValueError as exc:  # includes UnicodeDecodeError from a non-UTF-8 file
+        where = "" if config.scene is None else f"{config.scene}: "
+        raise InputDataError(f"{where}{exc}") from exc
 
 
 def _vertex_axes(config: RunConfig, f: RealGrid2D):
@@ -280,25 +272,18 @@ def _out(config: RunConfig, name: str) -> str:
     return os.path.join(config.output_dir, name)
 
 
-def _save_grid(config: RunConfig, name: str, grid, outputs: dict) -> None:
-    path = _out(config, f"{name}.crtg")
-    write_grid(path, grid)
-    outputs[name] = path
+def _save_grid(config: RunConfig, name: str, grid, outputs: dict, metrics: dict) -> None:
+    outputs[name] = _out(config, f"{name}.crtg")
+    write_grid(outputs[name], grid)
     if config.write_csv:
-        csv_path = _out(config, f"{name}.csv")
-        write_grid_csv(csv_path, grid)
-        outputs[f"{name}_csv"] = csv_path
-
-
-def _save_heatmap(config: RunConfig, name: str, grid, outputs: dict, metrics: dict) -> None:
+        outputs[f"{name}_csv"] = _out(config, f"{name}.csv")
+        write_grid_csv(outputs[f"{name}_csv"], grid)
     values = grid.values
     if values.ndim == 3:  # central z slice of a volume
         values = values[:, :, values.shape[2] // 2]
-    path = _out(config, f"{name}.pgm")
-    vmin, vmax = export_heatmap(values, path)
-    outputs[name + "_heatmap"] = path
-    metrics[f"{name}_heatmap_min"] = vmin
-    metrics[f"{name}_heatmap_max"] = vmax
+    outputs[f"{name}_heatmap"] = _out(config, f"{name}.pgm")
+    bounds = export_heatmap(values, outputs[f"{name}_heatmap"])
+    metrics[f"{name}_heatmap_min"], metrics[f"{name}_heatmap_max"] = bounds
 
 
 def _projection_edge_fraction(g) -> float:
@@ -352,41 +337,35 @@ def _metrics_against(config: RunConfig, recon, phantom, metrics: dict) -> None:
             metrics["relative_l2_masked"] = _l2_norm(diff) / _l2_norm(phantom.values[mask])
 
 
-def _cmd_phantom(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
-    with stage("render phantom"):
-        f = _render_phantom(config)
-    _save_grid(config, "phantom", f, outputs)
-    _save_heatmap(config, "phantom", f, outputs, metrics)
-    metrics["phantom_max"] = float(f.values.max())
-    metrics["phantom_l2"] = _l2_norm(f.values)
-
-
 def _cmd_transform(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
-    """forward2d/3d, invert2d/3d and roundtrip2d/3d: a round trip runs the
-    forward steps and then the invert steps on the projection in memory."""
-    projects = not config.command.startswith("invert")
-    inverts = not config.command.startswith("forward")
-    geom = config.geometry()
+    """phantom, forward2d/3d, invert2d/3d and roundtrip2d/3d as the render,
+    forward and invert steps; a round trip inverts the projection in memory."""
+    projects = config.command.startswith(("forward", "roundtrip"))
+    inverts = config.command.startswith(("invert", "roundtrip"))
     # The input grid: f for a forward run or a round trip, g for an invert run.
-    if not projects and not config.input_path:
+    if config.command.startswith("invert") and not config.input:
         raise ValueError(f"{config.command} needs --input with projection data")
-    if config.input_path is not None:
-        f = g = read_grid(config.input_path)
+    if config.input is not None:
+        f = g = read_grid(config.input)
         if len(f.axes()) != config.dim:
             raise InputDataError(
-                f"{config.input_path}: expected a {config.dim}D grid, found {len(f.axes())}D")
+                f"{config.input}: expected a {config.dim}D grid, found {len(f.axes())}D")
     else:
         with stage("render phantom"):
             f = _render_phantom(config)
-        _save_grid(config, "phantom", f, outputs)
+        _save_grid(config, "phantom", f, outputs, metrics)
+        metrics["phantom_max"] = float(f.values.max())
+        metrics["phantom_l2"] = _l2_norm(f.values)
+    if config.command == "phantom":
+        return
+    geom = config.geometry()
     if projects:
         metrics["support_fraction"] = _support_fraction(f)
         with stage("forward transform"):
             g = (vline_forward(f, geom, _vertex_axes(config, f)).grid if config.dim == 2
                  else cone_forward(f, geom))
-        _save_grid(config, "projection", g, outputs)
-        if not inverts:
-            metrics["projection_max"] = float(g.values.max())
+        _save_grid(config, "projection", g, outputs, metrics)
+        metrics["projection_max"] = float(g.values.max())
     if config.dim == 3:
         _truncation_alarm(g, metrics)
     if not inverts:
@@ -401,10 +380,8 @@ def _cmd_transform(config: RunConfig, stage, outputs: dict, metrics: dict) -> No
         if recon.axes() != f.axes():  # extended vertex grid
             n_extra = recon.y_axis.n_samples - f.y_axis.n_samples
             recon = RealGrid2D(f.x_axis, f.y_axis, recon.values[:, n_extra:])
-        _save_heatmap(config, "phantom", f, outputs, metrics)
         _metrics_against(config, recon, f, metrics)
-    _save_grid(config, "reconstruction", recon, outputs)
-    _save_heatmap(config, "reconstruction", recon, outputs, metrics)
+    _save_grid(config, "reconstruction", recon, outputs, metrics)
 
 
 def _cmd_oracle_check(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
@@ -445,18 +422,11 @@ def _cmd_oracle_check(config: RunConfig, stage, outputs: dict, metrics: dict) ->
 
 # command -> (handler, grid rank); phantom takes its rank from --dim.
 _DISPATCH = {
-    "phantom": (_cmd_phantom, None),
+    "phantom": (_cmd_transform, None),
     "oracle-check": (_cmd_oracle_check, 2),
     **{f"{verb}{rank}d": (_cmd_transform, rank)
        for verb in ("forward", "invert", "roundtrip") for rank in (2, 3)},
 }
-
-def _config_dict(config: RunConfig) -> dict:
-    params = dataclasses.asdict(config)
-    params["input"] = params.pop("input_path")
-    params["scene"] = params.pop("scene_path")
-    del params["output_dir"], params["write_csv"]
-    return params
 
 
 def run(config: RunConfig) -> int:
@@ -503,7 +473,8 @@ def run(config: RunConfig) -> int:
         "command": config.command,
         "metrics": metrics,
         "outputs": outputs,
-        "parameters": _config_dict(config),
+        "parameters": {k: v for k, v in dataclasses.asdict(config).items()
+                       if k not in ("output_dir", "write_csv")},
         "timings": timings,
     }
     report_path = _out(config, "report.json")

@@ -64,7 +64,8 @@ def _render_bumps(specs, axes: tuple[AxisSpec, ...]):
         if len(spec.center) != dim:
             raise ValueError(f"{dim}D rendering needs {dim}D bump centers")
         _check_support(spec, axes)
-        rho2 = sum((g - c) ** 2 for g, c in zip(coords, spec.center))
+        with np.errstate(over="ignore"):  # an infinite distance lies outside every bump
+            rho2 = sum((g - c) ** 2 for g, c in zip(coords, spec.center))
         _accumulate(values, rho2, spec)
     return (RealGrid2D if dim == 2 else RealGrid3D)(*axes, values)
 
@@ -114,14 +115,16 @@ def max_abs_error(a, b) -> float:
     return float(np.max(np.abs(va - vb)))
 
 
-def parse_scene(text: str, dim: int, default_radius: float = 0.25) -> list[BumpSpec]:
-    """Parse a phantom scene description into bump specs.
+def parse_scene(text: str, axes, default_radius: float = 0.25) -> list[BumpSpec]:
+    """Parse a phantom scene description into bump specs on the grid ``axes``.
 
     One bump per line: ``cx cy [cz] r intensity``; ``#`` starts a comment.
     Lines that omit the radius (``cx cy [cz] intensity``) fall back to
-    ``default_radius``.  ``dim`` (2 or 3) fixes how many center coordinates a
-    line carries.  Every error, ``BumpSpec``'s included, names its line.
+    ``default_radius``.  The rank ``len(axes)`` (2 or 3) fixes how many center
+    coordinates a line carries, and each bump must lie strictly inside
+    ``axes``.  Lines are checked in order, and every error names its line.
     """
+    dim = len(axes)
     if dim not in (2, 3):
         raise ValueError("scene dimension must be 2 or 3")
     specs = []
@@ -135,6 +138,7 @@ def parse_scene(text: str, dim: int, default_radius: float = 0.25) -> list[BumpS
                 raise ValueError(f"expected {dim + 2} (or {dim + 1}) numbers, got {len(tokens)}")
             radius = tokens[dim] if len(tokens) == dim + 2 else default_radius
             specs.append(BumpSpec(tuple(tokens[:dim]), radius, tokens[-1]))
+            _check_support(specs[-1], axes)
         except ValueError as exc:
             raise ValueError(f"scene line {lineno}: {exc}") from exc
     return specs

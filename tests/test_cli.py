@@ -11,7 +11,7 @@ import pytest
 
 import coneradon
 from coneradon import grids
-from coneradon.cli import RunConfig, main, run
+from coneradon.cli import _COMMANDS, RunConfig, main, run
 from coneradon.gridio import read_grid, write_grid
 from coneradon.grids import AxisSpec, RealGrid2D, RealGrid3D
 
@@ -77,6 +77,17 @@ def non_utf8_scene(tmp_path):
     path = tmp_path / "scene.txt"
     path.write_bytes("0.2 0.1 0.25 1  # caf\xe9\n".encode("latin-1"))
     return ["phantom", "--scene", str(path)]
+
+
+def comments_only_scene(tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_text("# cx cy r intensity\n\n   # no bump\n")
+    return ["phantom", "--scene", str(path)]
+
+
+def report_path_is_a_directory(tmp_path):
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    return ["phantom", "--n", "16"]
 
 
 class TestRoundtrip2D:
@@ -549,10 +560,24 @@ class TestExitCodes:
                      id="infinite-radius"),
         pytest.param(lambda tmp: radius_from_option("nan"), 1, "--radius must be finite and > 0",
                      id="nan-radius"),
+        pytest.param(lambda tmp: ["invert2d"], 1, "needs --input", id="invert2d-without-input"),
+        pytest.param(lambda tmp: ["invert3d", "--input", str(matrix_input_grid(tmp, 2))], 2,
+                     "expected a 3D grid, found 2D", id="invert3d-of-2d-grid"),
+        pytest.param(comments_only_scene, 2, "scene file defines no bumps",
+                     id="comments-only-scene"),
+        # argparse refuses the value itself, exiting before run().
+        pytest.param(lambda tmp: ["phantom", "--domain", "1,x"], 1, "cannot parse domain",
+                     id="domain-not-a-number"),
+        pytest.param(report_path_is_a_directory, 2, "report.json",
+                     id="report-path-is-a-directory"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, make_args, code, message):
         args = make_args(tmp_path) + ["--outdir", str(tmp_path / "out")]
-        assert run_cli(*args) == code
+        try:
+            exit_code = run_cli(*args)
+        except SystemExit as exc:  # the parser's own refusals
+            exit_code = exc.code
+        assert exit_code == code
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
@@ -638,6 +663,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("numerical failure: ")
         assert "Traceback" not in err
+
+    def test_wide_domain_overflow_prints_no_warning(self, tmp_path, capsys):
+        # The bump's squared distances overflow to inf, outside every bump,
+        # without a numpy warning; the inversion then overflows.
+        assert run_cli("roundtrip2d", "--n", "8", "--domain=-1e160,1e160",
+                       "--outdir", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert err.splitlines()[-1].startswith("numerical failure: ")
 
     @pytest.mark.parametrize("dim", [0, 1, 4])
     def test_run_refuses_dim_other_than_2_or_3(self, tmp_path, capsys, dim):
@@ -751,55 +785,77 @@ class TestOptionMatrix:
             assert f"error: {flag} does not apply to {row}\n" in err
 
 
-# The exact metrics and outputs keys of each transform run, written out by
-# hand: run arguments ("input2d"/"input3d" stand for a zero grid of that
-# rank), then its metrics keys and its outputs keys.
+# The exact metrics and outputs keys of each run, written out by hand: run
+# arguments ("input2d"/"input3d" stand for a zero grid of that rank), then its
+# metrics keys and its outputs keys.  A run's keys are the union of its steps':
+# render, forward (with the truncation alarm in 3D), invert, round-trip score.
 REPORT_SCHEMA = {
+    "phantom": (
+        "phantom --n 16",
+        "phantom_heatmap_max phantom_heatmap_min phantom_l2 phantom_max",
+        "phantom phantom_heatmap"),
+    "phantom-3d": (
+        "phantom --dim 3 --n 12",
+        "phantom_heatmap_max phantom_heatmap_min phantom_l2 phantom_max",
+        "phantom phantom_heatmap"),
     "forward2d": (
         "forward2d --n 16",
-        "projection_max support_fraction",
-        "phantom projection"),
+        "phantom_heatmap_max phantom_heatmap_min phantom_l2 phantom_max "
+        "projection_heatmap_max projection_heatmap_min projection_max support_fraction",
+        "phantom phantom_heatmap projection projection_heatmap"),
     "forward2d-input": (
         "forward2d --input input2d",
-        "projection_max support_fraction",
-        "projection"),
+        "projection_heatmap_max projection_heatmap_min projection_max support_fraction",
+        "projection projection_heatmap"),
     "forward2d-vertex-ymin": (
         "forward2d --n 16 --vertex-ymin -1.5",
-        "projection_max support_fraction",
-        "phantom projection"),
+        "phantom_heatmap_max phantom_heatmap_min phantom_l2 phantom_max "
+        "projection_heatmap_max projection_heatmap_min projection_max support_fraction",
+        "phantom phantom_heatmap projection projection_heatmap"),
     "invert2d": (
         "invert2d --input input2d",
         "reconstruction_heatmap_max reconstruction_heatmap_min",
         "reconstruction reconstruction_heatmap"),
     "roundtrip2d": (
         "roundtrip2d --n 16",
-        "max_abs_error phantom_heatmap_max phantom_heatmap_min reconstruction_heatmap_max "
-        "reconstruction_heatmap_min relative_l2 support_fraction",
-        "phantom phantom_heatmap projection reconstruction reconstruction_heatmap"),
+        "max_abs_error phantom_heatmap_max phantom_heatmap_min phantom_l2 phantom_max "
+        "projection_heatmap_max projection_heatmap_min projection_max "
+        "reconstruction_heatmap_max reconstruction_heatmap_min relative_l2 support_fraction",
+        "phantom phantom_heatmap projection projection_heatmap reconstruction "
+        "reconstruction_heatmap"),
     "roundtrip2d-masked": (
         "roundtrip2d --n 16 --masked-metrics",
-        "max_abs_error phantom_heatmap_max phantom_heatmap_min reconstruction_heatmap_max "
-        "reconstruction_heatmap_min relative_l2 relative_l2_masked support_fraction",
-        "phantom phantom_heatmap projection reconstruction reconstruction_heatmap"),
+        "max_abs_error phantom_heatmap_max phantom_heatmap_min phantom_l2 phantom_max "
+        "projection_heatmap_max projection_heatmap_min projection_max "
+        "reconstruction_heatmap_max reconstruction_heatmap_min relative_l2 relative_l2_masked "
+        "support_fraction",
+        "phantom phantom_heatmap projection projection_heatmap reconstruction "
+        "reconstruction_heatmap"),
     "roundtrip2d-vertex-ymin": (
         "roundtrip2d --n 16 --vertex-ymin -1.5",
-        "max_abs_error phantom_heatmap_max phantom_heatmap_min reconstruction_heatmap_max "
-        "reconstruction_heatmap_min relative_l2 support_fraction",
-        "phantom phantom_heatmap projection reconstruction reconstruction_heatmap"),
+        "max_abs_error phantom_heatmap_max phantom_heatmap_min phantom_l2 phantom_max "
+        "projection_heatmap_max projection_heatmap_min projection_max "
+        "reconstruction_heatmap_max reconstruction_heatmap_min relative_l2 support_fraction",
+        "phantom phantom_heatmap projection projection_heatmap reconstruction "
+        "reconstruction_heatmap"),
     "roundtrip2d-csv": (
         "roundtrip2d --n 16 --csv",
-        "max_abs_error phantom_heatmap_max phantom_heatmap_min reconstruction_heatmap_max "
-        "reconstruction_heatmap_min relative_l2 support_fraction",
-        "phantom phantom_csv phantom_heatmap projection projection_csv reconstruction "
-        "reconstruction_csv reconstruction_heatmap"),
+        "max_abs_error phantom_heatmap_max phantom_heatmap_min phantom_l2 phantom_max "
+        "projection_heatmap_max projection_heatmap_min projection_max "
+        "reconstruction_heatmap_max reconstruction_heatmap_min relative_l2 support_fraction",
+        "phantom phantom_csv phantom_heatmap projection projection_csv projection_heatmap "
+        "reconstruction reconstruction_csv reconstruction_heatmap"),
     "forward3d": (
         "forward3d --n 12",
-        "projection_edge_fraction projection_max support_fraction truncation_warning",
-        "phantom projection"),
+        "phantom_heatmap_max phantom_heatmap_min phantom_l2 phantom_max "
+        "projection_edge_fraction projection_heatmap_max projection_heatmap_min projection_max "
+        "support_fraction truncation_warning",
+        "phantom phantom_heatmap projection projection_heatmap"),
     "forward3d-input": (
         "forward3d --input input3d",
-        "projection_edge_fraction projection_max support_fraction truncation_warning",
-        "projection"),
+        "projection_edge_fraction projection_heatmap_max projection_heatmap_min projection_max "
+        "support_fraction truncation_warning",
+        "projection projection_heatmap"),
     "invert3d": (
         "invert3d --input input3d",
         "inversion_level_fraction inversion_padded_size projection_edge_fraction "
@@ -809,18 +865,27 @@ REPORT_SCHEMA = {
     "roundtrip3d": (
         "roundtrip3d --n 12",
         "inversion_level_fraction inversion_padded_size max_abs_error phantom_heatmap_max "
-        "phantom_heatmap_min projection_edge_fraction reconstruction_heatmap_max "
-        "reconstruction_heatmap_min relative_l2 support_fraction taper_band_fraction "
-        "truncation_warning",
-        "phantom phantom_heatmap projection reconstruction reconstruction_heatmap"),
+        "phantom_heatmap_min phantom_l2 phantom_max projection_edge_fraction "
+        "projection_heatmap_max projection_heatmap_min projection_max "
+        "reconstruction_heatmap_max reconstruction_heatmap_min relative_l2 support_fraction "
+        "taper_band_fraction truncation_warning",
+        "phantom phantom_heatmap projection projection_heatmap reconstruction "
+        "reconstruction_heatmap"),
     "roundtrip3d-csv": (
         "roundtrip3d --n 12 --csv",
         "inversion_level_fraction inversion_padded_size max_abs_error phantom_heatmap_max "
-        "phantom_heatmap_min projection_edge_fraction reconstruction_heatmap_max "
-        "reconstruction_heatmap_min relative_l2 support_fraction taper_band_fraction "
-        "truncation_warning",
-        "phantom phantom_csv phantom_heatmap projection projection_csv reconstruction "
-        "reconstruction_csv reconstruction_heatmap"),
+        "phantom_heatmap_min phantom_l2 phantom_max projection_edge_fraction "
+        "projection_heatmap_max projection_heatmap_min projection_max "
+        "reconstruction_heatmap_max reconstruction_heatmap_min relative_l2 support_fraction "
+        "taper_band_fraction truncation_warning",
+        "phantom phantom_csv phantom_heatmap projection projection_csv projection_heatmap "
+        "reconstruction reconstruction_csv reconstruction_heatmap"),
+    # oracle-check saves no grid.
+    "oracle-check": (
+        "oracle-check --n 16",
+        "forward_vs_spectral_rel_l2 fourier_relation_residual kernel_max_abs_error "
+        "projection_edge_fraction",
+        ""),
 }
 
 
@@ -834,6 +899,9 @@ class TestReportSchema:
         report = load_report(tmp_path / "out")
         assert sorted(report["metrics"]) == metrics.split()
         assert sorted(report["outputs"]) == outputs.split()
+
+    def test_every_command_has_a_row(self):
+        assert set(_COMMANDS) <= set(REPORT_SCHEMA)
 
 
 class TestAngleParsing:

@@ -16,6 +16,7 @@ from coneradon.phantoms import (
 
 
 AX21 = AxisSpec(21, -1.0, 1.0)  # nodes at multiples of 0.1
+PLANE, BOX = (AX21,) * 2, (AX21,) * 3  # scene grids
 
 
 def node(coord):
@@ -164,35 +165,47 @@ class TestParseScene:
         0.5 0.3 0.25 3    # first
         -0.2 -0.2 0.25 4
         """
-        specs = parse_scene(text, dim=2)
+        specs = parse_scene(text, PLANE)
         assert [s.center for s in specs] == [(0.5, 0.3), (-0.2, -0.2)]
         assert [s.intensity for s in specs] == [3.0, 4.0]
 
     def test_radius_defaulting(self):
-        specs = parse_scene("0.5 0.3 3\n-0.2 -0.2 4\n", dim=2, default_radius=0.25)
+        specs = parse_scene("0.5 0.3 3\n-0.2 -0.2 4\n", PLANE, default_radius=0.25)
         assert all(s.radius == 0.25 for s in specs)
-        specs3 = parse_scene("0.1 0.2 0.3 5\n", dim=3, default_radius=0.2)
+        specs3 = parse_scene("0.1 0.2 0.3 5\n", BOX, default_radius=0.2)
         assert specs3[0].center == (0.1, 0.2, 0.3)
         assert specs3[0].radius == 0.2
         assert specs3[0].intensity == 5.0
 
     def test_3d_full_line(self):
-        (spec,) = parse_scene("0.1 0.2 0.0 0.25 2.0\n", dim=3)
+        (spec,) = parse_scene("0.1 0.2 0.0 0.25 2.0\n", BOX)
         assert spec.center == (0.1, 0.2, 0.0)
         assert spec.radius == 0.25
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            parse_scene("0.1 0.2\n", dim=2)
+            parse_scene("0.1 0.2\n", PLANE)
         with pytest.raises(ValueError):
-            parse_scene("a b c d\n", dim=2)
+            parse_scene("a b c d\n", PLANE)
         with pytest.raises(ValueError):
-            parse_scene("0 0 0.2 1", dim=4)
+            parse_scene("0 0 0.2 1", (AX21,) * 4)
 
     @pytest.mark.parametrize("line", ["0 0 -0.2 1", "0 nan 0.2 1", "0 0 inf 1", "0 0 0.2 -inf"])
     def test_invalid_bump_names_its_line(self, line):
         with pytest.raises(ValueError, match="^scene line 2: bump"):
-            parse_scene(f"# header\n{line}\n", dim=2)
+            parse_scene(f"# header\n{line}\n", PLANE)
+
+    @pytest.mark.parametrize("line", ["0.9 0 0.2 1", "0 -1 0.2 1", "0 0 1 1"])
+    def test_bump_outside_the_axes_names_its_line(self, line):
+        with pytest.raises(ValueError, match="^scene line 2: bump at .* not strictly inside"):
+            parse_scene(f"0 0 0.2 1\n{line}\n", PLANE)
+
+    def test_lines_are_checked_in_order(self):
+        # The bump outside the grid on line 1 is reported before line 2's parse error.
+        with pytest.raises(ValueError, match="^scene line 1: bump at"):
+            parse_scene("0.9 0 0.2 1\nnot a number\n", PLANE)
+        with pytest.raises(ValueError, match="^scene line 2: could not convert"):
+            parse_scene("0.5 0 0.2 1\nnot a number\n", PLANE)
 
 
 class TestBumpSpec:
