@@ -82,19 +82,19 @@ class InputDataError(Exception):
 
 
 def _parse_angle(text: str) -> float:
+    # Radians, or m pi / k as "<m>pi/<k>" ("pi/<k>" for m = 1).
     s = text.strip().lower().replace(" ", "")
     try:
         return float(s)
     except ValueError:
         pass
-    if s.startswith("pi/"):
-        try:
-            k = float(s[3:])
-        except ValueError:
-            k = 0.0
-        if k != 0.0:
-            return math.pi / k
-    raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}: use radians or pi/<k>")
+    m, _, k = s.partition("pi/")
+    try:
+        return float(m or 1.0) * math.pi / float(k)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"cannot parse angle {text!r}: use radians or [m]pi/<k>"
+        ) from None
 
 
 def _parse_domain(text: str) -> tuple[float, ...]:
@@ -129,7 +129,7 @@ class RunConfig:
     command: str
     beta: float | None = _option(  # every run that projects or inverts
         "--beta", type=_parse_angle, readers=tuple(r for r in _RUNS if r != "phantom"),
-        default=math.pi / 8, help="half-opening angle in radians, or pi/<k> (default pi/8)")
+        default=math.pi / 8, help="half-opening angle in radians, or [m]pi/<k> (default pi/8)")
     n: int | None = _option("--n", type=int, readers=_RENDERS, default=120,
                             help="samples per axis (default 120)")
     domain: tuple[float, ...] | None = _option(

@@ -8,6 +8,18 @@ apply their z-kernels, each with its constant, through
 the forward and J0(u h) for the inversion.  The V-line's spectral oracle pads
 by the same rule and runs the same engine with its cosine kernel.
 
+The per-frequency kernels depend on the axes, the angle and the padding
+only, not on the data, so each transform keeps them in a plan (``_Plan``)
+per key (axes, geometry, padded sizes): the distinct u of its bins, each
+bin's row among them and a read-only real tap table over the most lags a
+call has needed (``grids._lag_taps``), the inversion's also its per-bin
+weights and kept bins.  A cold call builds its plan; a later call with the
+same key reuses it, whatever its data, and rebuilds only the table, when it
+needs more lags than the table holds.  The cache (``_plan``) keeps the
+latest keys' plans within _PLAN_BYTES in all, dropping the least recently
+used first; a plan larger than that serves its own call only.  The padded
+sizes, and with them the memory check, are taken on every call.
+
 Each transform allocates one padded half spectrum and works on it in place,
 through one pruned pair: ``_half_spectrum`` writes the y transforms into it
 per block of z levels and runs the x transform on it through ``out=``; the
@@ -16,8 +28,9 @@ transform on it in place and the inverse y transform, per block of z levels
 and on the returned x rows only, into the output grid.  So a call's traced
 peak is about that one spectrum, 16 nxp n_ky nz bytes, plus the output grid
 and fixed-size blocks, and for the forward the engine's kernel spectra (one
-per distinct u): at 48^3 the inversion's is 2.7 MiB at its default padded
-size 72, 3.6 MiB at pad 2 and 6.4 MiB at pad 3.  The inversion transforms,
+per distinct u), plus on a cold call the plan's tap table: at 48^3 the
+inversion's is 2.6 MiB at its default padded size 72, 3.6 MiB at pad 2 and
+6.4 MiB at pad 3.  The inversion transforms,
 inverts and synthesizes only the ky band its frequency taper keeps, the
 forward only f's slab of nonzero z levels and the levels below its top.  The
 inversion's z derivatives are one weighted sweep of ``grids._derivative``'s
@@ -57,6 +70,7 @@ from .grids import (
     _blocks,
     _derivative,
     _lag_kernel_apply,
+    _lag_taps,
     _pad_factor,
     _padded_sizes,
     cumint_from_top,
@@ -85,6 +99,10 @@ _TAPER_STOP = 0.25
 # Elements per block of z levels in the 2D transforms' y steps: ~1 MiB per
 # complex temporary.
 _Y_BLOCK_ELEMENTS = 1 << 16
+# Bytes of arrays the plan cache keeps at most, over all its plans: room for
+# both plans of a round trip at n = 120 and pi/8 (3.3 MiB and 1.1-4.0 MiB at
+# pads 1-3), and for a few dozen at 48^3.
+_PLAN_BYTES = 1 << 24
 
 
 @dataclass
@@ -121,6 +139,11 @@ def _cone_kernel(geometry: ConeGeometry):
     return lambda u, h: scale * h * bessel_j0(u * h)
 
 
+def _j0_kernel(u, h):
+    # The inversion's kernel J0(u h) as a function of (u, h).
+    return bessel_j0(u * h)
+
+
 def kernel_eval(params: KernelParams, z, z_v):
     """Closed-form cone kernel (2 pi tan(beta)/cos(beta)) (z - z_v) J0(u (z - z_v))."""
     z = np.asarray(z, dtype=float)
@@ -153,11 +176,67 @@ def _from_half_spectrum(spectrum: np.ndarray, out: np.ndarray, nyp: int):
         out[:, :, block] = np.fft.irfft(spectrum[:nx, :, block], nyp, axis=1)[:, :ny]
 
 
-def _half_spectrum_radial(grid: RealGrid3D, nxp: int, nyp: int) -> np.ndarray:
-    # sqrt(lambda^2 + mu^2) on the bins of rfft2(values, s=(nxp, nyp), axes=(0, 1)).
-    lam = 2.0 * np.pi * np.fft.fftfreq(nxp, grid.x_axis.spacing)
-    mu = 2.0 * np.pi * np.fft.rfftfreq(nyp, grid.y_axis.spacing)
+def _half_spectrum_radial(axes, nxp: int, nyp: int) -> np.ndarray:
+    # sqrt(lambda^2 + mu^2) on the bins of rfft2(values, s=(nxp, nyp), axes=(0, 1))
+    # for values on ``axes``, a grid's (x, y, z) axes.
+    lam = 2.0 * np.pi * np.fft.fftfreq(nxp, axes[0].spacing)
+    mu = 2.0 * np.pi * np.fft.rfftfreq(nyp, axes[1].spacing)
     return np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2)
+
+
+def _read_only(*arrays):
+    # A plan's arrays are shared by every call with its key.
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return arrays
+
+
+class _Plan:
+    """A 3D transform's data-independent part for one (axes, geometry, padded
+    sizes): the distinct u of the bins its engine runs on, each bin's row
+    ``inverse[bin]`` among them, and the tap table ``grids._lag_taps`` builds
+    of them over the most lags a call has needed so far.  The inversion's
+    plan also holds the ky columns it inverts (n_ky), each bin's weight x G's
+    constant (scale) and the bins of nonzero weight in order of u (kept);
+    its ``inverse`` runs over the kept bins.  Every array is read-only."""
+
+    def __init__(self, us, spacing: float, kernel, n_ky=0, scale=None, kept=None):
+        self.distinct, self.inverse = _read_only(*np.unique(us, return_inverse=True))
+        self.spacing, self.kernel, self.n_ky = spacing, kernel, n_ky
+        self.scale, self.kept = _read_only(scale, kept)
+        self.table = np.empty((self.distinct.size, 0))
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.distinct, self.inverse, self.table, self.scale, self.kept)
+        return sum(a.nbytes for a in arrays if a is not None)
+
+
+def _forward_plan(axes, geometry: ConeGeometry, sizes: tuple) -> _Plan:
+    # cone_forward's plan on the padded half spectrum of sizes (nxp, nyp).
+    u_map = geometry.tan_beta * _half_spectrum_radial(axes, *sizes)
+    return _Plan(u_map.ravel(), axes[2].spacing, _cone_kernel(geometry))
+
+
+# The plans of the latest keys (build, axes, geometry, padded sizes), least
+# recently used first.
+_plans: dict = {}
+
+
+def _plan(build, axes, geometry: ConeGeometry, sizes: tuple, n_lags: int) -> _Plan:
+    # The plan build(axes, geometry, sizes), with taps over at least n_lags
+    # lags: the cached one, or built now.  The cache then drops its least
+    # recently used plans until all it keeps fits in _PLAN_BYTES, so a plan
+    # larger than that serves its own call only.
+    key = (build, axes, geometry, sizes)
+    plan = _plans.pop(key, None) or build(axes, geometry, sizes)
+    if plan.table.shape[1] < n_lags:  # built anew over n_lags lags
+        (plan.table,) = _read_only(_lag_taps(plan.distinct, plan.spacing, n_lags, plan.kernel)[1])
+    _plans[key] = plan
+    while sum(p.nbytes for p in _plans.values()) > _PLAN_BYTES:
+        del _plans[next(iter(_plans))]
+    return plan
 
 
 def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
@@ -181,18 +260,16 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
         return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, np.zeros((nx, ny, nz)))
     lo, top = int(levels[0]), int(levels[-1]) + 1  # f's nonzero levels: the slab [lo, top)
     nxp, nyp = _padded_sizes(f, geometry)
-    u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
 
     # Levels 0..top of the padded half spectrum: the slab, the levels below it
     # whose cones reach it, and one zero level above it where the axis goes
     # on, so that the engine's top-end trapezoid half weight falls on a zero
     # as it would on the whole axis.
     n_levels = min(top + 1, nz)
+    plan = _plan(_forward_plan, f.axes(), geometry, (nxp, nyp), n_levels)
     spectrum = np.zeros((nxp, nyp // 2 + 1, n_levels), dtype=complex)
     _half_spectrum(f.values[:, :, lo:top], spectrum[:, :, lo:top], nyp)
-    _lag_kernel_apply(
-        spectrum.reshape(-1, n_levels), u_map.ravel(), f.z_axis.spacing, _cone_kernel(geometry)
-    )
+    _lag_kernel_apply(spectrum.reshape(-1, n_levels), plan.inverse, plan.table)
     values = np.zeros((nx, ny, nz))
     _from_half_spectrum(spectrum[:, :, :top], values[:, :, :top], nyp)
     return RealGrid3D(f.x_axis, f.y_axis, f.z_axis, values)
@@ -214,8 +291,9 @@ def dft2_slices(g: RealGrid3D) -> SpectralStack:
     return SpectralStack(fx, fy, g.z_axis, (dx * dy) * spectra)
 
 
-def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, dz: float) -> np.ndarray:
-    # Batched inversion, one profile G per row, on z spacing dz.  H^2 of the
+def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, dz: float, inverse, taps):
+    # Batched inversion, one profile G per row of u us[row] and J0 taps
+    # taps[inverse[row]] (``grids._lag_taps``), on z spacing dz.  H^2 of the
     # tail integral P(x) = int_x^top G is evaluated through the exact relation
     # P' = -G, i.e. H^2(P) = -G''' - 2 u^2 G' + u^4 P: differencing the data G
     # directly keeps the one-sided boundary errors from being amplified by
@@ -224,7 +302,7 @@ def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, dz: float) -> n
     u2 = (us * us)[:, None]
     q = _derivative(profiles, dz, [(-1.0, 3, (-2, -1, 0, 1, 2), 6), (-2.0 * u2, 1, (-1, 0, 1), 4)])
     q += u2 * u2 * cumint_from_top(profiles, dz)
-    _lag_kernel_apply(q, us, dz, lambda u, h: bessel_j0(u * h))
+    _lag_kernel_apply(q, inverse, taps)
     for row in np.flatnonzero(us == 0.0):
         q[row] = _derivative(profiles[row], dz, [(1.0, 2, (-1, 0, 1), 5)])
     return q
@@ -250,15 +328,18 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
         raise ValueError("profile must be finite")
     if not u >= 0:
         raise ValueError(f"u must be nonnegative, got {u}")
-    return _invert_profiles_batch(p[None, :], np.array([u]), z_axis.spacing)[0]
+    us, dz = np.array([u]), z_axis.spacing
+    return _invert_profiles_batch(p[None, :], us, dz, *_lag_taps(us, dz, p.size, _j0_kernel))[0]
 
 
-def _frequency_weights(u_map: np.ndarray, radial: np.ndarray, g: RealGrid3D) -> np.ndarray:
-    """Per-bin inversion weights: zero beyond the transverse Nyquist circle and a
-    cosine-squared rolloff in u where the z grid stops resolving the J0 kernel."""
-    nyquist_xy = min(np.pi / g.x_axis.spacing, np.pi / g.y_axis.spacing)
+def _frequency_weights(u_map: np.ndarray, radial: np.ndarray, axes) -> np.ndarray:
+    """Per-bin inversion weights on a grid's (x, y, z) ``axes``: zero beyond the
+    transverse Nyquist circle and a cosine-squared rolloff in u where the z
+    grid stops resolving the J0 kernel."""
+    x_axis, y_axis, z_axis = axes
+    nyquist_xy = min(np.pi / x_axis.spacing, np.pi / y_axis.spacing)
     w = (radial <= nyquist_xy * (1.0 + 1e-12)).astype(float)
-    z_nyquist = np.pi / g.z_axis.spacing
+    z_nyquist = np.pi / z_axis.spacing
     u1 = _TAPER_START * z_nyquist
     u2 = _TAPER_STOP * z_nyquist
     ramp = (u_map > u1) & (u_map < u2)
@@ -288,6 +369,23 @@ def _inversion_levels(g: RealGrid3D) -> int:
     if levels.size == 0:
         return 0
     return min(g.z_axis.n_samples, int(levels[-1]) + 1 + _MIN_Z_SAMPLES)
+
+
+def _inverse_plan(axes, geometry: ConeGeometry, sizes: tuple) -> _Plan:
+    # cone_invert's plan on the padded half spectrum of sizes (nxp, nyp).  ky
+    # columns past the last one with a nonzero weight invert to zero, so they
+    # are neither transformed nor synthesized.  The kept bins go in order of
+    # u, so each block of them transforms the taps of its own u's only.
+    radial = _half_spectrum_radial(axes, *sizes)
+    u_map = geometry.tan_beta * radial
+    weights = _frequency_weights(u_map, radial, axes)
+    n_ky = int(np.flatnonzero(weights.any(axis=0))[-1]) + 1
+    w, us = weights[:, :n_ky].ravel(), u_map[:, :n_ky].ravel()
+    kept = np.flatnonzero(w > 0.0)
+    kept = kept[np.argsort(us[kept], kind="stable")]
+    # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat.
+    scale = w * (geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta))
+    return _Plan(us[kept], axes[2].spacing, _j0_kernel, n_ky, scale, kept)
 
 
 def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> RealGrid3D:
@@ -327,29 +425,20 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
         return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, np.zeros((nx, ny, nz)))
     dz = g.z_axis.spacing
     nxp, nyp = _padded_sizes(g, geometry, pad_factor)
-    radial = _half_spectrum_radial(g, nxp, nyp)
-    u_map = geometry.tan_beta * radial
-    weights = _frequency_weights(u_map, radial, g)
-    # ky columns past the last one with a nonzero weight invert to zero, so
-    # they are neither transformed nor synthesized.
-    n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
-    u_map, weights = u_map[:, :n_ky], weights[:, :n_ky]
+    plan = _plan(_inverse_plan, g.axes(), geometry, (nxp, nyp), n_levels)
 
-    # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat,
-    # and writes each bin's result back into the spectrum it read.  It is
-    # linear, so G's constant and each bin's taper weight scale its input, in
-    # one pass that also zeroes the bins of weight 0.
-    spectrum = np.zeros((nxp, n_ky, n_levels), dtype=complex)
+    # The per-frequency pipeline writes each bin's result back into the
+    # spectrum it read.  It is linear, so G's constant and each bin's taper
+    # weight scale its input, in one pass that also zeroes the bins of weight 0.
+    spectrum = np.zeros((nxp, plan.n_ky, n_levels), dtype=complex)
     _half_spectrum(g.values[:, :, :n_levels], spectrum, nyp)
-    profiles, w, us = spectrum.reshape(-1, n_levels), weights.ravel(), u_map.ravel()
-    profiles *= (w * (geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)))[:, None]
-
-    kept = np.flatnonzero(w > 0.0)
-    # In order of u, so each block evaluates the J0 taps of its own u's only.
-    kept = kept[np.argsort(us[kept], kind="stable")]
-    for block in _blocks(kept.size, n_levels):
-        idx = kept[block]
-        profiles[idx] = _invert_profiles_batch(profiles[idx], us[idx], dz)
+    profiles = spectrum.reshape(-1, n_levels)
+    profiles *= plan.scale[:, None]
+    for block in _blocks(plan.kept.size, n_levels):
+        idx = plan.kept[block]
+        inverse = plan.inverse[block]
+        us = plan.distinct[inverse]
+        profiles[idx] = _invert_profiles_batch(profiles[idx], us, dz, inverse, plan.table)
 
     values = np.zeros((nx, ny, nz))
     _from_half_spectrum(spectrum, values[:, :, :n_levels], nyp)

@@ -17,7 +17,8 @@ spectral route is one trapezoid-weighted lag-kernel integral up the axis per
 frequency u, whose kernel k(u, h) of the lag h carries the route's constant:
 (2 pi tan(beta)/cos(beta)) h J0(u h) for the cone forward's circles, J0(u h)
 for the cone inversion, (2/cos(beta)) cos(u h) for the V-line's two rays.
-``_lag_kernel_apply`` is that engine, a correlation along the axis by FFT;
+``_lag_kernel_apply`` is that engine, a correlation along the axis by FFT
+that reads a table of weighted kernel taps per u built by ``_lag_taps``;
 ``cone3d`` runs its forward and inversion through it, ``vline2d`` its
 spectral oracle.  Each of them zero-pads the lateral axes at their far ends
 to ``_padded_sizes``, the one rule that keeps the cones' and rays' reach from
@@ -334,21 +335,42 @@ def _padded_sizes(grid, geometry: ConeGeometry, floor: int = 1) -> tuple[int, ..
     return sizes
 
 
-def _lag_kernel_apply(profiles: np.ndarray, us: np.ndarray, spacing: float, kernel):
-    """In place, profiles[b, i] <- sum_{j >= i} w_ij kernel(us[b], h_ij) profiles[b, j]
+def _lag_taps(us: np.ndarray, spacing: float, n_lags: int, kernel):
+    """(inverse, taps): the lag-kernel table ``_lag_kernel_apply`` reads.
+
+    With ``distinct, inverse = np.unique(us, return_inverse=True)``, row r of
+    ``taps`` holds spacing * kernel(distinct[r], l spacing) for the lags l in
+    0..n_lags-1, lag 0 at the trapezoid's half weight.  ``kernel(u, h)``
+    returns the kernel values, the route's constant included, for a column of
+    distinct u and a row of lags h.  The taps are evaluated a block of u's at
+    a time, so their temporaries stay block-sized.
+    """
+    distinct, inverse = np.unique(us, return_inverse=True)
+    h = spacing * np.arange(n_lags)
+    taps = np.empty((distinct.size, n_lags))
+    for block in _blocks(distinct.size, n_lags):
+        taps[block] = spacing * kernel(distinct[block, None], h)
+    taps[:, 0] *= 0.5  # trapezoid half weight at the vertex end
+    return inverse, taps
+
+
+def _lag_kernel_apply(profiles: np.ndarray, inverse: np.ndarray, taps: np.ndarray):
+    """In place, profiles[b, i] <- sum_{j >= i} w_ij k(u_b, h_ij) profiles[b, j]
     for every row b, with h_ij = x_j - t_i and w the trapezoid weights of the
     integral from t_i to the top.
 
-    ``kernel(u, h)`` returns the kernel values, the route's constant
-    included, for a column of distinct u and a row of lags h: ``cone3d``'s
-    cone kernel for ``cone_forward``, J0(u h) for ``cone_invert``, and
-    (2/cos(beta)) cos(u h) for ``vline_spectral_oracle``.  The sum is a
-    correlation along the last axis, applied by FFT with one kernel spectrum
-    per distinct u.  Only the band of levels [lo, top] holding a nonzero input
-    is transformed: the lags run 0..top, and an FFT of length >= 2 top - lo + 1
-    holds the band's correlation with them without wrap.  Levels above top
-    are empty sums and are zeroed exactly, and so is the axis's last level;
-    the trapezoid's top end stays that last level, wherever the band ends.
+    Row b's weighted kernel taps are ``taps[inverse[b]]``, built by
+    ``_lag_taps`` over at least the profiles' levels (more are ignored):
+    ``cone3d``'s cone kernel for ``cone_forward``, J0(u h) for
+    ``cone_invert``, and (2/cos(beta)) cos(u h) for
+    ``vline_spectral_oracle``.  The sum is a correlation along the last axis,
+    applied by FFT with one kernel spectrum per table row in
+    inverse.min()..inverse.max() only.  Only the band of levels [lo, top]
+    holding a nonzero input is transformed: the lags run 0..top, and an FFT
+    of length >= 2 top - lo + 1 holds the band's correlation with them
+    without wrap.  Levels above top are empty sums and are zeroed exactly,
+    and so is the axis's last level; the trapezoid's top end stays that last
+    level, wherever the band ends.
     """
     n = profiles.shape[-1]
     levels = np.flatnonzero(np.any(profiles, axis=0))
@@ -359,24 +381,22 @@ def _lag_kernel_apply(profiles: np.ndarray, us: np.ndarray, spacing: float, kern
     m = _smooth_size(2 * top - lo + 1)
     real = np.isrealobj(profiles)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    distinct, inverse = np.unique(us, return_inverse=True)
-    h = spacing * np.arange(top + 1)
-    # The taps of a block of distinct u's at a time, so their temporaries
-    # stay block-sized; only the spectra are held for every u.
-    spectra = np.empty((distinct.size, m // 2 + 1 if real else m), dtype=complex)
-    for block in _blocks(distinct.size, m):
-        taps = spacing * kernel(distinct[block, None], h)
-        taps[:, 0] *= 0.5  # trapezoid half weight at the vertex end
-        fft(taps, m, out=spectra[block])
+    first = int(inverse.min())
+    band = taps[first : int(inverse.max()) + 1, : top + 1]
+    rows = inverse - first
+    # The spectra of a block of table rows at a time, so their FFT
+    # temporaries stay block-sized; only the spectra are held for every row.
+    spectra = np.empty((band.shape[0], m // 2 + 1 if real else m), dtype=complex)
+    for block in _blocks(band.shape[0], m):
+        fft(band[block], m, out=spectra[block])
     np.conjugate(spectra, out=spectra)
-    profiles[:, -1] *= 0.5  # and at the top end
+    profiles[:, -1] *= 0.5  # the trapezoid half weight at the top end
     for block in _blocks(profiles.shape[0], m):
         product = fft(profiles[block, lo : top + 1], m)
-        product *= spectra[inverse[block]]
+        product *= spectra[rows[block]]
         # Output level i sits at lag i - lo of the band: levels below lo
         # at the end of the transform, the band's own levels at its start.
         correlation = ifft(product, m)
         profiles[block, :lo] = correlation[:, m - lo :]
         profiles[block, lo : top + 1] = correlation[:, : top + 1 - lo]
     profiles[:, min(top + 1, n - 1) :] = 0.0
-

@@ -34,6 +34,7 @@ from .grids import (
     RealGrid2D,
     _derivative,
     _lag_kernel_apply,
+    _lag_taps,
     _pad_factor,
     _padded_sizes,
     cumint_from_top,
@@ -261,9 +262,11 @@ def vline_spectral_oracle(
     spectrum = np.fft.rfft(f.values, n_pad, axis=0)  # fhat, turned into ghat in place
     lam = 2.0 * np.pi * np.fft.rfftfreq(n_pad, f.x_axis.spacing)
     scale = 2.0 / geometry.cos_beta
-    _lag_kernel_apply(
-        spectrum, geometry.tan_beta * lam, f.y_axis.spacing, lambda u, h: scale * np.cos(u * h)
+    table = _lag_taps(
+        geometry.tan_beta * lam, f.y_axis.spacing, f.y_axis.n_samples,
+        lambda u, h: scale * np.cos(u * h),
     )
+    _lag_kernel_apply(spectrum, *table)
     g = np.fft.irfft(spectrum, n_pad, axis=0)[:nx].copy()  # not a view of the padded period
     return VLineProjection(RealGrid2D(f.x_axis, f.y_axis, g), geometry)
 

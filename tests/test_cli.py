@@ -656,13 +656,12 @@ class TestExitCodes:
                      id="roundtrip2d"),
     ])
     def test_overflow_exits_3(self, tmp_path, capsys, make_args):
-        # The bump's squared distances overflow harmlessly first on the wide domain.
-        with np.errstate(over="ignore"):
-            code = main(make_args(tmp_path) + ["--outdir", str(tmp_path / "out")])
+        code = main(make_args(tmp_path) + ["--outdir", str(tmp_path / "out")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("numerical failure: ")
         assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
 
     def test_wide_domain_overflow_prints_no_warning(self, tmp_path, capsys):
         # The bump's squared distances overflow to inf, outside every bump,
@@ -907,11 +906,20 @@ class TestReportSchema:
 class TestAngleParsing:
     @pytest.mark.parametrize("text,value", [
         ("pi/8", math.pi / 8), ("pi/4", math.pi / 4), ("0.3", 0.3), (" pi/6 ", math.pi / 6),
+        ("3pi/8", 3 * math.pi / 8),
     ])
     def test_accepted(self, tmp_path, text, value):
         out = tmp_path / "run"
         assert run_cli("forward2d", "--n", "8", "--beta", text, "--outdir", str(out)) == 0
         assert load_report(out)["parameters"]["beta"] == pytest.approx(value)
+
+    @pytest.mark.parametrize("text", ["3pi/0", "pi/"])
+    def test_refused(self, tmp_path, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("forward2d", "--n", "8", "--beta", text, "--outdir", str(tmp_path))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"cannot parse angle '{text}'" in err and "Traceback" not in err
 
 
 class TestModuleEntryPoint:

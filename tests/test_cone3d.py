@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coneradon import cone3d
+from coneradon import cone3d, grids
 from coneradon.cone3d import (
     _MIN_Z_SAMPLES,
     KernelParams,
@@ -24,6 +24,7 @@ from coneradon.grids import (
     ConeGeometry,
     RealGrid3D,
     _lag_kernel_apply,
+    _lag_taps,
     _padded_sizes,
     _smooth_size,
 )
@@ -76,7 +77,7 @@ def full_spectrum_invert(g, geometry, pad):
     lam, mu = stack.x_freqs, stack.y_freqs
     radial = np.sqrt(lam[:, None] ** 2 + mu[None, :] ** 2)
     u_map = geometry.tan_beta * radial
-    weights = _frequency_weights(u_map, radial, g)
+    weights = _frequency_weights(u_map, radial, g.axes())
     scale = geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta)
     out = np.zeros_like(stack.values)
     for kx, ky in zip(*np.nonzero(weights)):
@@ -124,7 +125,7 @@ def full_axis_forward(f, geometry):
     # every z level and one dense lag-kernel matrix per frequency bin.
     nx, ny, nz = f.values.shape
     nxp, nyp = _padded_sizes(f, geometry)
-    u_map = geometry.tan_beta * _half_spectrum_radial(f, nxp, nyp)
+    u_map = geometry.tan_beta * _half_spectrum_radial(f.axes(), nxp, nyp)
     spectrum = np.fft.rfft2(f.values, s=(nxp, nyp), axes=(0, 1))
     profiles = dense_lag_apply(spectrum.reshape(-1, nz), u_map.ravel(), f.z_axis.spacing, h_j0)
     values = np.fft.irfft2(profiles.reshape(spectrum.shape), s=(nxp, nyp), axes=(0, 1))
@@ -179,7 +180,7 @@ class TestJ0LagApply:
         spacing = 2.0 / (nz - 1)
         expected = dense_lag_apply(profiles, us, spacing, kernel)
         out = profiles.copy()
-        _lag_kernel_apply(out, us, spacing, kernel)
+        _lag_kernel_apply(out, *_lag_taps(us, spacing, nz, kernel))
         assert out.dtype == np.dtype(dtype)
         assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -194,7 +195,7 @@ class TestJ0LagApply:
             profiles[b, top + 1 :] = 0.0
         highest = np.flatnonzero(np.any(profiles != 0.0, axis=0))[-1]
         expected = dense_lag_apply(profiles, us, 0.05, kernel)
-        _lag_kernel_apply(profiles, us, 0.05, kernel)
+        _lag_kernel_apply(profiles, *_lag_taps(us, 0.05, 48, kernel))
         assert np.all(profiles[:, highest + 1 :] == 0.0)
         assert np.linalg.norm(profiles - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -210,7 +211,7 @@ class TestJ0LagApply:
         profiles[:, :lo] = 0.0
         profiles[:, top + 1 :] = 0.0
         expected = dense_lag_apply(profiles, us, 0.05, kernel)
-        _lag_kernel_apply(profiles, us, 0.05, kernel)
+        _lag_kernel_apply(profiles, *_lag_taps(us, 0.05, 48, kernel))
         assert np.all(profiles[:, top + 1 :] == 0.0)
         assert np.all(profiles[:, -1] == 0.0)  # the empty integral at the top
         assert np.linalg.norm(profiles - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -218,7 +219,7 @@ class TestJ0LagApply:
     def test_zero_profiles_stay_zero(self):
         profiles = np.zeros((4, 12), dtype=complex)
         profiles[1, 3] = -0.0
-        _lag_kernel_apply(profiles, np.arange(4.0), 0.1, h_j0)
+        _lag_kernel_apply(profiles, *_lag_taps(np.arange(4.0), 0.1, 12, h_j0))
         np.testing.assert_array_equal(profiles, 0.0)
 
 
@@ -564,8 +565,7 @@ class TestHalfSpectrum:
         # Nyquist bin at pi / spacing where the padded size is even.
         dx, dy = 0.25, 0.1
         axes = AxisSpec(5, 0.0, 4 * dx), AxisSpec(6, 0.0, 5 * dy), AxisSpec(3, 0.0, 1.0)
-        grid = RealGrid3D(*axes, np.zeros((5, 6, 3)))
-        radial = _half_spectrum_radial(grid, nxp, nyp)
+        radial = _half_spectrum_radial(axes, nxp, nyp)
         lam = 2.0 * np.pi * np.fft.fftfreq(nxp, dx)
         mu = 2.0 * np.pi * np.fft.rfftfreq(nyp, dy)
         assert radial.shape == (nxp, nyp // 2 + 1)
@@ -623,9 +623,15 @@ class TestHalfSpectrum:
         ]
 
 
+def clear_plans():
+    cone3d._plans.clear()
+
+
 def traced_peak(fn):
-    # Traced peak of one call, after a warm-up call.
+    # Traced peak of one cold call: after a warm-up call, with the plans
+    # cleared, so the call builds its plan as a first call does.
     fn()
+    clear_plans()
     tracemalloc.start()
     try:
         fn()
@@ -638,14 +644,18 @@ class TestMemory:
     """Each 3D transform holds one padded half spectrum, transformed in place,
     plus the output grid and block temporaries.
 
-    Allowances above spectrum + output, measured once on random volumes at
-    N = 47 and 48: the inversion's peak sits at most 0.99 MiB above (pad 3,
-    padded size 144; 0.67-0.72 MiB at the default 72), the forward's 2.03
-    MiB, mostly the lag-kernel engine's kernel spectra (one per distinct u).
-    Holding a separate spectrum per step (transform, per-bin results, inverse)
-    put them 1.8-12 MiB and 3.2 MiB above.  Above spectrum + output + kernel
-    spectra, the forward's peak sits 0.05-0.11 MiB at N = 48 and beta pi/8
-    to pi/4; evaluating every u's taps at once put it 1.06-2.26 MiB above.
+    Every peak is a cold call's: it builds its plan, whose real tap table
+    (one row of lags per distinct u) later calls with the same key reuse
+    (``TestPlans``).  Allowances above spectrum + output, measured once on
+    random volumes at N = 47 and 48: the inversion's peak sits at most 0.94
+    MiB above (pad 3, padded size 144; 0.63-0.70 MiB at the default 72), the
+    forward's 1.09-1.14 MiB at pi/8, mostly the lag-kernel engine's kernel
+    spectra (one per distinct u) and the tap table.  Holding a separate
+    spectrum per step (transform, per-bin results, inverse) put them 1.8-12
+    MiB and 3.2 MiB above.  Above spectrum + output + kernel spectra, the
+    forward's peak sits 0.18-0.38 MiB at N = 48 and beta pi/8 to pi/4, the
+    tap table included (a warm call: below 0); evaluating every u's taps at
+    once put it 1.06-2.26 MiB above.
     """
 
     INVERT_ALLOWANCE = 1.25 * 2**20
@@ -674,7 +684,7 @@ class TestMemory:
         f = self.volume(n)
         nxp, nyp = _padded_sizes(f, geom)
         spectrum = 16 * nxp * (nyp // 2 + 1) * n
-        n_u = np.unique(geom.tan_beta * _half_spectrum_radial(f, nxp, nyp)).size
+        n_u = np.unique(geom.tan_beta * _half_spectrum_radial(f.axes(), nxp, nyp)).size
         kernel_spectra = 16 * n_u * _smooth_size(2 * (n - 1) + 1)
         peak = traced_peak(lambda: cone_forward(f, geom))
         bound = spectrum + f.values.nbytes + kernel_spectra + self.KERNEL_TABLE_ALLOWANCE
@@ -685,8 +695,8 @@ class TestMemory:
         # The padded half spectrum cone_invert holds: 16 nxp n_ky L bytes.
         n_levels = _inversion_levels(g)
         nxp, nyp = _padded_sizes(g, GEOM, pad)
-        radial = _half_spectrum_radial(g, nxp, nyp)
-        weights = _frequency_weights(GEOM.tan_beta * radial, radial, g)
+        radial = _half_spectrum_radial(g.axes(), nxp, nyp)
+        weights = _frequency_weights(GEOM.tan_beta * radial, radial, g.axes())
         n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
         return 16 * nxp * n_ky * n_levels
 
@@ -702,7 +712,7 @@ class TestMemory:
     def test_invert_peak_zero_levels_on_top(self, pad):
         # g zero above level 23 of 48: the spectrum holds the L = 30 levels
         # the inversion computes, 0.77 MiB (pad 2) and 1.74 MiB (pad 3) less
-        # than one of all 48.  The peak sat 0.66 and 0.84 MiB above this bound
+        # than one of all 48.  The peak sat 0.61 and 0.73 MiB above this bound
         # less the allowance (measured once).
         n, top = 48, 23
         g = self.volume(n)
@@ -711,6 +721,155 @@ class TestMemory:
         spectrum = self.invert_spectrum_bytes(g, pad)
         peak = traced_peak(lambda: cone_invert(g, GEOM, pad_factor=pad))
         assert peak <= spectrum + g.values.nbytes + self.INVERT_ALLOWANCE
+
+    def test_refused_on_every_call(self, monkeypatch):
+        # The plans cache kernel taps, never the memory check: with both
+        # plans warm, a machine too small for the spectrum still refuses.
+        f = bump_volume(12)
+        g = cone_forward(f, GEOM)
+        cone_invert(g, GEOM)
+        monkeypatch.setattr(grids, "_physical_memory", lambda: 1024)
+        with pytest.raises(MemoryError, match="physical memory"):
+            cone_forward(f, GEOM)
+        with pytest.raises(MemoryError, match="physical memory"):
+            cone_invert(g, GEOM)
+
+
+def slab_volume(n, lo, top, seed=0):
+    # Random f on n^3 with nonzero levels [lo, top) only.
+    ax = AxisSpec(n, -1.0, 1.0)
+    values = np.zeros((n, n, n))
+    values[:, :, lo:top] = np.random.default_rng(seed).normal(size=(n, n, top - lo))
+    return RealGrid3D(ax, ax, ax, values)
+
+
+def plan_arrays(plan):
+    arrays = [plan.distinct, plan.inverse, plan.table, plan.scale, plan.kept]
+    return [a for a in arrays if a is not None]
+
+
+def held_bytes():
+    return sum(plan.nbytes for plan in cone3d._plans.values())
+
+
+def plan_builds():
+    return sorted(build.__name__ for build, *_ in cone3d._plans)
+
+
+class TestPlans:
+    """Each 3D transform builds its data-independent part once per key (axes,
+    geometry, padded sizes) and reuses it for every data set: the distinct
+    u, each bin's row among them and the real tap table over the most lags
+    a call has needed, and for the inversion also its per-bin constants and
+    kept bins.  The cache keeps at most _PLAN_BYTES of plans."""
+
+    @pytest.mark.parametrize("beta", [np.pi / 8, np.pi / 4], ids=["pi/8", "pi/4"])
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    def test_warm_calls_repeat_cold_ones(self, pad, beta):
+        # f's slab moves between calls, so the calls need different lag
+        # counts: the second one's plans grow their tables, and the third
+        # one's hold more lags than it needs.
+        geom = ConeGeometry(beta)
+        volumes = [slab_volume(16, 3, 9, seed=1), slab_volume(16, 5, 14, seed=2)]
+        cold = []
+        for f in volumes:
+            clear_plans()
+            g = cone_forward(f, geom)
+            clear_plans()
+            cold.append((g.values.tobytes(), cone_invert(g, geom, pad).values.tobytes()))
+        for _ in range(2):
+            for f, (forward_bytes, invert_bytes) in zip(volumes, cold):
+                g = cone_forward(f, geom)
+                assert g.values.tobytes() == forward_bytes
+                assert cone_invert(g, geom, pad).values.tobytes() == invert_bytes
+        # One plan per transform served both data sets.
+        assert plan_builds() == ["_forward_plan", "_inverse_plan"]
+
+    def test_tables_grow_to_the_most_lags_a_call_needs(self):
+        clear_plans()
+        for lo, top, lags in [(2, 6, 7), (4, 11, 12), (2, 6, 12), (0, 16, 16)]:
+            cone_forward(slab_volume(16, lo, top), GEOM)
+            (plan,) = cone3d._plans.values()
+            assert plan.table.shape == (plan.distinct.size, lags)
+
+    def test_arrays_are_read_only(self):
+        clear_plans()
+        g = cone_forward(slab_volume(12, 2, 8), GEOM)
+        cone_invert(g, GEOM)
+        assert plan_builds() == ["_forward_plan", "_inverse_plan"]
+        for plan in cone3d._plans.values():
+            for array in plan_arrays(plan):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 1.0
+
+    def test_keys_never_shared(self):
+        # Two geometries, two pads or two z spacings on the same lateral
+        # axes: one entry each, and different taps, also where two
+        # geometries pad to the same sizes (the inversion at pad 2).
+        ax = AxisSpec(12, -1.0, 1.0)
+        values = np.random.default_rng(3).normal(size=(12, 12, 12))
+        f = RealGrid3D(ax, ax, ax, values)
+        taller = RealGrid3D(ax, ax, AxisSpec(12, -1.0, 2.0), values)
+        other = ConeGeometry(np.pi / 6)
+        assert _padded_sizes(f, GEOM, 2) == _padded_sizes(f, other, 2)
+        clear_plans()
+        for grid, geom, pad in [(f, GEOM, 2), (f, other, 2), (f, GEOM, 3), (taller, GEOM, 2)]:
+            cone_forward(grid, geom)
+            cone_invert(grid, geom, pad)
+        assert plan_builds() == 3 * ["_forward_plan"] + 4 * ["_inverse_plan"]
+        for name in ("_forward_plan", "_inverse_plan"):
+            taps = [p.table for (build, *_), p in cone3d._plans.items() if build.__name__ == name]
+            for a, b in [(0, 1), (0, 2), (1, 2)]:
+                assert taps[a].shape != taps[b].shape or np.any(taps[a] != taps[b])
+
+    def test_cached_bytes_after_a_cone3d_rt_pass(self):
+        # The benchmark's cone3d-rt pass: N = 48, pad 2, three angles.  The
+        # cache holds one real tap per distinct u and lag, plus the index
+        # arrays: 8 bytes per distinct u, per bin of the forward's inverse,
+        # and per bin of the inversion's scale and its kept bins' inverse
+        # and order.  Kernel spectra, complex and FFT-length long, would not
+        # fit.
+        ax = AxisSpec(48, -1.0, 1.0)
+        centre = BumpSpec((0.2, 0.1, 0.0), 0.25, 1.0)
+        high = BumpSpec((-0.4, 0.35, 0.3), 0.3, 1.0)
+        low = BumpSpec((0.45, -0.4, -0.35), 0.22, 1.0)
+        clear_plans()
+        bound = 0
+        for k, scene in [(8, [centre, high]), (6, [centre, high, low]), (4, [centre])]:
+            geom = ConeGeometry(np.pi / k)
+            f = render_bumps_3d(scene, ax, ax, ax)
+            g = cone_forward(f, geom)
+            cone_invert(g, geom, 2)
+            top = np.flatnonzero(np.any(f.values, axis=(0, 1)))[-1] + 1
+            n_fwd, n_inv = min(top + 1, 48), _inversion_levels(g)
+            sizes = _padded_sizes(f, geom)
+            u_fwd = geom.tan_beta * _half_spectrum_radial(f.axes(), *sizes)
+            bound += 8 * np.unique(u_fwd).size * (n_fwd + 1) + 8 * u_fwd.size
+            sizes = _padded_sizes(g, geom, 2)
+            radial = _half_spectrum_radial(g.axes(), *sizes)
+            weights = _frequency_weights(geom.tan_beta * radial, radial, g.axes())
+            n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
+            u_kept = geom.tan_beta * radial[:, :n_ky][weights[:, :n_ky] > 0]
+            bound += 8 * np.unique(u_kept).size * (n_inv + 1)
+            bound += 8 * (sizes[0] * n_ky + 2 * u_kept.size)
+        assert plan_builds() == 3 * ["_forward_plan"] + 3 * ["_inverse_plan"]
+        assert held_bytes() <= bound <= 1.25 * 2**20
+
+    def test_cache_stays_within_its_byte_budget(self, monkeypatch):
+        # Room for about one of these plans: each call keeps its own plan
+        # and drops the others, and a plan over the budget is not kept.
+        volumes = [slab_volume(16, 3, 9, seed=1), slab_volume(16, 0, 16, seed=2)]
+        calls = [(f, ConeGeometry(beta)) for f in volumes for beta in (np.pi / 8, np.pi / 4)]
+        clear_plans()
+        expected = [cone_forward(f, geom).values.tobytes() for f, geom in calls]
+        budget = max(plan.nbytes for plan in cone3d._plans.values())
+        for limit in (budget, 0):
+            clear_plans()
+            monkeypatch.setattr(cone3d, "_PLAN_BYTES", limit)
+            for (f, geom), values in zip(calls, expected):
+                assert cone_forward(f, geom).values.tobytes() == values
+                assert held_bytes() <= limit
+                assert len(cone3d._plans) == (limit > 0)
 
 
 def is_5_smooth(m):

@@ -10,6 +10,7 @@ from coneradon.grids import (
     RealGrid2D,
     _derivative,
     _lag_kernel_apply,
+    _lag_taps,
     _padded_sizes,
 )
 from coneradon.phantoms import BumpSpec, relative_l2, render_bumps_2d
@@ -432,7 +433,8 @@ class TestSpectralOracle:
         spectrum = np.fft.rfft(np.pad(f.values, ((left, n_pad - 60 - left), (0, 0))), axis=0)
         lam = 2.0 * np.pi * np.fft.rfftfreq(n_pad, f.x_axis.spacing)
         _lag_kernel_apply(
-            spectrum, geometry.tan_beta * lam, f.y_axis.spacing, lambda u, h: np.cos(u * h)
+            spectrum,
+            *_lag_taps(geometry.tan_beta * lam, f.y_axis.spacing, 60, lambda u, h: np.cos(u * h)),
         )
         centred = np.fft.irfft(spectrum, n_pad, axis=0) * (2.0 / geometry.cos_beta)
         expected = centred[left : left + 60]
