@@ -337,6 +337,12 @@ def _metrics_against(config: RunConfig, recon, phantom, metrics: dict) -> None:
             metrics["relative_l2_masked"] = _l2_norm(diff) / _l2_norm(phantom.values[mask])
 
 
+# The transform steps run without numpy's floating-point warnings: data of
+# huge magnitude can overflow them, and their result grid's finiteness check
+# then reports the failure as the exit-3 message alone.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
 def _cmd_transform(config: RunConfig, stage, outputs: dict, metrics: dict) -> None:
     """phantom, forward2d/3d, invert2d/3d and roundtrip2d/3d as the render,
     forward and invert steps; a round trip inverts the projection in memory."""
@@ -361,7 +367,7 @@ def _cmd_transform(config: RunConfig, stage, outputs: dict, metrics: dict) -> No
     geom = config.geometry()
     if projects:
         metrics["support_fraction"] = _support_fraction(f)
-        with stage("forward transform"):
+        with stage("forward transform"), np.errstate(**_QUIET):
             g = (vline_forward(f, geom, _vertex_axes(config, f)).grid if config.dim == 2
                  else cone_forward(f, geom))
         _save_grid(config, "projection", g, outputs, metrics)
@@ -374,7 +380,7 @@ def _cmd_transform(config: RunConfig, stage, outputs: dict, metrics: dict) -> No
         metrics["taper_band_fraction"] = _taper_band_fraction(g, geom)
         metrics["inversion_level_fraction"] = _inversion_levels(g) / g.z_axis.n_samples
         metrics["inversion_padded_size"] = _padded_sizes(g, geom)
-    with stage("inversion"):
+    with stage("inversion"), np.errstate(**_QUIET):
         recon = vline_invert(VLineProjection(g, geom)) if config.dim == 2 else cone_invert(g, geom)
     if projects:  # a round trip scores recon against f, on f's rows
         if recon.axes() != f.axes():  # extended vertex grid

@@ -5,17 +5,20 @@ pair (lambda, mu) with u = tan(beta) sqrt(lambda^2 + mu^2), on the ky >= 0
 half of a real 2D DFT of data zero-padded by ``grids._padded_sizes``, and
 apply their z-kernels, each with its constant, through
 ``grids._lag_kernel_apply``: a z-correlation by FFT, with ``_cone_kernel`` for
-the forward and J0(u h) for the inversion.  The V-line's spectral oracle pads
-by the same rule and runs the same engine with its cosine kernel.
+the forward and, for the inversion, a composed kernel that also runs its z
+derivatives and tail integral (``_inversion_taps``).  The V-line's spectral
+oracle pads by the same rule and runs the same engine with its cosine kernel.
 
 The per-frequency kernels depend on the axes, the angle and the padding
 only, not on the data, so each transform keeps them in a plan (``_Plan``)
 per key (axes, geometry, padded sizes): the distinct u of its bins, each
 bin's row among them and a read-only real tap table over the most lags a
-call has needed (``grids._lag_taps``), the inversion's also its per-bin
-weights and kept bins.  A cold call builds its plan; a later call with the
-same key reuses it, whatever its data, and rebuilds only the table, when it
-needs more lags than the table holds.  The cache (``_plan``) keeps the
+call has needed (the forward's by ``grids._lag_taps``, the inversion's by
+``_inversion_taps`` over two more lags below 0), the inversion's also the
+running sums of its J0 taps, its per-bin weights and kept bins.  A cold call
+builds its plan; a later call with the same key reuses it, whatever its
+data, and rebuilds only the table and sums, when it needs more lags than
+they hold.  The cache (``_plan``) keeps the
 latest keys' plans within _PLAN_BYTES in all, dropping the least recently
 used first; a plan larger than that serves its own call only.  The padded
 sizes, and with them the memory check, are taken on every call.
@@ -28,21 +31,29 @@ transform on it in place and the inverse y transform, per block of z levels
 and on the returned x rows only, into the output grid.  So a call's traced
 peak is about that one spectrum, 16 nxp n_ky nz bytes, plus the output grid
 and fixed-size blocks, and for the forward the engine's kernel spectra (one
-per distinct u), plus on a cold call the plan's tap table: at 48^3 the
-inversion's is 2.6 MiB at its default padded size 72, 3.6 MiB at pad 2 and
-6.4 MiB at pad 3.  The inversion transforms,
-inverts and synthesizes only the ky band its frequency taper keeps, the
-forward only f's slab of nonzero z levels and the levels below its top.  The
-inversion's z derivatives are one weighted sweep of ``grids._derivative``'s
-central stencils, the helper the V-line inversion differences with too.
+per distinct u), plus on a cold call the plan's tap table: at 48^3 and
+pi/8 the inversion's cold peak on a random volume is 2.8 MiB at its default
+padded size 72, 3.7 MiB at pad 2 and 6.6 MiB at pad 3.  The inversion transforms, inverts and
+synthesizes only the ky band its frequency taper keeps, the forward only f's
+slab of nonzero z levels and the levels below its top.
+
+The inversion runs each block of kept bins through one correlation
+(``_invert_bins``): its composed taps hold, per u, the J0 integral of the
+central z stencils of orders 3 and 1 and of the trapezoid tail integral, so
+the stencils, the tail integral and the J0 integral cost one engine call.
+Those stencils are ``grids._derivative``'s interior ones; where it takes
+one-sided stencils at the axis ends, the difference is added exactly, from
+weights on G's 6 end levels (``_END_WEIGHTS``) and the plan's running sums
+of the J0 taps: over lags 0 and 1 at the bottom, and over every lag at the
+top, for data there only.
 
 Both transforms skip exact zeros along z.  The forward leaves g exactly 0
 above f's top nonzero level, since no cone with a vertex there meets f.  The
 inversion reads g only at and above each height, so it computes only g's
 levels up to its top nonzero level T plus the _MIN_Z_SAMPLES zero levels its
 top-end stencils read, and its spectrum holds those levels only.  Its result
-is the whole axis's, bit for bit, and where the axis holds those zero levels
-it is exactly 0 above T + 2.
+is the whole axis's, bit for bit: with those levels zero no top-end
+correction runs.  Where the axis holds them, it is exactly 0 above T + 2.
 
 The forward transform is the kernel identity
 
@@ -69,11 +80,12 @@ from .grids import (
     RealGrid3D,
     _blocks,
     _derivative,
+    _fd_weights,
     _lag_kernel_apply,
     _lag_taps,
     _pad_factor,
     _padded_sizes,
-    cumint_from_top,
+    _stencil_at,
 )
 from .specfun import bessel_j0
 
@@ -87,9 +99,16 @@ __all__ = [
     "kernel_eval",
 ]
 
-# The inversion's order-3 z stencil takes order + 3 samples at each end, so
-# the z axis needs at least that many.
+# The inversion's z stencils (order, offsets, n_edge): the central ones of
+# orders 3 and 1 in H^2 of the tail integral and of order 2 at u = 0, each
+# one-sided on order + 3 samples at the ends.
+_D3 = (3, (-2, -1, 0, 1, 2), 6)
+_D1 = (1, (-1, 0, 1), 4)
+_D2 = (2, (-1, 0, 1), 5)
+# The order-3 stencil's end samples, so the z axis needs at least that many.
 _MIN_Z_SAMPLES = 6
+# Lags below 0 of the composed inversion taps: the order-3 stencil's reach.
+_LAGS_BELOW = 2
 # Transverse frequency rolloff for the inversion, in units of the z Nyquist
 # frequency pi/dz: full weight while the J0 kernel oscillation is well resolved
 # by the z grid, cosine-squared ramp to zero where it no longer is.  Chosen by
@@ -100,8 +119,9 @@ _TAPER_STOP = 0.25
 # complex temporary.
 _Y_BLOCK_ELEMENTS = 1 << 16
 # Bytes of arrays the plan cache keeps at most, over all its plans: room for
-# both plans of a round trip at n = 120 and pi/8 (3.3 MiB and 1.1-4.0 MiB at
-# pads 1-3), and for a few dozen at 48^3.
+# both plans of a round trip at n = 120 and pi/8 (3.3 MiB and 1.1-4.1 MiB at
+# pads 1-3; the inversion's 2.0-7.6 MiB for data reaching the top levels),
+# and for a few dozen at 48^3.
 _PLAN_BYTES = 1 << 24
 
 
@@ -195,28 +215,36 @@ def _read_only(*arrays):
 class _Plan:
     """A 3D transform's data-independent part for one (axes, geometry, padded
     sizes): the distinct u of the bins its engine runs on, each bin's row
-    ``inverse[bin]`` among them, and the tap table ``grids._lag_taps`` builds
-    of them over the most lags a call has needed so far.  The inversion's
-    plan also holds the ky columns it inverts (n_ky), each bin's weight x G's
-    constant (scale) and the bins of nonzero weight in order of u (kept);
-    its ``inverse`` runs over the kept bins.  Every array is read-only."""
+    ``inverse[bin]`` among them, and the tap table that ``tabulate(distinct,
+    spacing, n_lags, n_sums)`` builds of them, over the lags -b..n_lags-1
+    for the most lags n_lags a call has needed so far, with running sums of
+    its kernel over the lags 0..n_sums-1 (the inversion's; the forward's
+    are None).  The inversion's plan also holds the ky columns it inverts
+    (n_ky), each bin's weight x G's constant (scale) and the bins of nonzero
+    weight in order of u (kept); its ``inverse`` runs over the kept bins.
+    Every array is read-only."""
 
-    def __init__(self, us, spacing: float, kernel, n_ky=0, scale=None, kept=None):
+    def __init__(self, us, spacing: float, tabulate, b=0, n_ky=0, scale=None, kept=None):
         self.distinct, self.inverse = _read_only(*np.unique(us, return_inverse=True))
-        self.spacing, self.kernel, self.n_ky = spacing, kernel, n_ky
+        self.spacing, self.tabulate, self.b, self.n_ky = spacing, tabulate, b, n_ky
         self.scale, self.kept = _read_only(scale, kept)
-        self.table = np.empty((self.distinct.size, 0))
+        self.table, self.sums = np.empty((self.distinct.size, 0)), None
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.distinct, self.inverse, self.table, self.scale, self.kept)
+        arrays = (self.distinct, self.inverse, self.table, self.sums, self.scale, self.kept)
         return sum(a.nbytes for a in arrays if a is not None)
 
 
 def _forward_plan(axes, geometry: ConeGeometry, sizes: tuple) -> _Plan:
     # cone_forward's plan on the padded half spectrum of sizes (nxp, nyp).
     u_map = geometry.tan_beta * _half_spectrum_radial(axes, *sizes)
-    return _Plan(u_map.ravel(), axes[2].spacing, _cone_kernel(geometry))
+    kernel = _cone_kernel(geometry)
+
+    def tabulate(distinct, dz, n_lags, n_sums):  # no running sums
+        return _lag_taps(distinct, dz, n_lags, kernel)[1], None
+
+    return _Plan(u_map.ravel(), axes[2].spacing, tabulate)
 
 
 # The plans of the latest keys (build, axes, geometry, padded sizes), least
@@ -224,15 +252,19 @@ def _forward_plan(axes, geometry: ConeGeometry, sizes: tuple) -> _Plan:
 _plans: dict = {}
 
 
-def _plan(build, axes, geometry: ConeGeometry, sizes: tuple, n_lags: int) -> _Plan:
+def _plan(build, axes, geometry: ConeGeometry, sizes: tuple, n_lags: int, n_sums=0) -> _Plan:
     # The plan build(axes, geometry, sizes), with taps over at least n_lags
-    # lags: the cached one, or built now.  The cache then drops its least
-    # recently used plans until all it keeps fits in _PLAN_BYTES, so a plan
-    # larger than that serves its own call only.
+    # lags and running sums over at least n_sums: the cached one, or built
+    # now.  The cache then drops its least recently used plans until all it
+    # keeps fits in _PLAN_BYTES, so a plan larger than that serves its own
+    # call only.
     key = (build, axes, geometry, sizes)
     plan = _plans.pop(key, None) or build(axes, geometry, sizes)
-    if plan.table.shape[1] < n_lags:  # built anew over n_lags lags
-        (plan.table,) = _read_only(_lag_taps(plan.distinct, plan.spacing, n_lags, plan.kernel)[1])
+    held = 0 if plan.sums is None else plan.sums.shape[1]
+    if plan.table.shape[1] < n_lags + plan.b or held < n_sums:
+        # Both built anew, of one evaluation of the kernel.
+        tables = plan.tabulate(plan.distinct, plan.spacing, n_lags, n_sums)
+        plan.table, plan.sums = _read_only(*tables)
     _plans[key] = plan
     while sum(p.nbytes for p in _plans.values()) > _PLAN_BYTES:
         del _plans[next(iter(_plans))]
@@ -269,6 +301,7 @@ def cone_forward(f: RealGrid3D, geometry: ConeGeometry) -> RealGrid3D:
     plan = _plan(_forward_plan, f.axes(), geometry, (nxp, nyp), n_levels)
     spectrum = np.zeros((nxp, nyp // 2 + 1, n_levels), dtype=complex)
     _half_spectrum(f.values[:, :, lo:top], spectrum[:, :, lo:top], nyp)
+    spectrum[:, :, -1] *= 0.5  # the trapezoid half weight at the top end
     _lag_kernel_apply(spectrum.reshape(-1, n_levels), plan.inverse, plan.table)
     values = np.zeros((nx, ny, nz))
     _from_half_spectrum(spectrum[:, :, :top], values[:, :, :top], nyp)
@@ -291,21 +324,149 @@ def dft2_slices(g: RealGrid3D) -> SpectralStack:
     return SpectralStack(fx, fy, g.z_axis, (dx * dy) * spectra)
 
 
-def _invert_profiles_batch(profiles: np.ndarray, us: np.ndarray, dz: float, inverse, taps):
-    # Batched inversion, one profile G per row of u us[row] and J0 taps
-    # taps[inverse[row]] (``grids._lag_taps``), on z spacing dz.  H^2 of the
-    # tail integral P(x) = int_x^top G is evaluated through the exact relation
-    # P' = -G, i.e. H^2(P) = -G''' - 2 u^2 G' + u^4 P: differencing the data G
-    # directly keeps the one-sided boundary errors from being amplified by
-    # repeated division by dz^2.  At u = 0 the kernel degenerates:
-    # G(z_v) = int (z - z_v) fhat dz, so those rows are overwritten with fhat = G''.
+def _inversion_taps(distinct: np.ndarray, dz: float, n_lags: int, n_sums: int):
+    """(table, sums): the inversion's composed tap table and the running
+    sums of its J0 taps over the lags 0..n_sums-1, n_sums <= n_lags + 2.
+
+    Row r of the table holds the weight of G at lag l above the output level,
+    for u = distinct[r] on z spacing dz, at column l + 2, for the lags
+    l = -2..n_lags-1:
+
+        kappa_u[l] = sum_o (-d3[o]/dz^3 - 2 u^2 d1[o]/dz) t_u[l - o]
+                     + u^4 dz (sum_{k <= l} t_u[k] - t_u[l]/2),
+
+    with t_u the trapezoid-weighted J0 taps (``grids._lag_taps``, lag 0
+    halved, 0 below lag 0) and d3, d1 the interior stencils of orders 3 and
+    1.  Correlated with G (``grids._lag_kernel_apply``), it gives the J0
+    correlation of -G''' - 2 u^2 G' + u^4 int_x G, the stencils taken as
+    interior ones on the zero-extended axis; ``_invert_bins`` corrects the
+    ends.  Row r of sums holds sum_{k <= l} t_u[k] at column l: the
+    corrections read lags 0 and 1 at the bottom, and for data at the top
+    lags 0..n+1 on an n-level axis.  The J0 taps are evaluated once, over
+    two more lags, a block of u's at a time, so their temporaries stay
+    block-sized.
+    """
+    order3, offsets, _ = _D3
+    order1, offsets1, _ = _D1
+    d1 = dict(zip(offsets1, _fd_weights(offsets1, order1)))
+    n_taps = n_lags + _LAGS_BELOW
+    table = np.zeros((distinct.size, n_taps))
+    sums = np.empty((distinct.size, n_sums))
+    for block in _blocks(distinct.size, n_taps):
+        u2 = distinct[block, None] ** 2
+        taps = _lag_taps(distinct[block], dz, n_taps, _j0_kernel)[1]
+        kappa = table[block]
+        for o, w3 in zip(offsets, _fd_weights(offsets, order3)):
+            w1 = d1.get(o, 0.0)
+            if w3 or w1:
+                coef = -w3 / dz**3 - (2.0 * w1 / dz) * u2
+                kappa[:, _LAGS_BELOW + o :] += coef * taps[:, : n_lags - o]
+        cumulative = np.cumsum(taps, axis=1)
+        sums[block] = cumulative[:, :n_sums]
+        tail = cumulative[:, :n_lags]
+        tail -= 0.5 * taps[:, :n_lags]
+        tail *= dz * u2 * u2
+        kappa[:, _LAGS_BELOW:] += tail
+    return table, sums
+
+
+def _end_weights():
+    """Where the stagewise route differs from ``_inversion_taps``' interior
+    stencils, as weights on G's 6 end levels for z spacing 1, one set each
+    for the stencils of orders 3 and 1; spacing dz scales them by 1/dz^3 and
+    1/dz.  Stencils are taken relative to their end, so the weights are the
+    same on every axis of at least 6 levels.
+
+    - bottom (2 x 6 x 2): on levels 0..5, giving at levels 0 and 1 the
+      derivative by ``grids._derivative``'s one-sided stencils less the
+      interior one;
+    - top (2 x 6 x 5): on levels n-6..n-1 of an n-level axis, giving for
+      j = 0..4 the weight of the running J0 sum at lag n + 1 - j - i in level
+      i's correction.  The errors e_p at the levels p = n-2..n+1 are the same
+      differences, by the stencils ``grids._derivative`` takes there times
+      the trapezoid weight (1, 1/2, 0, 0).  As t_u[k] is the sum at k less
+      the sum at k - 1, e_p's J0 correlation puts e_p on the sum at lag
+      p - i and -e_p on the one at lag p - 1 - i.
+    """
+    n = _MIN_Z_SAMPLES
+    bottom, top = np.zeros((2, n, 2)), np.zeros((2, n, 5))
+    for k, (order, offsets, n_edge) in enumerate([_D3, _D1]):
+        interior = list(zip(offsets, _fd_weights(offsets, order)))
+        for p in (0, 1):
+            for j, w in _stencil_at(p, n, order, offsets, n_edge).items():
+                bottom[k, j, p] += w
+            for o, w in interior:
+                if p + o >= 0:
+                    bottom[k, p + o, p] -= w
+        for p, weight in zip(range(n - 2, n + 2), (1.0, 0.5, 0.0, 0.0)):
+            error = np.zeros(n)
+            if p < n:
+                for j, w in _stencil_at(p, n, order, offsets, n_edge).items():
+                    error[j] += weight * w
+            for o, w in interior:
+                if p + o < n:
+                    error[p + o] -= w
+            top[k, :, n + 1 - p] += error
+            top[k, :, n + 2 - p] -= error
+    return _read_only(bottom, top)
+
+
+_END_WEIGHTS = _end_weights()
+
+
+def _invert_bins(profiles: np.ndarray, distinct: np.ndarray, inverse, table, sums, dz: float):
+    """The inversion of one profile G per row of ``profiles``, of u
+    distinct[inverse[row]] and composed taps table[inverse[row]]
+    (``_inversion_taps``), on z spacing dz, computed in place and returned:
+
+        fhat(t) = int_t^{z_top} J0(u(t - x)) H^2[P](x) dx,  P(x) = int_x^{z_top} G,
+
+    with H^2(P) = -G''' - 2 u^2 G' + u^4 P through the exact relation P' =
+    -G, so that every finite difference acts on the data.
+
+    One correlation of G with the composed taps (``grids._lag_kernel_apply``
+    over lags -2 and up) runs the stencils, the tail integral and the J0
+    integral at once.  Where its zero-extended interior stencils differ from
+    the one-sided ones at the axis ends, the difference is added exactly
+    (``_END_WEIGHTS``), through the running J0 sums ``sums`` of
+    ``_inversion_taps``: at the bottom always, from lags 0 and 1; at the top
+    only where G's top 6 levels hold data, with the tail integral's share of
+    the top level G[n-1], from lags 0..n+1.  At u = 0 the kernel
+    degenerates: G(z_v) = int (z - z_v) fhat dz, so those rows are
+    overwritten with fhat = G''.
+    """
+    n = profiles.shape[1]
+    us = distinct[inverse]
     u2 = (us * us)[:, None]
-    q = _derivative(profiles, dz, [(-1.0, 3, (-2, -1, 0, 1, 2), 6), (-2.0 * u2, 1, (-1, 0, 1), 4)])
-    q += u2 * u2 * cumint_from_top(profiles, dz)
-    _lag_kernel_apply(q, inverse, taps)
-    for row in np.flatnonzero(us == 0.0):
-        q[row] = _derivative(profiles[row], dz, [(1.0, 2, (-1, 0, 1), 5)])
-    return q
+    # -G''' - 2 u^2 G' scales the two orders' weights by -1/dz^3 and -2/dz.
+    scales = np.array([-1.0 / dz**3, -2.0 / dz])[:, None, None]
+    bottom, top = (weights * scales for weights in _END_WEIGHTS)
+    low, high = profiles[:, :_MIN_Z_SAMPLES], profiles[:, n - _MIN_Z_SAMPLES :]
+    low_errors = low @ bottom[0] + u2 * (low @ bottom[1])
+    full_height = bool(high.any())
+    if full_height:
+        top_weights = high @ top[0] + u2 * (high @ top[1])
+        top_weights[:, 2] -= (0.5 * dz) * u2[:, 0] ** 2 * high[:, -1]
+    flat = np.flatnonzero(us == 0.0)
+    if flat.size:
+        second = _derivative(profiles[flat], dz, *_D2)
+
+    _lag_kernel_apply(profiles, inverse, table, _LAGS_BELOW)
+    taps = sums[inverse, :2]  # the J0 taps at lags 0 and 1
+    taps[:, 1] -= taps[:, 0]
+    profiles[:, 0] += taps[:, 0] * low_errors[:, 0] + taps[:, 1] * low_errors[:, 1]
+    profiles[:, 1] += taps[:, 0] * low_errors[:, 1]
+    if full_height:
+        # Column j holds the running sum at lag n + 1 - j; level i reads
+        # column i + j for its weight j, no column past lag 0.
+        reversed_sums = sums[inverse, : n + 2][:, ::-1]
+        for j, w in enumerate(top_weights.T):
+            m = min(n, n + 2 - j)
+            profiles[:, :m] += w[:, None] * reversed_sums[:, j : j + m]
+        profiles[:, -1] = 0.0
+    if flat.size:
+        profiles[flat] = second
+    return profiles
 
 
 def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
@@ -314,10 +475,13 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
     For u > 0: fhat(t) = int_t^{z_top} J0(u(t-x)) H^2[int_x^{z_top} G](x) dx
     with trapezoidal integrals; H^2 of the tail integral is discretized through
     the exact relation (d/dx) int_x^{z_top} G = -G, so every finite difference
-    acts on the data itself.  For u = 0 the kernel degenerates and fhat is the
-    second derivative of G directly.  This is the stage ``cone_invert`` runs
-    on each kept bin.  The z axis needs at least 6 samples, as the order-3
-    stencil does.
+    acts on the data itself.  The stencils, the tail integral and the J0
+    integral run as one correlation of G with a composed tap table
+    (``_inversion_taps``), plus exact corrections at the axis ends.  For
+    u = 0 the kernel degenerates and fhat is the second derivative of G
+    directly.  This is the stage ``cone_invert`` runs on each block of kept
+    bins (``_invert_bins``), here on one row.  The z axis needs at least 6
+    samples, as the order-3 stencil does.
     """
     p = np.asarray(profile)
     if p.ndim != 1 or p.shape[0] != z_axis.n_samples:
@@ -329,7 +493,9 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
     if not u >= 0:
         raise ValueError(f"u must be nonnegative, got {u}")
     us, dz = np.array([u]), z_axis.spacing
-    return _invert_profiles_batch(p[None, :], us, dz, *_lag_taps(us, dz, p.size, _j0_kernel))[0]
+    table, sums = _inversion_taps(us, dz, p.size, p.size + _LAGS_BELOW)
+    fhat = p[None, :].astype(np.result_type(p, float))
+    return _invert_bins(fhat, us, np.zeros(1, dtype=np.intp), table, sums, dz)[0]
 
 
 def _frequency_weights(u_map: np.ndarray, radial: np.ndarray, axes) -> np.ndarray:
@@ -385,7 +551,7 @@ def _inverse_plan(axes, geometry: ConeGeometry, sizes: tuple) -> _Plan:
     kept = kept[np.argsort(us[kept], kind="stable")]
     # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat.
     scale = w * (geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta))
-    return _Plan(us[kept], axes[2].spacing, _j0_kernel, n_ky, scale, kept)
+    return _Plan(us[kept], axes[2].spacing, _inversion_taps, _LAGS_BELOW, n_ky, scale, kept)
 
 
 def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> RealGrid3D:
@@ -425,7 +591,11 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
         return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, np.zeros((nx, ny, nz)))
     dz = g.z_axis.spacing
     nxp, nyp = _padded_sizes(g, geometry, pad_factor)
-    plan = _plan(_inverse_plan, g.axes(), geometry, (nxp, nyp), n_levels)
+    # The end corrections read the running J0 sums over lags 0 and 1, and
+    # for data in g's top 6 computed levels over all their lags.
+    top_data = g.values[:, :, n_levels - _MIN_Z_SAMPLES : n_levels].any()
+    n_sums = n_levels + _LAGS_BELOW if top_data else 2
+    plan = _plan(_inverse_plan, g.axes(), geometry, (nxp, nyp), n_levels, n_sums)
 
     # The per-frequency pipeline writes each bin's result back into the
     # spectrum it read.  It is linear, so G's constant and each bin's taper
@@ -436,9 +606,9 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
     profiles *= plan.scale[:, None]
     for block in _blocks(plan.kept.size, n_levels):
         idx = plan.kept[block]
-        inverse = plan.inverse[block]
-        us = plan.distinct[inverse]
-        profiles[idx] = _invert_profiles_batch(profiles[idx], us, dz, inverse, plan.table)
+        profiles[idx] = _invert_bins(
+            profiles[idx], plan.distinct, plan.inverse[block], plan.table, plan.sums, dz
+        )
 
     values = np.zeros((nx, ny, nz))
     _from_half_spectrum(spectrum, values[:, :, :n_levels], nyp)

@@ -13,24 +13,28 @@ way and is the reference for both forwards; the 3D forward itself is spectral
 (see ``cone3d``).
 
 Spectral convention: after a Fourier transform across the axis, every
-spectral route is one trapezoid-weighted lag-kernel integral up the axis per
-frequency u, whose kernel k(u, h) of the lag h carries the route's constant:
-(2 pi tan(beta)/cos(beta)) h J0(u h) for the cone forward's circles, J0(u h)
-for the cone inversion, (2/cos(beta)) cos(u h) for the V-line's two rays.
-``_lag_kernel_apply`` is that engine, a correlation along the axis by FFT
-that reads a table of weighted kernel taps per u built by ``_lag_taps``;
-``cone3d`` runs its forward and inversion through it, ``vline2d`` its
-spectral oracle.  Each of them zero-pads the lateral axes at their far ends
-to ``_padded_sizes``, the one rule that keeps the cones' and rays' reach from
-wrapping around the period, for a grid of any rank.
+spectral route is one lag-kernel correlation up the axis per frequency u,
+whose taps carry the route's constant: the trapezoid-weighted kernels
+(2 pi tan(beta)/cos(beta)) h J0(u h) for the cone forward's circles and
+(2/cos(beta)) cos(u h) for the V-line's two rays (``_lag_taps``, whose
+callers halve their input's top level for the trapezoid's top end), and for
+the cone inversion J0(u h) composed with its z stencils and tail integral
+(``cone3d._inversion_taps``), over lags from -2 up.  ``_lag_kernel_apply`` is
+that engine, a correlation along the axis by FFT over a table of taps per u
+whose lags may start below 0; ``cone3d`` runs its forward and inversion
+through it, ``vline2d`` its spectral oracle.  Each of them zero-pads the
+lateral axes at their far ends to ``_padded_sizes``, the one rule that keeps
+the cones' and rays' reach from wrapping around the period, for a grid of
+any rank.
 
-Differencing convention: both inversions differentiate the data, and
-``_derivative`` is the one finite-difference stencil helper for it: a stencil
-on given offsets inside, one-sided stencils on a given number of samples at
-the ends, summed over weighted terms in one sweep.  ``vline2d`` takes the
-forward difference in y and the central second difference in x; ``cone3d``
-takes central stencils of orders 1 to 3 along z, each with order + 3 samples
-at the ends, and sums its orders 3 and 1 with one weight per frequency row.
+Differencing convention: both inversions differentiate the data through
+``_derivative``'s finite-difference stencils: a stencil on given offsets
+inside, one-sided stencils on a given number of samples at the ends.
+``vline2d`` takes the forward difference in y and the central second
+difference in x; ``cone3d`` the central second difference along z at u = 0,
+and elsewhere the central stencils of orders 3 and 1 inside its composed
+taps, plus at the ends the exact difference to the one-sided stencils on
+order + 3 samples that ``_derivative`` takes there (``_stencil_at``).
 """
 
 import functools
@@ -192,62 +196,49 @@ def _blocks(n: int, item_elements: int, budget: int | None = None) -> list[slice
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _derivative(values: np.ndarray, spacing: float, stencils, axis=-1) -> np.ndarray:
-    """Weighted sum of derivatives along ``axis`` by finite differences.
+def _derivative(
+    values: np.ndarray, spacing: float, order: int, offsets, n_edge: int, axis=-1
+) -> np.ndarray:
+    """Derivative of the given order along ``axis`` by finite differences.
 
-    ``stencils`` holds ``(coef, order, offsets, n_edge)`` terms: ``coef``
-    times the derivative of that order.  ``coef`` is a scalar or an array
-    that broadcasts to the shape of ``values`` with ``axis`` moved last, e.g.
-    one coefficient per row.  A term's stencil on the integer ``offsets`` applies
-    wherever it fits.  A position too near an end for it takes a one-sided
-    stencil on the ``n_edge`` samples nearest that end.  Each stencil is exact
-    on polynomials of degree below its number of points.  A high-end stencil
+    The stencil on the integer ``offsets`` applies wherever it fits.  A
+    position too near an end for it takes a one-sided stencil on the
+    ``n_edge`` samples nearest that end.  Each stencil is exact on
+    polynomials of degree below its number of points.  A high-end stencil
     is the low-end one mirrored with sign (-1)^order (solving for it directly
     can be an ulp off).  So a symmetric ``offsets`` treats both ends alike,
     and the forward difference on (0, 1) with ``n_edge`` 2 and the second
     difference on (-1, 0, 1) with ``n_edge`` 3 repeat, bit for bit, the
     interior value next to each end they cannot reach.
 
-    The terms are summed in one sweep, with weights scaled to the highest
-    order's power of ``spacing`` and one division by it at the end: one
-    multiply-add per offset of their union inside, and one per sample at each
-    position some term reaches past an end.  Terms are added in position
-    order, so a single term with ``coef`` 1 gives the bits of its own stencil.
+    One multiply-add per offset inside and one per sample at each position
+    the stencil reaches past an end, in sample order, then one division by
+    spacing^order.
     """
     v = np.moveaxis(values, axis, -1)
     n = v.shape[-1]
-    highest = max(order for _, order, _, _ in stencils)
-    terms = []
-    for coef, order, offsets, n_edge in stencils:
-        if n < n_edge:
-            raise ValueError(f"need at least {n_edge} samples for an order-{order} stencil")
-        terms.append((coef * spacing ** (highest - order), order, tuple(offsets), n_edge))
-    out = np.zeros(v.shape, dtype=np.result_type(v.dtype, float, *(c for c, _, _, _ in terms)))
-    lo = max(-min(offsets) for _, _, offsets, _ in terms)
-    hi = max(max(offsets) for _, _, offsets, _ in terms)
+    if n < n_edge:
+        raise ValueError(f"need at least {n_edge} samples for an order-{order} stencil")
+    offsets = tuple(offsets)
+    out = np.zeros(v.shape, dtype=np.result_type(v.dtype, float))
+    lo, hi = -min(offsets), max(offsets)
 
-    def combined(position):
-        # Sorted (sample, summed weight of every term) at one position.
-        weights = {}
-        for coef, order, offsets, n_edge in terms:
-            for j, w in _stencil_at(position, n, order, offsets, n_edge).items():
-                weights[j] = weights.get(j, 0.0) + coef * w
-        return sorted(weights.items())
+    def weights(position):
+        return sorted(_stencil_at(position, n, order, offsets, n_edge).items())
 
-    if lo < n - hi:  # inside every term's stencil: one multiply-add per offset
+    if lo < n - hi:  # inside: one multiply-add per offset
         width = n - hi - lo
         # Each product is taken in blocks of leading rows of about
         # _BLOCK_ELEMENTS, so its temporary stays that size whatever the array's.
         blocks = _blocks(v.shape[0], math.prod(v.shape[1:])) if v.ndim > 1 else [...]
-        for j, w in combined(lo):
-            if np.count_nonzero(w):
-                per_row = np.ndim(w) == v.ndim and np.shape(w)[0] > 1
+        for j, w in weights(lo):
+            if w != 0.0:
                 for b in blocks:
-                    out[b][..., lo : n - hi] += (w[b] if per_row else w) * v[b][..., j : j + width]
+                    out[b][..., lo : n - hi] += w * v[b][..., j : j + width]
     for position in [*range(min(lo, n)), *range(max(n - hi, lo), n)]:
-        for j, w in combined(position):
+        for j, w in weights(position):
             out[..., position : position + 1] += w * v[..., j : j + 1]
-    out /= spacing**highest
+    out /= spacing**order
     return np.moveaxis(out, -1, axis)
 
 
@@ -354,23 +345,23 @@ def _lag_taps(us: np.ndarray, spacing: float, n_lags: int, kernel):
     return inverse, taps
 
 
-def _lag_kernel_apply(profiles: np.ndarray, inverse: np.ndarray, taps: np.ndarray):
-    """In place, profiles[b, i] <- sum_{j >= i} w_ij k(u_b, h_ij) profiles[b, j]
-    for every row b, with h_ij = x_j - t_i and w the trapezoid weights of the
-    integral from t_i to the top.
+def _lag_kernel_apply(profiles: np.ndarray, inverse: np.ndarray, taps: np.ndarray, b: int = 0):
+    """In place, profiles[r, i] <- sum_k taps[inverse[r], k - i + b] profiles[r, k]
+    for every row r: the correlation of each row with its row of a tap table
+    whose column c holds lag c - b, for lags -b and up.
 
-    Row b's weighted kernel taps are ``taps[inverse[b]]``, built by
-    ``_lag_taps`` over at least the profiles' levels (more are ignored):
-    ``cone3d``'s cone kernel for ``cone_forward``, J0(u h) for
-    ``cone_invert``, and (2/cos(beta)) cos(u h) for
-    ``vline_spectral_oracle``.  The sum is a correlation along the last axis,
-    applied by FFT with one kernel spectrum per table row in
-    inverse.min()..inverse.max() only.  Only the band of levels [lo, top]
-    holding a nonzero input is transformed: the lags run 0..top, and an FFT
-    of length >= 2 top - lo + 1 holds the band's correlation with them
-    without wrap.  Levels above top are empty sums and are zeroed exactly,
-    and so is the axis's last level; the trapezoid's top end stays that last
-    level, wherever the band ends.
+    The table is built over at least the profiles' levels plus b (more
+    columns are ignored): ``_lag_taps``' trapezoid-weighted kernel taps for
+    ``cone_forward`` (the cone kernel) and ``vline_spectral_oracle``
+    (2/cos(beta) cos(u h)), whose callers halve their input's top level for
+    the trapezoid's top end; ``cone3d``'s composed inversion taps, over lags
+    -2 and up, for ``cone_invert``.  The correlation runs by FFT with one
+    kernel spectrum per table row in inverse.min()..inverse.max() only.  Only
+    the band of levels [lo, top] holding a nonzero input is transformed: the
+    lags run -b..top, and an FFT of length >= 2 top - lo + 1 + b holds the
+    band's correlation with them without wrap.  Levels above top + b are
+    empty sums and are zeroed exactly, and so is the axis's last level, the
+    empty integral at the top.
     """
     n = profiles.shape[-1]
     levels = np.flatnonzero(np.any(profiles, axis=0))
@@ -378,11 +369,11 @@ def _lag_kernel_apply(profiles: np.ndarray, inverse: np.ndarray, taps: np.ndarra
         profiles[...] = 0.0
         return
     lo, top = int(levels[0]), int(levels[-1])
-    m = _smooth_size(2 * top - lo + 1)
+    m = _smooth_size(2 * top - lo + 1 + b)
     real = np.isrealobj(profiles)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     first = int(inverse.min())
-    band = taps[first : int(inverse.max()) + 1, : top + 1]
+    band = taps[first : int(inverse.max()) + 1, : top + 1 + b]
     rows = inverse - first
     # The spectra of a block of table rows at a time, so their FFT
     # temporaries stay block-sized; only the spectra are held for every row.
@@ -390,13 +381,14 @@ def _lag_kernel_apply(profiles: np.ndarray, inverse: np.ndarray, taps: np.ndarra
     for block in _blocks(band.shape[0], m):
         fft(band[block], m, out=spectra[block])
     np.conjugate(spectra, out=spectra)
-    profiles[:, -1] *= 0.5  # the trapezoid half weight at the top end
+    # Output level i sits at index (i - b - lo) mod m of the transform:
+    # levels below lo + b at its end, the others at its start.
+    hi = min(top + b + 1, n)
+    split = min(lo + b, hi)
     for block in _blocks(profiles.shape[0], m):
         product = fft(profiles[block, lo : top + 1], m)
         product *= spectra[rows[block]]
-        # Output level i sits at lag i - lo of the band: levels below lo
-        # at the end of the transform, the band's own levels at its start.
         correlation = ifft(product, m)
-        profiles[block, :lo] = correlation[:, m - lo :]
-        profiles[block, lo : top + 1] = correlation[:, : top + 1 - lo]
-    profiles[:, min(top + 1, n - 1) :] = 0.0
+        profiles[block, :split] = correlation[:, m - lo - b : m - lo - b + split]
+        profiles[block, split:hi] = correlation[:, : hi - split]
+    profiles[:, min(hi, n - 1) :] = 0.0

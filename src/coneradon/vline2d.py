@@ -233,10 +233,10 @@ def vline_invert(projection: VLineProjection) -> RealGrid2D:
     geom = projection.geometry
     # f = -(cos β / 2)·(dgdy + tan²β·tail), built in place in the tail, so no
     # more than three grids are held at once.
-    d2gdx2 = _derivative(g.values, g.x_axis.spacing, [(1.0, 2, (-1, 0, 1), 3)], axis=0)
+    d2gdx2 = _derivative(g.values, g.x_axis.spacing, 2, (-1, 0, 1), 3, axis=0)
     f = cumint_from_top(d2gdx2, g.y_axis.spacing, axis=1)
     del d2gdx2
-    dgdy = _derivative(g.values, g.y_axis.spacing, [(1.0, 1, (0, 1), 2)], axis=1)
+    dgdy = _derivative(g.values, g.y_axis.spacing, 1, (0, 1), 2, axis=1)
     f *= geom.tan_beta * geom.tan_beta
     np.add(dgdy, f, out=f)
     f *= -(geom.cos_beta / 2.0)
@@ -266,6 +266,7 @@ def vline_spectral_oracle(
         geometry.tan_beta * lam, f.y_axis.spacing, f.y_axis.n_samples,
         lambda u, h: scale * np.cos(u * h),
     )
+    spectrum[:, -1] *= 0.5  # the trapezoid half weight at the top end
     _lag_kernel_apply(spectrum, *table)
     g = np.fft.irfft(spectrum, n_pad, axis=0)[:nx].copy()  # not a view of the padded period
     return VLineProjection(RealGrid2D(f.x_axis, f.y_axis, g), geometry)
@@ -298,7 +299,7 @@ def fourier_relation_check(f: RealGrid2D, projection: VLineProjection) -> float:
     big_g = np.fft.rfft(grid.values, axis=0) * (geom.cos_beta / 2.0)
     lam = 2.0 * np.pi * np.fft.rfftfreq(f.x_axis.n_samples, f.x_axis.spacing)
 
-    dgdz = _derivative(big_g, dy, [(1.0, 1, (-1, 0, 1), 2)], axis=1)
+    dgdz = _derivative(big_g, dy, 1, (-1, 0, 1), 2, axis=1)
     tail = cumint_from_top(big_g, dy, axis=1)
     rhs = -dgdz + (lam[:, None] * geom.tan_beta) ** 2 * tail
 

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch against the defining
 integrals (quadrature of integral representations, ray marching, surface
 quadrature) and stays independent of the library code paths it checks; only
-plain numpy is used.
+plain numpy is used.  The one exception, ``invert_profiles_stagewise``, is
+the 3D inversion's per-bin stage as separate library passes, the reference
+for their composition into one correlation.
 """
 
 import math
@@ -386,3 +388,32 @@ def vline_lag_loop(f, geometry, n_below: int = 0) -> np.ndarray:
                         buf_rows[:, :-shift] = 0.0
                     acc += buf
     return np.ascontiguousarray(out.reshape(ny, nx).T)
+
+
+def invert_profiles_stagewise(profiles, us, dz: float, inverse, taps):
+    """The 3D inversion's per-bin stage as separate passes, the route
+    ``cone3d._invert_bins`` composes into one correlation: one profile G per
+    row of u us[row] and J0 taps taps[inverse[row]] (``grids._lag_taps``),
+    on z spacing dz.
+
+    H^2 of the tail integral P(x) = int_x^top G is evaluated through the
+    exact relation P' = -G, i.e. H^2(P) = -G''' - 2 u^2 G' + u^4 P:
+    differencing the data G directly keeps the one-sided boundary errors from
+    being amplified by repeated division by dz^2.  Then the J0 correlation
+    with the trapezoid's half weight at the top end.  At u = 0 the kernel
+    degenerates: G(z_v) = int (z - z_v) fhat dz, so those rows are
+    overwritten with fhat = G''.  Unlike the rest of this module it runs the
+    library's stencil helper, tail integral and lag-kernel engine, each
+    checked on its own elsewhere.
+    """
+    from coneradon.grids import _derivative, _lag_kernel_apply, cumint_from_top
+
+    u2 = (us * us)[:, None]
+    q = -_derivative(profiles, dz, 3, (-2, -1, 0, 1, 2), 6)
+    q -= 2.0 * u2 * _derivative(profiles, dz, 1, (-1, 0, 1), 4)
+    q += u2 * u2 * cumint_from_top(profiles, dz)
+    q[:, -1] *= 0.5
+    _lag_kernel_apply(q, inverse, taps)
+    for row in np.flatnonzero(us == 0.0):
+        q[row] = _derivative(profiles[row], dz, 2, (-1, 0, 1), 5)
+    return q

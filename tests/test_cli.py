@@ -679,16 +679,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: --dim must be 2 or 3, got {dim}\n"
         assert not (tmp_path / "report.json").exists()
 
-    def test_numerical_failure_exits_3(self, tmp_path):
-        # A projection of huge magnitude overflows the difference quotients.
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # A projection of huge magnitude overflows the difference quotients;
+        # the failure is reported by the exit-3 message alone.
         ax = AxisSpec(16, -1.0, 1.0)
         values = np.zeros((16, 16))
         values[5, :] = 1e308
         write_grid(tmp_path / "huge.crtg", RealGrid2D(ax, ax, values))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli("invert2d", "--input", str(tmp_path / "huge.crtg"),
-                           "--outdir", str(tmp_path))
+        code = run_cli("invert2d", "--input", str(tmp_path / "huge.crtg"),
+                       "--outdir", str(tmp_path))
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "numerical failure: grid values must all be finite"
+        assert "RuntimeWarning" not in err
+
+    def test_numerical_failure_exits_3_in_3d(self, tmp_path, capsys):
+        # One level of huge magnitude overflows the 3D inversion's transforms.
+        ax = AxisSpec(16, -1.0, 1.0)
+        values = np.zeros((16, 16, 16))
+        values[:, :, 5] = 1e308
+        write_grid(tmp_path / "huge.crtg", RealGrid3D(ax, ax, ax, values))
+        code = run_cli("invert3d", "--input", str(tmp_path / "huge.crtg"),
+                       "--outdir", str(tmp_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "numerical failure: grid values must all be finite"
+        assert "RuntimeWarning" not in err
 
 
 # Which options each run reads, written out by hand: "+" accepts the option,

@@ -180,6 +180,7 @@ class TestJ0LagApply:
         spacing = 2.0 / (nz - 1)
         expected = dense_lag_apply(profiles, us, spacing, kernel)
         out = profiles.copy()
+        out[:, -1] *= 0.5  # the trapezoid half weight at the top end
         _lag_kernel_apply(out, *_lag_taps(us, spacing, nz, kernel))
         assert out.dtype == np.dtype(dtype)
         assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -195,6 +196,7 @@ class TestJ0LagApply:
             profiles[b, top + 1 :] = 0.0
         highest = np.flatnonzero(np.any(profiles != 0.0, axis=0))[-1]
         expected = dense_lag_apply(profiles, us, 0.05, kernel)
+        profiles[:, -1] *= 0.5  # the trapezoid half weight at the top end
         _lag_kernel_apply(profiles, *_lag_taps(us, 0.05, 48, kernel))
         assert np.all(profiles[:, highest + 1 :] == 0.0)
         assert np.linalg.norm(profiles - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -211,6 +213,7 @@ class TestJ0LagApply:
         profiles[:, :lo] = 0.0
         profiles[:, top + 1 :] = 0.0
         expected = dense_lag_apply(profiles, us, 0.05, kernel)
+        profiles[:, -1] *= 0.5  # the trapezoid half weight at the top end
         _lag_kernel_apply(profiles, *_lag_taps(us, 0.05, 48, kernel))
         assert np.all(profiles[:, top + 1 :] == 0.0)
         assert np.all(profiles[:, -1] == 0.0)  # the empty integral at the top
@@ -219,8 +222,91 @@ class TestJ0LagApply:
     def test_zero_profiles_stay_zero(self):
         profiles = np.zeros((4, 12), dtype=complex)
         profiles[1, 3] = -0.0
+        profiles[:, -1] *= 0.5  # the trapezoid half weight at the top end
         _lag_kernel_apply(profiles, *_lag_taps(np.arange(4.0), 0.1, 12, h_j0))
         np.testing.assert_array_equal(profiles, 0.0)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("b", [1, 2])
+    # Bands touching level 0, the axis's last level, both and neither; 2 top -
+    # lo + 1 + b is 82 or 83 at (8, 44), where an FFT of 81 would wrap.
+    @pytest.mark.parametrize("lo, top", [(0, 47), (0, 0), (0, 10), (14, 47), (47, 47), (8, 44)])
+    def test_lags_below_zero_match_dense_matrices(self, dtype, b, lo, top):
+        # A table whose column c holds lag c - b: output level i is the sum
+        # over k of taps[k - i + b] profiles[k], 0 above top + b and on the
+        # last level.
+        rng = np.random.default_rng(10 * b + lo + 100 * top)
+        profiles, us = lag_apply_case(rng, 48, dtype)
+        profiles[:, :lo] = 0.0
+        profiles[:, top + 1 :] = 0.0
+        distinct, inverse = np.unique(us, return_inverse=True)
+        taps = rng.normal(size=(distinct.size, 48 + b))
+        lag = np.arange(48)[None, :] - np.arange(48)[:, None] + b  # [i, k]: k - i + b
+        expected = np.empty_like(profiles)
+        for r, row in enumerate(inverse):
+            mat = np.where(lag >= 0, taps[row][np.maximum(lag, 0)], 0.0)
+            mat[-1] = 0.0  # the empty integral at the top
+            expected[r] = mat @ profiles[r]
+        _lag_kernel_apply(profiles, inverse, taps, b)
+        assert np.all(profiles[:, top + b + 1 :] == 0.0)
+        assert np.all(profiles[:, -1] == 0.0)
+        assert np.linalg.norm(profiles - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def composed_bands(nz):
+    # (lo, top) bands of nonzero levels on an nz-level axis: from level 0 and
+    # from mid-axis, ending 7 and 6 levels below the last one (G's top six
+    # levels zero), inside the top six levels and at the last level.
+    tops = sorted({t for t in (nz - 8, nz - 7, nz - 6, nz - 4, nz - 2, nz - 1) if t >= 0})
+    return [(lo, top) for top in tops for lo in sorted({0, min(nz // 2, top)})]
+
+
+COMPOSED_CASES = [
+    pytest.param(nz, lo, top, id=f"{nz}-{lo}-{top}")
+    for nz in (6, 7, 12, 13, 48)
+    for lo, top in composed_bands(nz)
+]
+
+
+class TestComposedInversion:
+    """``cone3d._invert_bins``, one correlation with the composed taps plus
+    exact end corrections, against the stagewise route of separate passes
+    (``oracles.invert_profiles_stagewise``)."""
+
+    @staticmethod
+    def invert(profiles, us, dz):
+        distinct, inverse = np.unique(us, return_inverse=True)
+        n = profiles.shape[1]
+        table, sums = cone3d._inversion_taps(distinct, dz, n, n + cone3d._LAGS_BELOW)
+        out = profiles.copy()
+        cone3d._invert_bins(out, distinct, inverse, table, sums, dz)
+        return out
+
+    @pytest.mark.parametrize("nz, lo, top", COMPOSED_CASES)
+    def test_matches_stagewise_route(self, nz, lo, top):
+        # Complex profiles with duplicated u and u = 0 rows; u reaches 40,
+        # far past the taper at the coarsest spacing.
+        rng = np.random.default_rng(nz + 100 * lo + 10000 * top)
+        profiles, us = lag_apply_case(rng, nz, complex)
+        profiles[:, :lo] = 0.0
+        profiles[:, top + 1 :] = 0.0
+        dz = 2.0 / (nz - 1)
+        expected = oracles.invert_profiles_stagewise(profiles, us, dz, *_lag_taps(us, dz, nz, j0))
+        out = self.invert(profiles, us, dz)
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+        # Exact zeros where the stagewise route has them: every level above
+        # top + 2 where G's top six levels are zero, and the last level but
+        # for the u = 0 rows' G''.
+        np.testing.assert_array_equal(out == 0.0, expected == 0.0)
+        assert np.all(out[us > 0.0, -1] == 0.0)
+        if top + _MIN_Z_SAMPLES < nz:
+            assert np.all(out[:, top + 3 :] == 0.0)
+
+    @pytest.mark.parametrize("nz", [6, 7, 12, 13, 48])
+    def test_zero_profiles_give_zeros(self, nz):
+        profiles, us = lag_apply_case(np.random.default_rng(nz), nz, complex)
+        out = self.invert(np.zeros_like(profiles), us, 2.0 / (nz - 1))
+        assert out.tobytes() == bytes(out.nbytes)  # every value +0.0
 
 
 class TestKernelEval:
@@ -312,7 +398,7 @@ class TestInvertFrequencyProfile:
                 oracles.smooth_bump_1d, z, zax.max, u, bessel_j0, oversample=6
             )
             tail = cumint_from_top(data, zax.spacing)
-            d2 = _derivative(tail, zax.spacing, [(1.0, 2, (-1, 0, 1), 3)])  # as vline_invert's x
+            d2 = _derivative(tail, zax.spacing, 2, (-1, 0, 1), 3)  # as vline_invert's x
             lhs = d2 + u * u * tail  # H(tail)
             rhs = np.zeros(n)
             for j in range(n - 1):
@@ -647,8 +733,10 @@ class TestMemory:
     Every peak is a cold call's: it builds its plan, whose real tap table
     (one row of lags per distinct u) later calls with the same key reuse
     (``TestPlans``).  Allowances above spectrum + output, measured once on
-    random volumes at N = 47 and 48: the inversion's peak sits at most 0.94
-    MiB above (pad 3, padded size 144; 0.63-0.70 MiB at the default 72), the
+    random volumes at N = 47 and 48: the inversion's peak sits at most 1.08
+    MiB above (pad 3, padded size 144; 0.64-0.78 MiB at the default 72;
+    its composed taps and their J0 running sums, which data reaching the top
+    levels take, raised the pad-3 peaks from 0.88-0.94), the
     forward's 1.09-1.14 MiB at pi/8, mostly the lag-kernel engine's kernel
     spectra (one per distinct u) and the tap table.  Holding a separate
     spectrum per step (transform, per-bin results, inverse) put them 1.8-12
@@ -744,7 +832,7 @@ def slab_volume(n, lo, top, seed=0):
 
 
 def plan_arrays(plan):
-    arrays = [plan.distinct, plan.inverse, plan.table, plan.scale, plan.kept]
+    arrays = [plan.distinct, plan.inverse, plan.table, plan.sums, plan.scale, plan.kept]
     return [a for a in arrays if a is not None]
 
 
@@ -824,7 +912,9 @@ class TestPlans:
 
     def test_cached_bytes_after_a_cone3d_rt_pass(self):
         # The benchmark's cone3d-rt pass: N = 48, pad 2, three angles.  The
-        # cache holds one real tap per distinct u and lag, plus the index
+        # cache holds one real tap per distinct u and lag, the inversion's
+        # composed taps over _LAGS_BELOW lags below 0 too and its running J0
+        # sums at lags 0 and 1 (no data reaches the top levels), plus the index
         # arrays: 8 bytes per distinct u, per bin of the forward's inverse,
         # and per bin of the inversion's scale and its kept bins' inverse
         # and order.  Kernel spectra, complex and FFT-length long, would not
@@ -850,7 +940,7 @@ class TestPlans:
             weights = _frequency_weights(geom.tan_beta * radial, radial, g.axes())
             n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
             u_kept = geom.tan_beta * radial[:, :n_ky][weights[:, :n_ky] > 0]
-            bound += 8 * np.unique(u_kept).size * (n_inv + 1)
+            bound += 8 * np.unique(u_kept).size * (n_inv + cone3d._LAGS_BELOW + 1 + 2)
             bound += 8 * (sizes[0] * n_ky + 2 * u_kept.size)
         assert plan_builds() == 3 * ["_forward_plan"] + 3 * ["_inverse_plan"]
         assert held_bytes() <= bound <= 1.25 * 2**20

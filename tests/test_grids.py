@@ -28,11 +28,11 @@ def unit_axis(n, lo=-1.0, hi=1.0):
 
 # The two stencils vline_invert differences with.
 def d_dy(grid):
-    return _derivative(grid.values, grid.y_axis.spacing, [(1.0, 1, (0, 1), 2)], axis=1)
+    return _derivative(grid.values, grid.y_axis.spacing, 1, (0, 1), 2, axis=1)
 
 
 def d2_dx2(grid):
-    return _derivative(grid.values, grid.x_axis.spacing, [(1.0, 2, (-1, 0, 1), 3)], axis=0)
+    return _derivative(grid.values, grid.x_axis.spacing, 2, (-1, 0, 1), 3, axis=0)
 
 
 class TestAxisSpec:
@@ -313,18 +313,17 @@ class TestDerivativeBlocks:
     @pytest.mark.parametrize("block", [1, 40, 10**9])
     def test_blocks_of_rows_change_no_bit(self, monkeypatch, block):
         # Products taken in blocks of leading rows (one row; three rows of
-        # 13; one block) give the bits of one whole-array sweep, with a scalar
-        # and with a per-row coefficient, and on a single profile.
+        # 13; one block) give the bits of one whole-array sweep, along either
+        # axis and on a single profile.
         rng = np.random.default_rng(6)
         values = rng.normal(size=(7, 13)) + 1j * rng.normal(size=(7, 13))
         values[2] = -0.0
-        per_row = rng.normal(size=(7, 1))
-        stencils = [(-1.0, 3, (-2, -1, 0, 1, 2), 6), (per_row, 1, (-1, 0, 1), 4)]
+        d3 = (3, (-2, -1, 0, 1, 2), 6)
         def sweeps():
             return [
-                _derivative(values, 0.1, stencils),
-                _derivative(values, 0.1, stencils[:1], axis=0),
-                _derivative(values[3], 0.1, stencils[:1]),
+                _derivative(values, 0.1, *d3),
+                _derivative(values, 0.1, *d3, axis=0),
+                _derivative(values[3], 0.1, *d3),
             ]
 
         expected = sweeps()

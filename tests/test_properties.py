@@ -204,7 +204,7 @@ class TestConeProperties:
         )
 
 
-# (order, offsets, n_edge) of every _derivative term in the library.
+# (order, offsets, n_edge) of every _derivative stencil in the library.
 STENCILS = {
     "vline-dy": (1, (0, 1), 2),
     "vline-d2x": (2, (-1, 0, 1), 3),
@@ -229,7 +229,7 @@ class TestDerivativeStencils:
         n = data.draw(st.integers(n_edge, n_edge + 20))
         x = data.draw(st.floats(-5.0, 5.0)) + spacing * np.arange(n)
         exact_coef = poly.polyder(coef, order)
-        out = _derivative(poly.polyval(x, coef), spacing, [(1.0, order, offsets, n_edge)])
+        out = _derivative(poly.polyval(x, coef), spacing, order, offsets, n_edge)
         exact = poly.polyval(x, exact_coef)
         # Rounding of the samples, amplified by the stencil weights (|w| sums
         # to < 100) over spacing^order, plus rounding of the exact value;
@@ -239,27 +239,6 @@ class TestDerivativeStencils:
         size_exact = np.abs(exact_coef) @ powers[: exact_coef.size]
         tol = 1e3 * EPS * (size / spacing**order + size_exact) + 1e-300
         np.testing.assert_allclose(out, exact, rtol=0.0, atol=tol)
-
-    @SETTINGS
-    @given(data=st.data())
-    def test_weighted_sum_matches_separate_terms(self, data):
-        # The 3D inversion's one sweep, -D3 G - 2 u^2 D1 G with one u per row
-        # on complex rows, against the two stencils applied one at a time.
-        n = data.draw(st.integers(6, 26))
-        real, imag = (
-            data.draw(hnp.arrays(np.float64, (3, n), elements=st.floats(-1.0, 1.0)))
-            for _ in range(2)
-        )
-        values = real + 1j * imag
-        u2 = data.draw(hnp.arrays(np.float64, (3, 1), elements=st.floats(0.0, 100.0)))
-        spacing = data.draw(st.floats(0.01, 10.0))
-        d3, d1 = STENCILS["cone-d3"], STENCILS["cone-d1"]
-        fused = _derivative(values, spacing, [(-1.0, *d3), (-2.0 * u2, *d1)])
-        separate = -_derivative(values, spacing, [(1.0, *d3)]) - 2.0 * u2 * _derivative(
-            values, spacing, [(1.0, *d1)]
-        )
-        size = np.abs(values).max() * (1.0 / spacing**3 + u2.max() / spacing)
-        np.testing.assert_allclose(fused, separate, rtol=0.0, atol=1e3 * EPS * size + 1e-300)
 
     @pytest.mark.parametrize("name", [k for k, s in STENCILS.items() if s[1][0] == -s[1][-1]])
     @SETTINGS
@@ -271,7 +250,7 @@ class TestDerivativeStencils:
         n = data.draw(st.integers(n_edge, n_edge + 20))
         values = data.draw(hnp.arrays(np.float64, (3, n), elements=st.floats(-1.0, 1.0)))
         spacing = data.draw(st.floats(0.01, 10.0))
-        out = _derivative(values, spacing, [(1.0, order, offsets, n_edge)])
-        reversed_out = _derivative(values[:, ::-1], spacing, [(1.0, order, offsets, n_edge)])
+        out = _derivative(values, spacing, order, offsets, n_edge)
+        reversed_out = _derivative(values[:, ::-1], spacing, order, offsets, n_edge)
         tol = 1e3 * EPS * np.abs(values).max() / spacing**order + 1e-300
         np.testing.assert_allclose(reversed_out, (-1) ** order * out[:, ::-1], rtol=0.0, atol=tol)

@@ -363,8 +363,8 @@ class TestVlineInvert:
         g.values[:, 5] = 0.0
         g.values[4] = -0.0
         dy = g.y_axis.spacing
-        dgdy = _derivative(g.values, dy, [(1.0, 1, (0, 1), 2)], axis=1)
-        d2gdx2 = _derivative(g.values, g.x_axis.spacing, [(1.0, 2, (-1, 0, 1), 3)], axis=0)
+        dgdy = _derivative(g.values, dy, 1, (0, 1), 2, axis=1)
+        d2gdx2 = _derivative(g.values, g.x_axis.spacing, 2, (-1, 0, 1), 3, axis=0)
         seg = 0.5 * dy * (d2gdx2[:, :-1] + d2gdx2[:, 1:])
         tail = np.zeros(g.values.shape)
         tail[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
@@ -432,6 +432,7 @@ class TestSpectralOracle:
         left = (n_pad - 60) // 2
         spectrum = np.fft.rfft(np.pad(f.values, ((left, n_pad - 60 - left), (0, 0))), axis=0)
         lam = 2.0 * np.pi * np.fft.rfftfreq(n_pad, f.x_axis.spacing)
+        spectrum[:, -1] *= 0.5  # the trapezoid half weight at the top end
         _lag_kernel_apply(
             spectrum,
             *_lag_taps(geometry.tan_beta * lam, f.y_axis.spacing, 60, lambda u, h: np.cos(u * h)),
