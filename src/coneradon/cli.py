@@ -331,7 +331,7 @@ def _metrics_against(config: RunConfig, recon, phantom, metrics: dict) -> None:
     metrics["relative_l2"] = relative_l2(recon, phantom)
     metrics["max_abs_error"] = max_abs_error(recon, phantom)
     if config.masked_metrics:
-        mask = phantom.values > 0
+        mask = phantom.values != 0  # scene intensities may be negative
         if mask.any():
             diff = recon.values[mask] - phantom.values[mask]
             metrics["relative_l2_masked"] = _l2_norm(diff) / _l2_norm(phantom.values[mask])

@@ -10,18 +10,18 @@ derivatives and tail integral (``_inversion_taps``).  The V-line's spectral
 oracle pads by the same rule and runs the same engine with its cosine kernel.
 
 The per-frequency kernels depend on the axes, the angle and the padding
-only, not on the data, so each transform keeps them in a plan (``_Plan``)
-per key (axes, geometry, padded sizes): the distinct u of its bins, each
-bin's row among them and a read-only real tap table over the most lags a
-call has needed (the forward's by ``grids._lag_taps``, the inversion's by
-``_inversion_taps`` over two more lags below 0), the inversion's also the
-running sums of its J0 taps, its per-bin weights and kept bins.  A cold call
-builds its plan; a later call with the same key reuses it, whatever its
-data, and rebuilds only the table and sums, when it needs more lags than
-they hold.  The cache (``_plan``) keeps the
-latest keys' plans within _PLAN_BYTES in all, dropping the least recently
-used first; a plan larger than that serves its own call only.  The padded
-sizes, and with them the memory check, are taken on every call.
+only, not on the data, so each transform keeps them in a read-only plan
+(``_Plan``) per key (axes, geometry, padded sizes), built whole over a
+call's lags by ``_forward_plan`` or ``_inverse_plan``: the distinct u of its
+bins, each bin's row among them and a real tap table (the forward's by
+``grids._lag_taps``, the inversion's by ``_inversion_taps`` over two more
+lags below 0), the inversion's also the running sums of its J0 taps over
+the same columns, its per-bin weights and kept bins.  A later call with the
+same key reuses the plan, whatever its data, unless it needs more lags than
+the plan holds.  The cache (``_plan``) keeps the latest keys' plans within
+_PLAN_BYTES in all, dropping the least recently used first; a plan larger
+than that serves its own call only.  The padded sizes, and with them the
+memory check, are taken on every call.
 
 Each transform allocates one padded half spectrum and works on it in place,
 through one pruned pair: ``_half_spectrum`` writes the y transforms into it
@@ -119,9 +119,9 @@ _TAPER_STOP = 0.25
 # complex temporary.
 _Y_BLOCK_ELEMENTS = 1 << 16
 # Bytes of arrays the plan cache keeps at most, over all its plans: room for
-# both plans of a round trip at n = 120 and pi/8 (3.3 MiB and 1.1-4.1 MiB at
-# pads 1-3; the inversion's 2.0-7.6 MiB for data reaching the top levels),
-# and for a few dozen at 48^3.
+# both plans of a round trip at n = 120 and pi/8 (the forward's 3.3 MiB and
+# the inversion's 2.0-7.6 MiB at pads 1-3 for data on every level; 1.4-5.3
+# MiB for the single bump), and for a few dozen at 48^3.
 _PLAN_BYTES = 1 << 24
 
 
@@ -207,44 +207,48 @@ def _half_spectrum_radial(axes, nxp: int, nyp: int) -> np.ndarray:
 def _read_only(*arrays):
     # A plan's arrays are shared by every call with its key.
     for a in arrays:
-        if a is not None:
-            a.flags.writeable = False
+        a.flags.writeable = False
     return arrays
 
 
+@dataclass(frozen=True, eq=False)
 class _Plan:
     """A 3D transform's data-independent part for one (axes, geometry, padded
-    sizes): the distinct u of the bins its engine runs on, each bin's row
-    ``inverse[bin]`` among them, and the tap table that ``tabulate(distinct,
-    spacing, n_lags, n_sums)`` builds of them, over the lags -b..n_lags-1
-    for the most lags n_lags a call has needed so far, with running sums of
-    its kernel over the lags 0..n_sums-1 (the inversion's; the forward's
-    are None).  The inversion's plan also holds the ky columns it inverts
-    (n_ky), each bin's weight x G's constant (scale) and the bins of nonzero
-    weight in order of u (kept); its ``inverse`` runs over the kept bins.
-    Every array is read-only."""
+    sizes), built whole over n_lags lags: the distinct u of the bins its
+    engine runs on, each bin's row ``inverse[bin]`` among them and their tap
+    table (the inversion's over _LAGS_BELOW more lags, below 0, with the
+    running sums of its J0 taps over every column).  The inversion's plan
+    also holds the ky columns it inverts (n_ky), each bin's weight x G's
+    constant (scale) and the bins of nonzero weight in order of u (kept);
+    its ``inverse`` runs over the kept bins.  Every array is read-only."""
 
-    def __init__(self, us, spacing: float, tabulate, b=0, n_ky=0, scale=None, kept=None):
-        self.distinct, self.inverse = _read_only(*np.unique(us, return_inverse=True))
-        self.spacing, self.tabulate, self.b, self.n_ky = spacing, tabulate, b, n_ky
-        self.scale, self.kept = _read_only(scale, kept)
-        self.table, self.sums = np.empty((self.distinct.size, 0)), None
+    n_lags: int
+    distinct: np.ndarray
+    inverse: np.ndarray
+    table: np.ndarray
+    sums: np.ndarray | None = None
+    n_ky: int = 0
+    scale: np.ndarray | None = None
+    kept: np.ndarray | None = None
+
+    def __post_init__(self):
+        _read_only(*self.arrays)
+
+    @property
+    def arrays(self) -> list:
+        return [a for a in vars(self).values() if isinstance(a, np.ndarray)]
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.distinct, self.inverse, self.table, self.sums, self.scale, self.kept)
-        return sum(a.nbytes for a in arrays if a is not None)
+        return sum(a.nbytes for a in self.arrays)
 
 
-def _forward_plan(axes, geometry: ConeGeometry, sizes: tuple) -> _Plan:
+def _forward_plan(axes, geometry: ConeGeometry, sizes: tuple, n_lags: int) -> _Plan:
     # cone_forward's plan on the padded half spectrum of sizes (nxp, nyp).
     u_map = geometry.tan_beta * _half_spectrum_radial(axes, *sizes)
-    kernel = _cone_kernel(geometry)
-
-    def tabulate(distinct, dz, n_lags, n_sums):  # no running sums
-        return _lag_taps(distinct, dz, n_lags, kernel)[1], None
-
-    return _Plan(u_map.ravel(), axes[2].spacing, tabulate)
+    distinct, inverse = np.unique(u_map.ravel(), return_inverse=True)
+    table = _lag_taps(distinct, axes[2].spacing, n_lags, _cone_kernel(geometry))[1]
+    return _Plan(n_lags, distinct, inverse, table)
 
 
 # The plans of the latest keys (build, axes, geometry, padded sizes), least
@@ -252,19 +256,15 @@ def _forward_plan(axes, geometry: ConeGeometry, sizes: tuple) -> _Plan:
 _plans: dict = {}
 
 
-def _plan(build, axes, geometry: ConeGeometry, sizes: tuple, n_lags: int, n_sums=0) -> _Plan:
-    # The plan build(axes, geometry, sizes), with taps over at least n_lags
-    # lags and running sums over at least n_sums: the cached one, or built
-    # now.  The cache then drops its least recently used plans until all it
-    # keeps fits in _PLAN_BYTES, so a plan larger than that serves its own
-    # call only.
+def _plan(build, axes, geometry: ConeGeometry, sizes: tuple, n_lags: int) -> _Plan:
+    # The plan build(axes, geometry, sizes, n_lags): the cached one, unless it
+    # holds fewer lags than this call needs, or built now.  The cache then
+    # drops its least recently used plans until all it keeps fits in
+    # _PLAN_BYTES, so a plan larger than that serves its own call only.
     key = (build, axes, geometry, sizes)
-    plan = _plans.pop(key, None) or build(axes, geometry, sizes)
-    held = 0 if plan.sums is None else plan.sums.shape[1]
-    if plan.table.shape[1] < n_lags + plan.b or held < n_sums:
-        # Both built anew, of one evaluation of the kernel.
-        tables = plan.tabulate(plan.distinct, plan.spacing, n_lags, n_sums)
-        plan.table, plan.sums = _read_only(*tables)
+    plan = _plans.pop(key, None)
+    if plan is None or plan.n_lags < n_lags:
+        plan = build(axes, geometry, sizes, n_lags)
     _plans[key] = plan
     while sum(p.nbytes for p in _plans.values()) > _PLAN_BYTES:
         del _plans[next(iter(_plans))]
@@ -324,9 +324,9 @@ def dft2_slices(g: RealGrid3D) -> SpectralStack:
     return SpectralStack(fx, fy, g.z_axis, (dx * dy) * spectra)
 
 
-def _inversion_taps(distinct: np.ndarray, dz: float, n_lags: int, n_sums: int):
+def _inversion_taps(distinct: np.ndarray, dz: float, n_lags: int):
     """(table, sums): the inversion's composed tap table and the running
-    sums of its J0 taps over the lags 0..n_sums-1, n_sums <= n_lags + 2.
+    sums of its J0 taps, over the lags 0..n_lags+1.
 
     Row r of the table holds the weight of G at lag l above the output level,
     for u = distinct[r] on z spacing dz, at column l + 2, for the lags
@@ -344,14 +344,14 @@ def _inversion_taps(distinct: np.ndarray, dz: float, n_lags: int, n_sums: int):
     corrections read lags 0 and 1 at the bottom, and for data at the top
     lags 0..n+1 on an n-level axis.  The J0 taps are evaluated once, over
     two more lags, a block of u's at a time, so their temporaries stay
-    block-sized.
+    block-sized.  A tap or sum at lag l does not depend on n_lags.
     """
     order3, offsets, _ = _D3
     order1, offsets1, _ = _D1
     d1 = dict(zip(offsets1, _fd_weights(offsets1, order1)))
     n_taps = n_lags + _LAGS_BELOW
     table = np.zeros((distinct.size, n_taps))
-    sums = np.empty((distinct.size, n_sums))
+    sums = np.empty((distinct.size, n_taps))
     for block in _blocks(distinct.size, n_taps):
         u2 = distinct[block, None] ** 2
         taps = _lag_taps(distinct[block], dz, n_taps, _j0_kernel)[1]
@@ -361,10 +361,8 @@ def _inversion_taps(distinct: np.ndarray, dz: float, n_lags: int, n_sums: int):
             if w3 or w1:
                 coef = -w3 / dz**3 - (2.0 * w1 / dz) * u2
                 kappa[:, _LAGS_BELOW + o :] += coef * taps[:, : n_lags - o]
-        cumulative = np.cumsum(taps, axis=1)
-        sums[block] = cumulative[:, :n_sums]
-        tail = cumulative[:, :n_lags]
-        tail -= 0.5 * taps[:, :n_lags]
+        np.cumsum(taps, axis=1, out=sums[block])
+        tail = sums[block, :n_lags] - 0.5 * taps[:, :n_lags]
         tail *= dz * u2 * u2
         kappa[:, _LAGS_BELOW:] += tail
     return table, sums
@@ -493,7 +491,7 @@ def invert_frequency_profile(profile, z_axis: AxisSpec, u: float):
     if not u >= 0:
         raise ValueError(f"u must be nonnegative, got {u}")
     us, dz = np.array([u]), z_axis.spacing
-    table, sums = _inversion_taps(us, dz, p.size, p.size + _LAGS_BELOW)
+    table, sums = _inversion_taps(us, dz, p.size)
     fhat = p[None, :].astype(np.result_type(p, float))
     return _invert_bins(fhat, us, np.zeros(1, dtype=np.intp), table, sums, dz)[0]
 
@@ -537,7 +535,7 @@ def _inversion_levels(g: RealGrid3D) -> int:
     return min(g.z_axis.n_samples, int(levels[-1]) + 1 + _MIN_Z_SAMPLES)
 
 
-def _inverse_plan(axes, geometry: ConeGeometry, sizes: tuple) -> _Plan:
+def _inverse_plan(axes, geometry: ConeGeometry, sizes: tuple, n_lags: int) -> _Plan:
     # cone_invert's plan on the padded half spectrum of sizes (nxp, nyp).  ky
     # columns past the last one with a nonzero weight invert to zero, so they
     # are neither transformed nor synthesized.  The kept bins go in order of
@@ -551,7 +549,9 @@ def _inverse_plan(axes, geometry: ConeGeometry, sizes: tuple) -> _Plan:
     kept = kept[np.argsort(us[kept], kind="stable")]
     # The per-frequency pipeline inverts G = cos(beta)/(2 pi tan(beta)) * ghat.
     scale = w * (geometry.cos_beta / (2.0 * np.pi * geometry.tan_beta))
-    return _Plan(us[kept], axes[2].spacing, _inversion_taps, _LAGS_BELOW, n_ky, scale, kept)
+    distinct, inverse = np.unique(us[kept], return_inverse=True)
+    table, sums = _inversion_taps(distinct, axes[2].spacing, n_lags)
+    return _Plan(n_lags, distinct, inverse, table, sums, n_ky, scale, kept)
 
 
 def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> RealGrid3D:
@@ -591,11 +591,7 @@ def cone_invert(g: RealGrid3D, geometry: ConeGeometry, pad_factor: int = 1) -> R
         return RealGrid3D(g.x_axis, g.y_axis, g.z_axis, np.zeros((nx, ny, nz)))
     dz = g.z_axis.spacing
     nxp, nyp = _padded_sizes(g, geometry, pad_factor)
-    # The end corrections read the running J0 sums over lags 0 and 1, and
-    # for data in g's top 6 computed levels over all their lags.
-    top_data = g.values[:, :, n_levels - _MIN_Z_SAMPLES : n_levels].any()
-    n_sums = n_levels + _LAGS_BELOW if top_data else 2
-    plan = _plan(_inverse_plan, g.axes(), geometry, (nxp, nyp), n_levels, n_sums)
+    plan = _plan(_inverse_plan, g.axes(), geometry, (nxp, nyp), n_levels)
 
     # The per-frequency pipeline writes each bin's result back into the
     # spectrum it read.  It is linear, so G's constant and each bin's taper

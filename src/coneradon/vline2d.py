@@ -108,8 +108,9 @@ def vline_forward(
         body, top = _stencils(geometry, f.x_axis.spacing, vy_axis.spacing, nx, ny)
         if last < ny - 1:
             top = tuple(a[:0] for a in top)  # L's top row is 0
-        # Distinct shifts by sort, not np.union1d, whose np.unique call
-        # imports numpy.ma (~2 MiB resident) on first use.
+        # Distinct shifts by sort, not np.union1d: its np.unique call asks
+        # for no indices, and such a call imports numpy.ma (~1.2 MiB
+        # resident) on first use; np.unique with return_inverse does not.
         shifts = np.sort(np.concatenate([body[0], top[0]]))
         shifts = shifts[np.diff(shifts, prepend=-1) > 0]
         body_cut = np.searchsorted(body[0], shifts, side="right").tolist()

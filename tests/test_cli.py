@@ -251,6 +251,32 @@ class TestFileChain:
         assert math.isfinite(report["metrics"]["relative_l2"])
 
 
+class TestMaskedMetrics:
+    """``--masked-metrics`` scores the reconstruction where the phantom is
+    nonzero: a rendered bump is exactly 0 outside its support, and a scene's
+    intensities may be negative."""
+
+    @pytest.mark.parametrize("command, scene_text", [
+        ("roundtrip2d", "0.2 0.1 0.25 -1\n"),
+        ("roundtrip2d", "0.3 0.2 0.25 1\n-0.3 -0.2 0.25 -2\n"),
+        ("roundtrip3d", "0.2 0.1 0.0 0.3 -1\n"),
+        ("roundtrip3d", "0.3 0.2 0.1 0.3 1\n-0.3 -0.2 -0.1 0.3 -2\n"),
+    ], ids=["2d-negative", "2d-both-signs", "3d-negative", "3d-both-signs"])
+    def test_support_holds_negative_bumps(self, tmp_path, command, scene_text):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(scene_text)
+        out = tmp_path / "run"
+        args = (command, "--n", "16", "--scene", str(scene), "--outdir", str(out))
+        assert run_cli(*args, "--masked-metrics") == 0
+        phantom = read_grid(out / "phantom.crtg").values
+        recon = read_grid(out / "reconstruction.crtg").values
+        mask = phantom != 0
+        assert np.any(phantom < 0) and mask.sum() < mask.size
+        expected = np.linalg.norm(recon[mask] - phantom[mask]) / np.linalg.norm(phantom[mask])
+        metrics = load_report(out)["metrics"]
+        assert metrics["relative_l2_masked"] == pytest.approx(expected, rel=1e-12)
+
+
 def readme_block(heading):
     # The body of the README's first fenced block after the line ``heading``.
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

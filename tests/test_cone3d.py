@@ -277,7 +277,7 @@ class TestComposedInversion:
     def invert(profiles, us, dz):
         distinct, inverse = np.unique(us, return_inverse=True)
         n = profiles.shape[1]
-        table, sums = cone3d._inversion_taps(distinct, dz, n, n + cone3d._LAGS_BELOW)
+        table, sums = cone3d._inversion_taps(distinct, dz, n)
         out = profiles.copy()
         cone3d._invert_bins(out, distinct, inverse, table, sums, dz)
         return out
@@ -610,6 +610,34 @@ class TestConeForward:
         np.testing.assert_allclose(g_rotated, np.rot90(g, axes=(0, 1)), rtol=1e-10, atol=1e-12)
 
 
+class TestFrequencyWeights:
+    """``cone3d._frequency_weights`` on lateral axes of unequal spacings: the
+    transverse Nyquist circle sits at the coarser axis's pi / max(dx, dy)."""
+
+    @pytest.mark.parametrize("dx, dy", [(0.1, 0.25), (0.25, 0.1)], ids=["dx<dy", "dx>dy"])
+    def test_nyquist_circle_and_taper(self, dx, dy):
+        # dz puts the taper's stop outside the circle and its start inside,
+        # so the circle, not the taper, zeroes the bins between them.
+        geometry = ConeGeometry(np.pi / 8)
+        dz = 0.15 * max(dx, dy) / geometry.tan_beta
+        axes = (AxisSpec(17, 0.0, 16 * dx), AxisSpec(13, 0.0, 12 * dy), AxisSpec(9, 0.0, 8 * dz))
+        radial = _half_spectrum_radial(axes, 34, 26)
+        u = geometry.tan_beta * radial
+        w = _frequency_weights(u, radial, axes)
+        nyquist = np.pi / max(dx, dy)
+        start, stop = cone3d._TAPER_START * np.pi / dz, cone3d._TAPER_STOP * np.pi / dz
+        inside = radial <= nyquist * (1.0 + 1e-12)
+        beyond = ~inside & (u < stop)  # zeroed by the circle alone
+        assert beyond.any() and np.all(w[beyond] == 0.0)
+        full = inside & (u <= start)
+        assert full.any() and np.all(w[full] == 1.0)
+        ramp = inside & (u > start) & (u < stop)
+        expected = np.cos(0.5 * np.pi * (u[ramp] - start) / (stop - start)) ** 2
+        assert ramp.any()
+        np.testing.assert_allclose(w[ramp], expected, rtol=1e-14, atol=0.0)
+        assert (u >= stop).any() and np.all(w[u >= stop] == 0.0)
+
+
 class TestHalfSpectrum:
     """The pruned 2D transform pair both cone transforms run through."""
 
@@ -735,8 +763,8 @@ class TestMemory:
     (``TestPlans``).  Allowances above spectrum + output, measured once on
     random volumes at N = 47 and 48: the inversion's peak sits at most 1.08
     MiB above (pad 3, padded size 144; 0.64-0.78 MiB at the default 72;
-    its composed taps and their J0 running sums, which data reaching the top
-    levels take, raised the pad-3 peaks from 0.88-0.94), the
+    its composed taps and the running sums of its J0 taps, over every
+    column of the table, raised the pad-3 peaks from 0.88-0.94), the
     forward's 1.09-1.14 MiB at pi/8, mostly the lag-kernel engine's kernel
     spectra (one per distinct u) and the tap table.  Holding a separate
     spectrum per step (transform, per-bin results, inverse) put them 1.8-12
@@ -800,7 +828,7 @@ class TestMemory:
     def test_invert_peak_zero_levels_on_top(self, pad):
         # g zero above level 23 of 48: the spectrum holds the L = 30 levels
         # the inversion computes, 0.77 MiB (pad 2) and 1.74 MiB (pad 3) less
-        # than one of all 48.  The peak sat 0.61 and 0.73 MiB above this bound
+        # than one of all 48.  The peak sat 0.69 and 0.90 MiB above this bound
         # less the allowance (measured once).
         n, top = 48, 23
         g = self.volume(n)
@@ -845,11 +873,13 @@ def plan_builds():
 
 
 class TestPlans:
-    """Each 3D transform builds its data-independent part once per key (axes,
-    geometry, padded sizes) and reuses it for every data set: the distinct
-    u, each bin's row among them and the real tap table over the most lags
-    a call has needed, and for the inversion also its per-bin constants and
-    kept bins.  The cache keeps at most _PLAN_BYTES of plans."""
+    """Each 3D transform builds its data-independent part whole, once per key
+    (axes, geometry, padded sizes), and reuses it for every data set: the
+    distinct u, each bin's row among them and the real tap table over a
+    call's lags, and for the inversion also the running sums of its J0 taps
+    over every column of that table, its per-bin constants and kept bins.  A
+    call that needs more lags than the cached plan holds builds it anew.  The
+    cache keeps at most _PLAN_BYTES of plans."""
 
     @pytest.mark.parametrize("beta", [np.pi / 8, np.pi / 4], ids=["pi/8", "pi/4"])
     @pytest.mark.parametrize("pad", [1, 2, 3])
@@ -879,6 +909,36 @@ class TestPlans:
             cone_forward(slab_volume(16, lo, top), GEOM)
             (plan,) = cone3d._plans.values()
             assert plan.table.shape == (plan.distinct.size, lags)
+
+    def test_one_build_serves_data_below_and_at_the_top(self, monkeypatch):
+        # The first g's top nonzero level is nz - 7: the inversion computes
+        # every level, but G's top six levels are zero, so no top-end
+        # correction runs.  The second g holds data on every level, and its
+        # top-end correction reads the running J0 sums over every lag.  Both
+        # need the same lags, so the plan the first call builds serves both.
+        n, pad = 16, 2
+        ax = AxisSpec(n, -1.0, 1.0)
+        rng = np.random.default_rng(5)
+        below = rng.normal(size=(n, n, n))
+        below[:, :, n - _MIN_Z_SAMPLES :] = 0.0
+        volumes = [RealGrid3D(ax, ax, ax, v) for v in (below, rng.normal(size=(n, n, n)))]
+        assert [_inversion_levels(g) for g in volumes] == [n, n]
+        cold = []
+        for g in volumes:
+            clear_plans()
+            cold.append(cone_invert(g, GEOM, pad).values.tobytes())
+        built = []
+        inversion_taps = cone3d._inversion_taps
+
+        def counted(distinct, dz, n_lags, *args):
+            built.append(n_lags)
+            return inversion_taps(distinct, dz, n_lags, *args)
+
+        monkeypatch.setattr(cone3d, "_inversion_taps", counted)
+        clear_plans()
+        for g, expected in zip(volumes, cold):
+            assert cone_invert(g, GEOM, pad).values.tobytes() == expected
+        assert built == [n]
 
     def test_arrays_are_read_only(self):
         clear_plans()
@@ -914,11 +974,10 @@ class TestPlans:
         # The benchmark's cone3d-rt pass: N = 48, pad 2, three angles.  The
         # cache holds one real tap per distinct u and lag, the inversion's
         # composed taps over _LAGS_BELOW lags below 0 too and its running J0
-        # sums at lags 0 and 1 (no data reaches the top levels), plus the index
-        # arrays: 8 bytes per distinct u, per bin of the forward's inverse,
-        # and per bin of the inversion's scale and its kept bins' inverse
-        # and order.  Kernel spectra, complex and FFT-length long, would not
-        # fit.
+        # sums over the same columns, plus the index arrays: 8 bytes per
+        # distinct u, per bin of the forward's inverse, and per bin of the
+        # inversion's scale and its kept bins' inverse and order.  Kernel
+        # spectra, complex and FFT-length long, would not fit.
         ax = AxisSpec(48, -1.0, 1.0)
         centre = BumpSpec((0.2, 0.1, 0.0), 0.25, 1.0)
         high = BumpSpec((-0.4, 0.35, 0.3), 0.3, 1.0)
@@ -940,7 +999,7 @@ class TestPlans:
             weights = _frequency_weights(geom.tan_beta * radial, radial, g.axes())
             n_ky = np.flatnonzero(weights.any(axis=0))[-1] + 1
             u_kept = geom.tan_beta * radial[:, :n_ky][weights[:, :n_ky] > 0]
-            bound += 8 * np.unique(u_kept).size * (n_inv + cone3d._LAGS_BELOW + 1 + 2)
+            bound += 8 * np.unique(u_kept).size * (2 * (n_inv + cone3d._LAGS_BELOW) + 1)
             bound += 8 * (sizes[0] * n_ky + 2 * u_kept.size)
         assert plan_builds() == 3 * ["_forward_plan"] + 3 * ["_inverse_plan"]
         assert held_bytes() <= bound <= 1.25 * 2**20
@@ -1179,6 +1238,23 @@ class TestConeInvert:
         rec_rotated = cone_invert(RealGrid3D(ax, ax, az, rotated), GEOM, pad_factor=pad).values
         expected = np.rot90(rec, axes=(0, 1))
         assert np.linalg.norm(rec_rotated - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("beta", [np.pi / 8, np.pi / 4], ids=["pi/8", "pi/4"])
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    def test_anisotropic_axes(self, pad, beta):
+        # nx != ny and dx, dy, dz all different: the full-spectrum reference,
+        # and swapping x and y, axes and values, swaps the result's x and y.
+        axes = AxisSpec(9, -1.0, 1.0), AxisSpec(12, -0.8, 1.4), AxisSpec(16, -1.0, 0.5)
+        values = np.random.default_rng(14).normal(size=(9, 12, 16))
+        g = RealGrid3D(*axes, values)
+        geometry = ConeGeometry(beta)
+        rec = cone_invert(g, geometry, pad_factor=pad).values
+        expected = full_spectrum_invert(g, geometry, pad)
+        assert np.linalg.norm(rec - expected) <= 1e-12 * np.linalg.norm(expected)
+        transposed = np.ascontiguousarray(values.transpose(1, 0, 2))
+        swapped = RealGrid3D(axes[1], axes[0], axes[2], transposed)
+        rec_swapped = cone_invert(swapped, geometry, pad_factor=pad).values
+        assert np.linalg.norm(rec_swapped - rec.transpose(1, 0, 2)) <= 1e-12 * np.linalg.norm(rec)
 
     @pytest.mark.parametrize(
         "n, pad, nz",
